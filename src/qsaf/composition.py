@@ -301,7 +301,7 @@ class ArchitectureGraph:
         self._check_fanning(good_wires, ports, out)
         self._check_cycles(good_wires, ports, out)
         self._check_unwired_inputs(good_wires, ports, out)
-        self._check_ancilla_ledger(out)
+        self._check_ancilla_ledger(ports, out)
         self._check_contracts(out, strict_contracts)
         return out
 
@@ -418,9 +418,11 @@ class ArchitectureGraph:
                     f"{inst_id} ({desc.manifest_name}) transforms an "
                     f"incoming state; its in port is unwired", (inst_id,)))
 
-    def _check_ancilla_ledger(self, out):
+    def _check_ancilla_ledger(self, ports, out):
         for inst_id, inst in self.components.items():
-            if inst.is_optimizer or inst.primitive_id != 34:
+            # params that failed to realize are already a bad_params finding
+            if (inst.is_optimizer or inst.primitive_id != 34
+                    or ports[inst_id] is None):
                 continue
             count = int(inst.params.get("count", 1))
             released = int(inst.params.get("released", count))

@@ -139,8 +139,95 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
             amps, outcome = _collapse(amps, n, gate.qubits[0], rng)
             bits[gate.cbit] = outcome
         else:
-            amps = apply_matrix(amps, n, gate_matrix(gate), gate.qubits)
+            _apply(amps, n, gate)
     return RunResult(StateVector(n, amps), tuple(bits))
+
+
+def _block(amps, n, qubits, bits):
+    """View of the amplitudes where each listed qubit holds its bit.
+
+    The view has one axis per qubit. Length-one slices keep it a view even
+    when every axis is fixed.
+    """
+    index = [slice(None)] * n
+    for q, b in zip(qubits, bits):
+        index[n - 1 - q] = slice(b, b + 1)
+    return amps.reshape([2] * n)[tuple(index)]
+
+
+def _phase_block(amps, n, gate):
+    """Diagonal gates: scale the block where every listed qubit is 1."""
+    _block(amps, n, gate.qubits, (1,) * gate.arity)[...] *= \
+        gate_matrix(gate)[-1, -1]
+
+
+def _rz_blocks(amps, n, gate):
+    """RZ: scale the qubit's 0 and 1 blocks by their two phases."""
+    (low, _), (_, high) = gate_matrix(gate).tolist()
+    view = amps.reshape(-1, 2, 1 << gate.qubits[0])
+    view[:, 0] *= low
+    view[:, 1] *= high
+
+
+def _block_swap(amps, n, gate):
+    """Permutation gates: exchange two blocks of the state."""
+    if gate.kind is GateKind.SWAP:
+        one, other = (1, 0), (0, 1)
+    else:  # controls first, target last
+        one = (1,) * (gate.arity - 1) + (0,)
+        other = one[:-1] + (1,)
+    a = _block(amps, n, gate.qubits, one)
+    b = _block(amps, n, gate.qubits, other)
+    saved = a.copy()
+    a[...] = b
+    b[...] = saved
+
+
+def _dense_1q(amps, n, gate):
+    """Dense one-qubit gates: a 2x2 update of a (high, 2, low) view."""
+    (m00, m01), (m10, m11) = gate_matrix(gate).tolist()
+    view = amps.reshape(-1, 2, 1 << gate.qubits[0])
+    zero, one = view[:, 0], view[:, 1]
+    saved = zero.copy()
+    zero *= m00
+    zero += m01 * one
+    one *= m11
+    one += m10 * saved
+
+
+def _controlled_u(amps, n, gate):
+    """Apply matrix**power to the control=1 half only."""
+    control, *targets = gate.qubits
+    half = _block(amps, n, (control,), (1,))
+    inner = [q - (q > control) for q in targets]
+    up = np.linalg.matrix_power(gate.matrix, gate.power)
+    half[...] = apply_matrix(half.reshape(-1), n - 1, up,
+                             inner).reshape(half.shape)
+
+
+_KERNELS = {
+    **dict.fromkeys((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
+                     GateKind.TDG, GateKind.PHASE, GateKind.CZ,
+                     GateKind.CPHASE), _phase_block),
+    GateKind.RZ: _rz_blocks,
+    **dict.fromkeys((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI,
+                     GateKind.SWAP), _block_swap),
+    **dict.fromkeys((GateKind.H, GateKind.Y, GateKind.RX, GateKind.RY),
+                    _dense_1q),
+    GateKind.CONTROLLED_U: _controlled_u,
+}
+
+
+def _apply(amps, n, gate):
+    """Apply one unitary gate to the contiguous buffer ``amps`` in place.
+
+    Kinds without a kernel of their own go through ``apply_matrix``.
+    """
+    kernel = _KERNELS.get(gate.kind)
+    if kernel is None:
+        amps[...] = apply_matrix(amps, n, gate_matrix(gate), gate.qubits)
+    else:
+        kernel(amps, n, gate)
 
 
 def _collapse(amps, n, qubit, rng):
@@ -165,20 +252,12 @@ def sample(state: StateVector, shots: int, seed=None) -> dict:
     cumulative[-1] = 1.0  # guard against rounding at the top end
     draws = _rng(seed).random(shots)
     outcomes = np.searchsorted(cumulative, draws, side="right")
-    counts = {}
-    for label in outcomes:
-        key = format_outcome(int(label), state.width)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    hits = np.bincount(outcomes, minlength=probs.size)
+    return {format_outcome(label, state.width): int(hits[label])
+            for label in np.flatnonzero(hits).tolist()}
 
 
 # observables
-
-_PAULI_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -286,17 +365,37 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
         raise WidthMismatchError(
             f"observable width {observable.width} != state width "
             f"{state.width}")
+    amps = state.amplitudes
+    labels = np.arange(amps.size)
     total = 0.0
     for coeff, string in observable.terms:
         if coeff == 0.0:
             continue
-        vec = state.amplitudes
+        # P|k> = i**(#Y) (-1)**parity(k & zy) |k ^ flip>
+        flip = zy = ys = 0
         for q, letter in enumerate(string):
-            if letter != "I":
-                vec = apply_matrix(vec, state.width, _PAULI_MATS[letter],
-                                   (q,))
-        total += coeff * float(np.real(np.vdot(state.amplitudes, vec)))
+            if letter in "XY":
+                flip |= 1 << q
+            if letter in "YZ":
+                zy |= 1 << q
+            ys += letter == "Y"
+        signed = amps * (1 - 2 * _parity(labels & zy, zy.bit_length())) \
+            if zy else amps
+        partner = amps[labels ^ flip] if flip else amps
+        value = (1, 1j, -1, -1j)[ys % 4] * np.vdot(partner, signed)
+        total += coeff * float(np.real(value))
     return total
+
+
+def _parity(words, bits: int):
+    """Parity of each integer in ``words``, whose values fit in ``bits``."""
+    shift = 1
+    while shift < bits:
+        shift <<= 1
+    while shift > 1:
+        shift >>= 1
+        words = words ^ (words >> shift)
+    return words & 1
 
 
 # variational loop

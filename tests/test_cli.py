@@ -241,3 +241,14 @@ def test_compare_regimes(capsys):
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("count", ["[1]", '"x"'])
+def test_validate_reports_malformed_ancilla_count(tmp_path, capsys, count):
+    path = tmp_path / "ancilla.qsaf"
+    path.write_text(f"component a = AncillaManagement(count={count})\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error [bad_params]" in captured.out
+    assert "1 finding(s), 1 blocking" in captured.out
+    assert captured.err == ""
