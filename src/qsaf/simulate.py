@@ -161,14 +161,6 @@ def _phase_block(amps, n, gate):
         gate_matrix(gate)[-1, -1]
 
 
-def _rz_blocks(amps, n, gate):
-    """RZ: scale the qubit's 0 and 1 blocks by their two phases."""
-    (low, _), (_, high) = gate_matrix(gate).tolist()
-    view = amps.reshape(-1, 2, 1 << gate.qubits[0])
-    view[:, 0] *= low
-    view[:, 1] *= high
-
-
 def _block_swap(amps, n, gate):
     """Permutation gates: exchange two blocks of the state."""
     if gate.kind is GateKind.SWAP:
@@ -209,25 +201,17 @@ _KERNELS = {
     **dict.fromkeys((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
                      GateKind.TDG, GateKind.PHASE, GateKind.CZ,
                      GateKind.CPHASE), _phase_block),
-    GateKind.RZ: _rz_blocks,
     **dict.fromkeys((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI,
                      GateKind.SWAP), _block_swap),
-    **dict.fromkeys((GateKind.H, GateKind.Y, GateKind.RX, GateKind.RY),
-                    _dense_1q),
+    **dict.fromkeys((GateKind.H, GateKind.Y, GateKind.RX, GateKind.RY,
+                     GateKind.RZ), _dense_1q),
     GateKind.CONTROLLED_U: _controlled_u,
 }
 
 
 def _apply(amps, n, gate):
-    """Apply one unitary gate to the contiguous buffer ``amps`` in place.
-
-    Kinds without a kernel of their own go through ``apply_matrix``.
-    """
-    kernel = _KERNELS.get(gate.kind)
-    if kernel is None:
-        amps[...] = apply_matrix(amps, n, gate_matrix(gate), gate.qubits)
-    else:
-        kernel(amps, n, gate)
+    """Apply one unitary gate to the contiguous buffer ``amps`` in place."""
+    _KERNELS[gate.kind](amps, n, gate)
 
 
 def _collapse(amps, n, qubit, rng):

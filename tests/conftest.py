@@ -3,11 +3,16 @@ texts used across the suite."""
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
-# fixed example sequences, so property suites give the same verdict each run
-settings.register_profile("derandomized", derandomize=True, database=None)
-settings.load_profile("derandomized")
+try:
+    from hypothesis import settings
+except ImportError:  # only tests/test_kernels.py needs it, and skips
+    pass
+else:
+    # fixed example sequences, so property suites give the same verdict
+    settings.register_profile("derandomized", derandomize=True,
+                              database=None)
+    settings.load_profile("derandomized")
 
 # reference single- and two-qubit matrices, written out by hand
 

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st
 
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
