@@ -23,10 +23,9 @@ from .composition import (AbstractionLevel, ArchitectureGraph,
                           entanglement_sets, optimizer)
 from .core import (AncillaPolicy, ComplexitySummary, FunctionalCategory,
                    Granularity, HardwareBinding, InformationFlow,
-                   InterfaceTemplate, ModuleInterface, NfrProfile,
-                   Parameter, ParameterKind, ReusePattern, ReuseTier,
-                   UnitaryKind, UsageLevel, category_template,
-                   make_module_interface)
+                   InterfaceTemplate, NfrProfile, Parameter,
+                   ParameterKind, ReusePattern, ReuseTier, UnitaryKind,
+                   UsageLevel, category_template)
 from .errors import (BadParamsError, CompositionError,
                      DegenerateMarginalsError, FanOutError,
                      KindMismatchError, LevelViolationError, ManifestError,
@@ -61,7 +60,7 @@ __all__ = [
     "Growth", "HardwareBinding", "InformationFlow", "InterfaceTemplate",
     "KindMismatchError", "LevelViolationError", "Manifest",
     "ManifestError", "MeasuredQubitReuseError", "MeceViolation",
-    "MinimizationOutcome", "ModuleInterface", "NfrProfile",
+    "MinimizationOutcome", "NfrProfile",
     "NotEigenstateError", "NotLowerableError", "OptimizerConfig",
     "Parameter", "ParameterKind", "PauliObservable",
     "PrimitiveDescriptor", "QsafError", "RatingsMatrix", "ReusePattern",
@@ -75,7 +74,7 @@ __all__ = [
     "entanglement_sets", "execute", "execute_directive", "expectation",
     "export_gates", "find_order", "find_primitive", "fleiss_kappa",
     "gate_counts", "get_primitive", "iterative_phase_estimate",
-    "list_primitives", "lower", "make_module_interface",
+    "list_primitives", "lower",
     "maxcut_observable", "modular_multiply_matrix", "nfr_profile",
     "optimizer", "parameter_shift_gradient", "parse_manifest",
     "parse_ratings_csv", "phase_unitary",

@@ -1,10 +1,11 @@
 """Composition of primitives into architecture graphs.
 
 An ArchitectureGraph holds component instances, directed wires between
-their ports, and optional entanglement contracts. ``wire`` rejects bad
-connections immediately; ``validate`` re-derives every rule as a list of
-diagnostics so a graph assembled from text can be checked as a whole; and
-``flatten`` lowers a clean graph to one gate-level circuit.
+their ports, and optional entanglement contracts. ``validate`` reports
+every rule violation as a list of diagnostics, so a graph assembled from
+text can be checked as a whole; ``wire`` applies the same wiring rules to
+one connection and raises at once; and ``flatten`` lowers a clean graph to
+one gate-level circuit.
 
 Ports follow a fixed naming scheme. Quantum data flows out of ``out`` and
 into ``in``; measured readouts leave through ``bits``; a variational
@@ -166,6 +167,32 @@ def _parse_endpoint(text: str):
     return inst.strip(), port.strip()
 
 
+def _fan_problems(w: Wire, src: Port, sources, sinks):
+    """No-cloning fan-out and single-feed fan-in of ``w``, given the
+    (instance, port) ends of the wires before it."""
+    if src.kind == "quantum" and (w.src_instance, w.src_port) in sources:
+        yield Diagnostic(
+            "fan_out",
+            f"{w.src_instance}.{w.src_port} feeds multiple components; "
+            f"quantum state cannot be copied", (w.src_instance,))
+    if (w.dst_instance, w.dst_port) in sinks:
+        yield Diagnostic(
+            "fan_in",
+            f"{w.dst_instance}.{w.dst_port} is wired more than once",
+            (w.dst_instance,))
+
+
+# the exception ``wire`` raises for each diagnostic code it can find
+_WIRE_ERRORS = {
+    "unknown_port": UnknownPortError,
+    "kind_mismatch": KindMismatchError,
+    "width_mismatch": WidthMismatchError,
+    "measured_qubit_reuse": MeasuredQubitReuseError,
+    "fan_out": FanOutError,
+    "fan_in": CompositionError,
+}
+
+
 @dataclass
 class ArchitectureGraph:
     """Named composition of components, wires, and contracts."""
@@ -187,55 +214,30 @@ class ArchitectureGraph:
             raise CompositionError(
                 f"duplicate instance id {instance.instance_id!r}")
         if check:
-            self._check_level(instance)
+            for problem in self._level_problems(instance):
+                raise LevelViolationError(problem.message)
             _instance_ports(instance)  # surfaces bad params now
         self.components[instance.instance_id] = instance
         return instance
 
-    def _check_level(self, instance: ComponentInstance):
-        if instance.is_optimizer:
-            if self.level != AbstractionLevel.ALGORITHM:
-                raise LevelViolationError(
-                    "an optimizer loop needs an algorithm-level graph")
-        elif instance.level >= self.level:
-            raise LevelViolationError(
-                f"{instance.instance_id} sits at level {instance.level}; "
-                f"a level-{self.level} graph composes strictly lower "
-                f"levels")
-
     def wire(self, src: str, dst: str) -> Wire:
-        """Connect two ports, rejecting bad connections immediately."""
+        """Connect two ports, rejecting bad connections immediately.
+
+        Runs the same rules as ``validate`` and raises the error class of
+        the first finding.
+        """
         w = Wire(*_parse_endpoint(src), *_parse_endpoint(dst))
-        src_port = self._port_of(w.src_instance, w.src_port)
-        dst_port = self._port_of(w.dst_instance, w.dst_port)
-        if src_port.direction != "out":
-            raise KindMismatchError(
-                f"{src} is not an output port; wires run out -> in")
-        if dst_port.direction != "in":
-            raise KindMismatchError(
-                f"{dst} is not an input port; wires run out -> in")
-        if src_port.kind != dst_port.kind:
-            raise KindMismatchError(
-                f"cannot wire {src_port.kind} {src} into {dst_port.kind} "
-                f"{dst}")
-        if (src_port.width is not None and dst_port.width is not None
-                and src_port.width != dst_port.width):
-            raise WidthMismatchError(
-                f"{src} is {src_port.width} wide, {dst} expects "
-                f"{dst_port.width}")
-        if src_port.kind == "quantum" and src_port.measured:
-            raise MeasuredQubitReuseError(
-                f"{src} was measured; its qubits cannot be reused")
-        for other in self.wires:
-            if src_port.kind == "quantum" and \
-                    (other.src_instance, other.src_port) == \
-                    (w.src_instance, w.src_port):
-                raise FanOutError(
-                    f"{src} already feeds {other.dst_instance}."
-                    f"{other.dst_port}; quantum outputs cannot fan out")
-            if (other.dst_instance, other.dst_port) == \
-                    (w.dst_instance, w.dst_port):
-                raise CompositionError(f"{dst} is already wired")
+        ports = {inst_id: _instance_ports(self.components[inst_id])
+                 for inst_id in (w.src_instance, w.dst_instance)
+                 if inst_id in self.components}
+        problem = self._wire_problem(w, ports)
+        if problem is None:
+            problem = next(_fan_problems(
+                w, ports[w.src_instance][w.src_port],
+                {(o.src_instance, o.src_port) for o in self.wires},
+                {(o.dst_instance, o.dst_port) for o in self.wires}), None)
+        if problem is not None:
+            raise _WIRE_ERRORS[problem.code](problem.message)
         self.wires.append(w)
         return w
 
@@ -244,19 +246,6 @@ class ArchitectureGraph:
         w = Wire(*_parse_endpoint(src), *_parse_endpoint(dst))
         self.wires.append(w)
         return w
-
-    def _port_of(self, instance_id: str, port_name: str) -> Port:
-        if instance_id not in self.components:
-            raise UnknownPortError(f"no component named {instance_id!r}")
-        ports = _instance_ports(self.components[instance_id])
-        if ports is None:
-            raise UnknownPortError(
-                f"{instance_id} cannot be lowered and exposes no ports")
-        if port_name not in ports:
-            raise UnknownPortError(
-                f"{instance_id} has no port {port_name!r} "
-                f"(ports: {', '.join(sorted(ports))})")
-        return ports[port_name]
 
     def add_contract(self, qubits) -> frozenset:
         """Declare that the listed flattened qubits should end entangled."""
@@ -274,16 +263,7 @@ class ArchitectureGraph:
         out = []
         ports = {}
         for inst_id, inst in self.components.items():
-            if not inst.is_optimizer and inst.level >= self.level:
-                out.append(Diagnostic(
-                    "level_violation",
-                    f"{inst_id} (level {inst.level}) cannot sit inside a "
-                    f"level-{self.level} graph", (inst_id,)))
-            if inst.is_optimizer and self.level != AbstractionLevel.ALGORITHM:
-                out.append(Diagnostic(
-                    "level_violation",
-                    f"{inst_id} closes a classical loop; that is an "
-                    f"algorithm-level construct", (inst_id,)))
+            out.extend(self._level_problems(inst))
             try:
                 ports[inst_id] = _instance_ports(inst)
             except BadParamsError as exc:
@@ -304,6 +284,20 @@ class ArchitectureGraph:
         self._check_ancilla_ledger(ports, out)
         self._check_contracts(out, strict_contracts)
         return out
+
+    def _level_problems(self, inst: ComponentInstance):
+        """Components sit strictly below their graph; an optimizer loop
+        exists only in an algorithm-level graph."""
+        if inst.is_optimizer and self.level != AbstractionLevel.ALGORITHM:
+            yield Diagnostic(
+                "level_violation",
+                f"{inst.instance_id} closes a classical loop; that is an "
+                f"algorithm-level construct", (inst.instance_id,))
+        if not inst.is_optimizer and inst.level >= self.level:
+            yield Diagnostic(
+                "level_violation",
+                f"{inst.instance_id} (level {inst.level}) cannot sit inside "
+                f"a level-{self.level} graph", (inst.instance_id,))
 
     def _wire_problem(self, w: Wire, ports) -> Diagnostic | None:
         involved = (w.src_instance, w.dst_instance)
@@ -347,26 +341,12 @@ class ArchitectureGraph:
         return None
 
     def _check_fanning(self, wires, ports, out):
-        seen_src = {}
-        seen_dst = {}
+        sources, sinks = set(), set()
         for w in wires:
-            src = ports[w.src_instance][w.src_port]
-            key = (w.src_instance, w.src_port)
-            if src.kind == "quantum":
-                if key in seen_src:
-                    out.append(Diagnostic(
-                        "fan_out",
-                        f"{w.src_instance}.{w.src_port} feeds multiple "
-                        f"components; quantum state cannot be copied",
-                        (w.src_instance,)))
-                seen_src[key] = w
-            dkey = (w.dst_instance, w.dst_port)
-            if dkey in seen_dst:
-                out.append(Diagnostic(
-                    "fan_in",
-                    f"{w.dst_instance}.{w.dst_port} is wired more than "
-                    f"once", (w.dst_instance,)))
-            seen_dst[dkey] = w
+            out.extend(_fan_problems(w, ports[w.src_instance][w.src_port],
+                                     sources, sinks))
+            sources.add((w.src_instance, w.src_port))
+            sinks.add((w.dst_instance, w.dst_port))
 
     def _check_cycles(self, wires, ports, out):
         quantum_edges = {}

@@ -10,8 +10,6 @@ import enum
 import functools
 from dataclasses import dataclass
 
-from .errors import AncillaPolicyError, WidthMismatchError
-
 
 class FunctionalCategory(enum.Enum):
     """The seven functional roles a circuit primitive can play."""
@@ -135,49 +133,6 @@ class Parameter:
     name: str
     kind: ParameterKind
     domain: str = ""
-
-
-@dataclass(frozen=True)
-class ModuleInterface:
-    """Register shape of a reusable circuit module.
-
-    Quantum modules preserve width (q_out == q_in); only measurement
-    interfaces may shrink the quantum register into classical bits.
-    """
-
-    q_in: int
-    q_out: int
-    q_anc: int
-    anc_policy: AncillaPolicy
-    unitary_kind: UnitaryKind
-    params: tuple[Parameter, ...] = ()
-    classical_out: int = 0
-    measures: bool = False
-
-    def __post_init__(self):
-        for label, count in (("q_in", self.q_in), ("q_out", self.q_out),
-                             ("q_anc", self.q_anc),
-                             ("classical_out", self.classical_out)):
-            if count < 0:
-                raise ValueError(f"{label} must be nonnegative, got {count}")
-        if not self.measures and self.q_out != self.q_in:
-            raise WidthMismatchError(
-                f"unitary module must preserve width: q_in={self.q_in}, "
-                f"q_out={self.q_out}")
-        if self.anc_policy is AncillaPolicy.NONE and self.q_anc > 0:
-            raise AncillaPolicyError(
-                f"ancilla policy is 'none' but q_anc={self.q_anc}")
-        if self.anc_policy is AncillaPolicy.REQUIRED and self.q_anc == 0:
-            raise AncillaPolicyError(
-                "ancilla policy is 'required' but q_anc=0")
-
-
-def make_module_interface(q_in, q_out, q_anc, anc_policy, unitary_kind,
-                          params=(), classical_out=0,
-                          measures=False) -> ModuleInterface:
-    """Validated constructor for ModuleInterface."""
-    return ModuleInterface(q_in, q_out, q_anc, anc_policy, unitary_kind,
-                           tuple(params), classical_out, measures)
 
 
 @dataclass(frozen=True)

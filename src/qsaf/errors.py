@@ -45,10 +45,6 @@ class WidthMismatchError(QsafError):
     """Register widths disagree (interface, wire, or initial state)."""
 
 
-class AncillaPolicyError(QsafError):
-    """Ancilla count contradicts the declared ancilla policy."""
-
-
 # catalog and lowering
 
 

@@ -242,15 +242,19 @@ def _append_cry(circ: GateCircuit, theta: float, control: int, target: int):
     circ.append(g.cnot(control, target))
 
 
-def _qft_ops(qubits):
-    """Fourier ladder over the listed qubits, most significant first."""
+def _qft_ops(qubits, cutoff=None):
+    """Fourier ladder over the listed qubits, most significant first.
+
+    With a ``cutoff``, only rotations spanning fewer qubits are kept.
+    """
     qs = list(qubits)
     n = len(qs)
     ops = []
     for j in range(n - 1, -1, -1):
         ops.append(g.h(qs[j]))
         for m in range(j - 1, -1, -1):
-            ops.append(g.cphase(math.pi / 2 ** (j - m), qs[m], qs[j]))
+            if cutoff is None or j - m < cutoff:
+                ops.append(g.cphase(math.pi / 2 ** (j - m), qs[m], qs[j]))
     for i in range(n // 2):
         ops.append(g.swap(qs[i], qs[n - 1 - i]))
     return ops
@@ -494,13 +498,7 @@ def _approx_qft(p):
     cutoff = p.int("cutoff", lo=1)
     p.finish()
     circ = GateCircuit(n)
-    for j in range(n - 1, -1, -1):
-        circ.append(g.h(j))
-        for m in range(j - 1, -1, -1):
-            if j - m < cutoff:  # keep only spans below the cutoff
-                circ.append(g.cphase(math.pi / 2 ** (j - m), m, j))
-    for i in range(n // 2):
-        circ.append(g.swap(i, n - 1 - i))
+    circ.extend(_qft_ops(range(n), cutoff))
     return _simple(circ, n)
 
 
@@ -547,11 +545,14 @@ def _boolean_oracle(p):
     return _bitflip_from_marked(n, marked)
 
 
-def _standard_qpe(p):
-    t_bits = p.int("t", lo=1, hi=20)
-    mat, m = _unitary_from_params(p)
-    p.finish()
-    width = t_bits + m
+def qpe_circuit(mat, t_bits: int) -> GateCircuit:
+    """Standard phase estimation of ``mat`` without readout.
+
+    Counting qubits 0..t_bits-1 take Hadamards and control the powers
+    ``mat**(2**k)`` on the work register above them; an inverse QFT
+    leaves the phase digits on the counting register.
+    """
+    width = t_bits + int(math.log2(mat.shape[0]))
     work = list(range(t_bits, width))
     circ = GateCircuit(width)
     for k in range(t_bits):
@@ -559,10 +560,35 @@ def _standard_qpe(p):
     for k in range(t_bits):
         circ.append(g.controlled_u(mat, k, work, power=2 ** k))
     circ.extend(_inverse_ops(_qft_ops(range(t_bits))))
+    return circ
+
+
+def qpe_round(mat, power: int, feedback: float) -> GateCircuit:
+    """One iterative phase-estimation round on ancilla qubit 0.
+
+    Applies ``mat**power`` controlled by the ancilla, rotates it by the
+    ``feedback`` angle from bits already found, and measures it.
+    """
+    width = 1 + int(math.log2(mat.shape[0]))
+    circ = GateCircuit(width)
+    circ.append(g.h(0))
+    circ.append(g.controlled_u(mat, 0, list(range(1, width)), power=power))
+    if feedback != 0.0:
+        circ.append(g.phase(feedback, 0))
+    circ.append(g.h(0))
+    circ.append(g.measure(0, 0))
+    return circ
+
+
+def _standard_qpe(p):
+    t_bits = p.int("t", lo=1, hi=20)
+    mat, m = _unitary_from_params(p)
+    p.finish()
+    circ = qpe_circuit(mat, t_bits)
     for k in range(t_bits):
         circ.append(g.measure(k, k))
-    spec = PortSpec(width=width, in_qubits=tuple(work),
-                    out_qubits=tuple(work),
+    work = tuple(range(t_bits, t_bits + m))
+    spec = PortSpec(width=circ.width, in_qubits=work, out_qubits=work,
                     anc_qubits=tuple(range(t_bits)), classical_out=t_bits,
                     measures=True)
     return Lowered(circ, spec, [])
@@ -573,19 +599,10 @@ def _iterative_qpe(p):
     feedback = p.float("feedback", 0.0)
     mat, m = _unitary_from_params(p)
     p.finish()
-    width = 1 + m
-    work = list(range(1, width))
-    circ = GateCircuit(width)
-    circ.append(g.h(0))
-    circ.append(g.controlled_u(mat, 0, work, power=2 ** k))
-    if feedback != 0.0:
-        circ.append(g.phase(feedback, 0))
-    circ.append(g.h(0))
-    circ.append(g.measure(0, 0))
-    spec = PortSpec(width=width, in_qubits=tuple(work),
-                    out_qubits=tuple(work), anc_qubits=(0,),
-                    classical_out=1, measures=True)
-    return Lowered(circ, spec, [])
+    work = tuple(range(1, 1 + m))
+    spec = PortSpec(width=1 + m, in_qubits=work, out_qubits=work,
+                    anc_qubits=(0,), classical_out=1, measures=True)
+    return Lowered(qpe_round(mat, 2 ** k, feedback), spec, [])
 
 
 def _hardware_efficient(p):
@@ -680,6 +697,8 @@ def _pauli_block(circ, sites, string, angle_scale, theta, theta_idx):
 
 
 def _normalize_blocks(p, n, theta_count, raw_blocks):
+    if not isinstance(raw_blocks, (list, tuple)):
+        p._err(f"'blocks' must be a list, got {raw_blocks!r}")
     blocks = []
     for item in raw_blocks:
         if (not isinstance(item, (list, tuple)) or len(item) != 3):
@@ -733,7 +752,8 @@ def _heuristic(p):
     layers = p.int("layers", lo=1)
     rotations = p._fetch("rotations", ["ry", "rz"])
     if (not isinstance(rotations, (list, tuple)) or not rotations
-            or any(r not in _ROTATION_BUILDERS for r in rotations)):
+            or any(not isinstance(r, str) or r not in _ROTATION_BUILDERS
+                   for r in rotations)):
         p._err(f"'rotations' must list kinds from "
                f"{sorted(_ROTATION_BUILDERS)}, got {rotations!r}")
     entangler = p.str("entangler", "chain", choices={"chain", "ring"})
@@ -950,8 +970,6 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
         if len(flat) != 2 * layers or layers == 0:
             raise BadParamsError("flat vector for id 26 must hold gammas "
                                  "then betas, one of each per layer")
-        params.pop("gammas", None)
-        params.pop("betas", None)
         params["gammas"] = flat[:layers]
         params["betas"] = flat[layers:]
     else:
@@ -962,3 +980,18 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
             f"primitive {primitive_id} consumed {low.spec.theta_count} "
             f"parameters, got {len(flat)}")
     return low
+
+
+def initial_thetas(primitive_id: int, params) -> list:
+    """The flat parameter vector an ansatz's params start from, in the
+    layout ``realize_ansatz`` reads."""
+    if primitive_id == 26:
+        gammas, betas = params.get("gammas"), params.get("betas")
+        if not gammas or betas is None:
+            raise BadParamsError("needs initial 'gammas' and 'betas'")
+        flat = list(gammas) + list(betas)
+    else:
+        flat = params.get("thetas")
+        if not flat:
+            raise BadParamsError("needs initial 'thetas'")
+    return [float(v) for v in flat]

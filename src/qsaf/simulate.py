@@ -18,11 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gates as g
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
 from .gates import GateCircuit, GateKind, apply_matrix, gate_matrix
-from .lowering import _inverse_ops, _qft_ops, realize_ansatz
+from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
+                       realize_ansatz)
 
 SIM_WIDTH_CAP = 16
 NORM_ATOL = 1e-10
@@ -519,16 +519,9 @@ def _qpe_state(mat, vec, t: int) -> StateVector:
     if width > SIM_WIDTH_CAP:
         raise TooWideError(
             f"t={t} plus work register exceeds simulator cap")
-    circ = GateCircuit(width)
-    work = list(range(t, width))
-    for k in range(t):
-        circ.append(g.h(k))
-    for k in range(t):
-        circ.append(g.controlled_u(mat, k, work, power=2 ** k))
-    circ.extend(_inverse_ops(_qft_ops(range(t))))
     amps = np.zeros(2 ** width, dtype=complex)
     amps[np.arange(vec.size) << t] = vec  # work register holds the state
-    return run(circ, StateVector(width, amps)).state
+    return run(qpe_circuit(mat, t), StateVector(width, amps)).state
 
 
 def qpe_estimate(unitary, eigenstate, t: int, shots: int = 256,
@@ -569,18 +562,10 @@ def iterative_phase_estimate(unitary, eigenstate, t: int, seed=None) -> float:
     for i in range(t, 0, -1):
         feedback = -2.0 * math.pi * sum(
             bits[j] / 2 ** (j - i + 1) for j in range(i + 1, t + 1))
-        circ = GateCircuit(width)
-        circ.append(g.h(0))
-        circ.append(g.controlled_u(mat, 0, list(range(1, width)),
-                                   power=2 ** (i - 1)))
-        if feedback != 0.0:
-            circ.append(g.phase(feedback, 0))
-        circ.append(g.h(0))
-        circ.append(g.measure(0, 0))
         amps = np.zeros(2 ** width, dtype=complex)
         amps[np.arange(vec.size) << 1] = vec
-        outcome = run(circ, StateVector(width, amps), seed=rng).bits[0]
-        bits[i] = outcome
+        bits[i] = run(qpe_round(mat, 2 ** (i - 1), feedback),
+                      StateVector(width, amps), seed=rng).bits[0]
     return sum(bits[i] / 2 ** i for i in range(1, t + 1))
 
 
@@ -598,7 +583,6 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
     if math.gcd(a, modulus) != 1:
         raise BadParamsError(
             f"{a} shares a factor with {modulus}; order undefined")
-    from .lowering import modular_multiply_matrix
     mat = modular_multiply_matrix(a % modulus, modulus)
     m = mat.shape[0].bit_length() - 1
     vec = np.zeros(2 ** m, dtype=complex)

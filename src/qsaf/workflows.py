@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .composition import ArchitectureGraph
-from .errors import QsafError, ValidationFailedError
+from .errors import BadParamsError, QsafError, ValidationFailedError
 from .gates import GateCircuit, GateKind
-from .lowering import ANSATZ_IDS, realize_ansatz
+from .lowering import ANSATZ_IDS, initial_thetas, realize_ansatz
 from .manifest import Manifest, RunDirective
 from .simulate import (OptimizerConfig, PauliObservable, VariationalResult,
                        run, sample, variational_minimize)
@@ -103,18 +103,10 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
     ansatz = _driven_ansatz(graph, opt.instance_id)
     pid = ansatz.primitive_id
     structure = dict(ansatz.params)
-    if pid == 26:
-        gammas = structure.get("gammas")
-        betas = structure.get("betas")
-        if not gammas or betas is None:
-            raise QsafError(f"{ansatz.instance_id} needs initial 'gammas' "
-                            f"and 'betas'")
-        init = [float(v) for v in list(gammas) + list(betas)]
-    else:
-        init = structure.get("thetas")
-        if not init:
-            raise QsafError(f"{ansatz.instance_id} needs initial 'thetas'")
-        init = [float(v) for v in init]
+    try:
+        init = initial_thetas(pid, structure)
+    except BadParamsError as exc:
+        raise QsafError(f"{ansatz.instance_id} {exc}") from None
 
     observable_text = opt.params.get("observable")
     if not isinstance(observable_text, str) or not observable_text:

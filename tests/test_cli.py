@@ -252,3 +252,18 @@ def test_validate_reports_malformed_ancilla_count(tmp_path, capsys, count):
     assert "error [bad_params]" in captured.out
     assert "1 finding(s), 1 blocking" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("component", [
+    "HeuristicAnsatz(n=2, layers=1, rotations=[[1]], thetas=[0.1, 0.2])",
+    "UCCSDAnsatz(n=4, thetas=[0.1], blocks=5)",
+])
+def test_validate_reports_malformed_ansatz_structure(tmp_path, capsys,
+                                                     component):
+    path = tmp_path / "ansatz.qsaf"
+    path.write_text(f"component a = {component}\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error [bad_params]" in captured.out
+    assert "1 finding(s), 1 blocking" in captured.out
+    assert captured.err == ""

@@ -126,6 +126,57 @@ def test_wire_rejects_double_wired_inputs():
         graph.wire("b.out", "meas.in")
 
 
+def _wiring_graph():
+    return _graph(ComponentInstance("sup", 2, {"n": 2}),
+                  ComponentInstance("qft", 15, {"n": 2}),
+                  ComponentInstance("wide", 15, {"n": 3}),
+                  ComponentInstance("meas", 33, {"n": 2}),
+                  ComponentInstance("damp", 14, {}),
+                  ComponentInstance("a", 2, {"n": 2}),
+                  ComponentInstance("b", 2, {"n": 2}))
+
+
+@pytest.mark.parametrize("earlier, src, dst, error, code", [
+    ((), "ghost.out", "qft.in", UnknownPortError, "unknown_port"),
+    ((), "sup.out", "qft.input", UnknownPortError, "unknown_port"),
+    ((), "damp.out", "qft.in", UnknownPortError, "unknown_port"),
+    ((), "sup.in", "qft.in", KindMismatchError, "kind_mismatch"),
+    ((), "meas.bits", "qft.in", KindMismatchError, "kind_mismatch"),
+    ((), "sup.out", "wide.in", WidthMismatchError, "width_mismatch"),
+    ((("sup.out", "meas.in"),), "meas.out", "qft.in",
+     MeasuredQubitReuseError, "measured_qubit_reuse"),
+    ((("sup.out", "meas.in"),), "sup.out", "qft.in", FanOutError,
+     "fan_out"),
+    ((("a.out", "meas.in"),), "b.out", "meas.in", CompositionError,
+     "fan_in"),
+])
+def test_wire_and_validate_apply_the_same_rules(earlier, src, dst, error,
+                                                code):
+    eager = _wiring_graph()
+    for wire in earlier:
+        eager.wire(*wire)
+    with pytest.raises(error) as info:
+        eager.wire(src, dst)
+    assert type(info.value) is error
+    assert len(eager.wires) == len(earlier)
+
+    deferred = _wiring_graph()
+    for wire in earlier:
+        deferred.record_wire(*wire)
+    assert code not in _codes(deferred)
+    deferred.record_wire(src, dst)
+    assert code in _codes(deferred)
+
+
+def test_malformed_endpoints_are_rejected_before_any_rule():
+    graph = _wiring_graph()
+    with pytest.raises(UnknownPortError):
+        graph.wire("sup.out", "qft")
+    with pytest.raises(UnknownPortError):
+        graph.record_wire("sup.out", "qft")
+    assert graph.wires == []
+
+
 def test_validate_reports_fan_in_and_unknown_ports():
     graph = _graph(ComponentInstance("a", 2, {"n": 2}),
                    ComponentInstance("b", 2, {"n": 2}),

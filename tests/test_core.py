@@ -2,12 +2,13 @@
 
 import pytest
 
+from qsaf.analyze import DEFAULT_DEMO_PARAMS, _default_sizes, _size_params
+from qsaf.catalog import CountMetric, all_primitives
 from qsaf.core import (AncillaPolicy, FunctionalCategory, Granularity,
-                       InformationFlow, ModuleInterface, NfrProfile,
-                       ParameterKind, ReusePattern, UnitaryKind, UsageLevel,
-                       category_template, make_module_interface,
-                       summarize_parameter_kinds)
-from qsaf.errors import AncillaPolicyError, WidthMismatchError
+                       InformationFlow, NfrProfile, ParameterKind,
+                       ReusePattern, UnitaryKind, UsageLevel,
+                       category_template, summarize_parameter_kinds)
+from qsaf.lowering import port_spec
 
 
 def test_usage_levels_are_ordered():
@@ -54,27 +55,42 @@ def test_template_conventions():
     assert bt.unitary_kind is UnitaryKind.FOURIER
 
 
-def test_module_interface_width_preservation():
-    iface = make_module_interface(3, 3, 0, AncillaPolicy.NONE,
-                                  UnitaryKind.FIXED)
-    assert iface.q_in == iface.q_out == 3
-    with pytest.raises(WidthMismatchError):
-        make_module_interface(3, 2, 0, AncillaPolicy.NONE, UnitaryKind.FIXED)
-    # a measuring interface may shrink the register
-    meas = make_module_interface(3, 0, 0, AncillaPolicy.NONE,
-                                 UnitaryKind.FIXED, classical_out=3,
-                                 measures=True)
-    assert meas.classical_out == 3
+def _conformance_cases():
+    for desc in all_primitives():
+        if not desc.lowerable:
+            continue
+        yield desc, DEFAULT_DEMO_PARAMS[desc.id]
+        # a growth counted in iterations has no per-size params
+        if desc.metric is not CountMetric.ITERATIONS:
+            for size in _default_sizes(desc.id):
+                yield desc, _size_params(desc.id, size)
 
 
-def test_module_interface_ancilla_policy():
-    with pytest.raises(AncillaPolicyError):
-        make_module_interface(2, 2, 1, AncillaPolicy.NONE, UnitaryKind.FIXED)
-    with pytest.raises(AncillaPolicyError):
-        make_module_interface(2, 2, 0, AncillaPolicy.REQUIRED,
-                              UnitaryKind.FIXED)
-    with pytest.raises(ValueError):
-        ModuleInterface(-1, -1, 0, AncillaPolicy.NONE, UnitaryKind.FIXED)
+def test_conformance_cases_cover_every_lowerable_primitive():
+    assert {desc.id for desc, _ in _conformance_cases()} == {
+        d.id for d in all_primitives() if d.lowerable}
+
+
+def test_lowered_primitives_follow_their_ancilla_policy():
+    for desc, params in _conformance_cases():
+        if desc.category is None:
+            continue
+        spec = port_spec(desc.id, params)
+        where = f"{desc.manifest_name}({params})"
+        policy = category_template(desc.category).anc_policy
+        if policy is AncillaPolicy.NONE:
+            assert spec.anc_qubits == (), where
+        if policy is AncillaPolicy.REQUIRED:
+            assert spec.anc_qubits, where
+
+
+def test_lowered_primitives_measure_only_where_allowed():
+    for desc, params in _conformance_cases():
+        spec = port_spec(desc.id, params)
+        where = f"{desc.manifest_name}({params})"
+        may_measure = (desc.category is FunctionalCategory.PHASE_ESTIMATION
+                       or desc.id == 33)  # Measurement
+        assert may_measure or not spec.measures, where
 
 
 def test_profile_rejects_irreversible_unitary():

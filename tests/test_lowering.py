@@ -10,7 +10,7 @@ from qsaf.errors import BadParamsError, NotLowerableError
 from qsaf.gates import GateCircuit, GateKind, gate_counts, unitary_of
 from qsaf.lowering import (ANSATZ_IDS, ansatz_theta_count, lower,
                            modular_multiply_matrix, phase_unitary, port_spec,
-                           realize, realize_ansatz)
+                           qpe_circuit, qpe_round, realize, realize_ansatz)
 from qsaf.simulate import StateVector, run
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -226,6 +226,26 @@ def test_iterative_qpe_round_layout():
     low = realize(23, {"k": 0, "phase": 0.5})
     initial = StateVector.basis(2, 2)  # eigenstate |1> on the work qubit
     assert run(low.circuit, initial, seed=0).bits[0] == 1
+
+
+@pytest.mark.parametrize("source, mat", [
+    ({"phase": 0.375}, phase_unitary(0.375)),
+    ({"a": 7, "modulus": 15}, modular_multiply_matrix(7, 15)),
+])
+def test_qpe_primitives_lower_through_the_shared_builders(source, mat):
+    standard = lower(22, {"t": 3, **source})
+    assert [op for op in standard.ops if op.kind is not GateKind.MEASURE] \
+        == qpe_circuit(mat, 3).ops
+    assert [op.qubits for op in standard.ops
+            if op.kind is GateKind.MEASURE] == [(0,), (1,), (2,)]
+    one_round = lower(23, {"k": 2, "feedback": -0.5, **source})
+    assert one_round.ops == qpe_round(mat, 4, -0.5).ops
+
+
+def test_package_exports_resolve_without_duplicates():
+    assert len(qsaf.__all__) == len(set(qsaf.__all__))
+    missing = [name for name in qsaf.__all__ if not hasattr(qsaf, name)]
+    assert missing == []
 
 
 def test_ansatz_theta_counts_match_realizations():

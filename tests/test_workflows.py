@@ -169,6 +169,20 @@ def test_minimize_requires_an_observable():
     assert "observable" in str(info.value)
 
 
+def test_minimize_needs_initial_thetas():
+    # HamiltonianAnsatz realizes from dt alone, so validation passes
+    manifest = parse_manifest(
+        "component h = HamiltonianAnsatz(n=2, dt=0.1)\n"
+        "component meas = Measurement(n=2)\n"
+        'component opt = Optimizer(observable="Z0")\n'
+        "wire h.out -> meas.in\n"
+        "wire meas.bits -> opt.in\n"
+        "run minimize\n")
+    with pytest.raises(QsafError) as info:
+        execute(manifest)
+    assert str(info.value) == "h needs initial 'thetas'"
+
+
 def test_minimize_surfaces_blocking_diagnostics():
     manifest = parse_manifest(_vqe_like(
         'component opt = Optimizer(observable="Z0")').replace(
