@@ -185,18 +185,41 @@ def measure(q, cbit):
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_MATRICES = {
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, cmath.exp(0.25j * math.pi)]],
-                         dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-0.25j * math.pi)]],
-                           dtype=complex),
+# (m00, m01, m10, m11) of the one-qubit kinds without an angle
+_FIXED_ENTRIES = {
+    GateKind.H: (_SQ2, _SQ2, _SQ2, -_SQ2),
+    GateKind.X: (0, 1, 1, 0),
+    GateKind.Y: (0, -1j, 1j, 0),
+    GateKind.Z: (1, 0, 0, -1),
+    GateKind.S: (1, 0, 0, 1j),
+    GateKind.SDG: (1, 0, 0, -1j),
+    GateKind.T: (1, 0, 0, cmath.exp(0.25j * math.pi)),
+    GateKind.TDG: (1, 0, 0, cmath.exp(-0.25j * math.pi)),
 }
+
+
+def one_qubit_entries(gate: Gate) -> tuple:
+    """(m00, m01, m10, m11) of a one-qubit unitary gate as Python numbers.
+
+    The single definition of every one-qubit matrix; ``gate_matrix`` and the
+    simulator's kernels both read it.
+    """
+    k = gate.kind
+    if gate.theta is None:
+        return _FIXED_ENTRIES[k]
+    if k is GateKind.RX:
+        c, sn = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
+        return (c, -1j * sn, -1j * sn, c)
+    if k is GateKind.RY:
+        c, sn = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
+        return (c, -sn, sn, c)
+    if k is GateKind.RZ:
+        e = cmath.exp(0.5j * gate.theta)
+        return (e.conjugate(), 0, 0, e)
+    if k is GateKind.PHASE:
+        return (1, 0, 0, cmath.exp(1j * gate.theta))
+    raise GateArityError(f"{k.value} is not a one-qubit unitary gate")
+
 
 # Two/three-qubit matrices indexed little-endian over the listed qubits:
 # first listed qubit = least significant bit of the row/column index.
@@ -218,20 +241,8 @@ _TOFFOLI[3, 7] = _TOFFOLI[7, 3] = 1.0
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense unitary of one gate over its own qubits (little-endian)."""
     k = gate.kind
-    if k in _FIXED_MATRICES:
-        return _FIXED_MATRICES[k].copy()
-    if k is GateKind.RX:
-        c, sn = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
-        return np.array([[c, -1j * sn], [-1j * sn, c]], dtype=complex)
-    if k is GateKind.RY:
-        c, sn = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
-        return np.array([[c, -sn], [sn, c]], dtype=complex)
-    if k is GateKind.RZ:
-        e = cmath.exp(0.5j * gate.theta)
-        return np.array([[e.conjugate(), 0], [0, e]], dtype=complex)
-    if k is GateKind.PHASE:
-        return np.array([[1, 0], [0, cmath.exp(1j * gate.theta)]],
-                        dtype=complex)
+    if gate.arity == 1 and k is not GateKind.MEASURE:
+        return np.array(one_qubit_entries(gate), dtype=complex).reshape(2, 2)
     if k is GateKind.CNOT:
         return _CNOT.copy()
     if k is GateKind.CZ:

@@ -269,14 +269,19 @@ def modular_multiply_matrix(a: int, modulus: int) -> np.ndarray:
     """Permutation unitary |x> -> |a*x mod N> on ceil(log2 N) qubits.
 
     Basis states >= N are left fixed. Requires gcd(a, N) = 1 so the map
-    permutes the residues.
+    permutes the residues, and N <= 2**UNITARY_WIDTH_CAP so the dense
+    matrix stays small.
     """
     if modulus < 2:
         raise BadParamsError(f"modulus must be >= 2, got {modulus}")
+    m = max(1, (modulus - 1).bit_length())
+    if m > g.UNITARY_WIDTH_CAP:
+        raise BadParamsError(
+            f"modulus {modulus} needs {m} work qubits; the dense cap is "
+            f"{g.UNITARY_WIDTH_CAP} (modulus <= {2 ** g.UNITARY_WIDTH_CAP})")
     if math.gcd(a, modulus) != 1:
         raise BadParamsError(
             f"multiplier {a} shares a factor with modulus {modulus}")
-    m = max(1, (modulus - 1).bit_length())
     dim = 2 ** m
     mat = np.zeros((dim, dim), dtype=complex)
     for x_ in range(dim):

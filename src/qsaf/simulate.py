@@ -15,12 +15,14 @@ import re
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
-from .gates import GateCircuit, GateKind, apply_matrix, gate_matrix
+from .gates import (GateCircuit, GateKind, apply_matrix, gate_matrix,
+                    one_qubit_entries)
 from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
                        realize_ansatz)
 
@@ -111,8 +113,13 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
 
     ``initial`` may be None (all zeros), a basis label, or a StateVector of
     matching width. Measurement gates collapse the state using the seeded
-    generator; their outcomes land in ``bits`` by classical bit index
-    (None for bits never written).
+    generator, built at the first measurement; their outcomes land in
+    ``bits`` by classical bit index (None for bits never written).
+
+    Consecutive one-qubit gates on a qubit are held as one pending 2x2 and
+    applied when another gate or a measurement touches that qubit, or at
+    the end. A lone gate keeps its own kernel; a longer run is one dense
+    update with the product matrix.
     """
     n = circuit.width
     if n > SIM_WIDTH_CAP:
@@ -132,15 +139,51 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
         raise TypeError(f"initial must be None, a basis label, or a "
                         f"StateVector, got {type(initial).__name__}")
 
-    rng = _rng(seed)
+    rng = None
     bits = [None] * circuit.classical_bits
+    pending = {}  # qubit -> [first gate, product entries once fused]
     for gate in circuit.ops:
+        qubits = gate.qubits
         if gate.kind is GateKind.MEASURE:
-            amps, outcome = _collapse(amps, n, gate.qubits[0], rng)
+            q = qubits[0]
+            if q in pending:
+                _flush(amps, n, q, pending.pop(q))
+            if rng is None:
+                rng = _rng(seed)
+            amps, outcome = _collapse(amps, n, q, rng)
             bits[gate.cbit] = outcome
+        elif len(qubits) == 1:
+            held = pending.get(qubits[0])
+            if held is None:
+                pending[qubits[0]] = [gate, None]
+            else:
+                held[1] = _product(one_qubit_entries(gate),
+                                   held[1] or one_qubit_entries(held[0]))
         else:
-            _apply(amps, n, gate)
+            for q in qubits:
+                if q in pending:
+                    _flush(amps, n, q, pending.pop(q))
+            _KERNELS[gate.kind](amps, n, gate)
+    for q, held in pending.items():
+        _flush(amps, n, q, held)
     return RunResult(StateVector(n, amps), tuple(bits))
+
+
+def _product(b, a):
+    """Entries of the 2x2 product b @ a (a acts first)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+            b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
+
+
+def _flush(amps, n, q, held):
+    """Apply a qubit's pending one-qubit run."""
+    gate, entries = held
+    if entries is None:
+        _KERNELS[gate.kind](amps, n, gate)
+    else:
+        _update_1q(amps, q, entries)
 
 
 def _block(amps, n, qubits, bits):
@@ -175,16 +218,21 @@ def _block_swap(amps, n, gate):
     b[...] = saved
 
 
-def _dense_1q(amps, n, gate):
-    """Dense one-qubit gates: a 2x2 update of a (high, 2, low) view."""
-    (m00, m01), (m10, m11) = gate_matrix(gate).tolist()
-    view = amps.reshape(-1, 2, 1 << gate.qubits[0])
+def _update_1q(amps, q, entries):
+    """Dense 2x2 update of qubit ``q`` through a (high, 2, low) view."""
+    m00, m01, m10, m11 = entries
+    view = amps.reshape(-1, 2, 1 << q)
     zero, one = view[:, 0], view[:, 1]
     saved = zero.copy()
     zero *= m00
     zero += m01 * one
     one *= m11
     one += m10 * saved
+
+
+def _dense_1q(amps, n, gate):
+    """Dense one-qubit gates."""
+    _update_1q(amps, gate.qubits[0], one_qubit_entries(gate))
 
 
 def _controlled_u(amps, n, gate):
@@ -197,6 +245,7 @@ def _controlled_u(amps, n, gate):
                              inner).reshape(half.shape)
 
 
+# gate kind -> kernel applying one unitary gate to ``amps`` in place
 _KERNELS = {
     **dict.fromkeys((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
                      GateKind.TDG, GateKind.PHASE, GateKind.CZ,
@@ -207,11 +256,6 @@ _KERNELS = {
                      GateKind.RZ), _dense_1q),
     GateKind.CONTROLLED_U: _controlled_u,
 }
-
-
-def _apply(amps, n, gate):
-    """Apply one unitary gate to the contiguous buffer ``amps`` in place."""
-    _KERNELS[gate.kind](amps, n, gate)
 
 
 def _collapse(amps, n, qubit, rng):
@@ -304,6 +348,35 @@ class PauliObservable:
             terms.append((coeff, "".join(letters)))
         return cls(width, tuple(terms))
 
+    @cached_property
+    def _plan(self):
+        """(labels, diagonal, rest), derived once from the terms.
+
+        Every term without X or Y is folded into ``diagonal``, one real
+        weight per basis label (None when there is no such term). ``rest``
+        keeps (coeff * i**#Y, flip, zy) for the other terms, where
+        P|k> = i**#Y (-1)**parity(k & zy) |k ^ flip>.
+        """
+        labels = np.arange(2 ** self.width)
+        diagonal, rest = None, []
+        for coeff, string in self.terms:
+            if coeff == 0.0:
+                continue
+            flip = zy = ys = 0
+            for q, letter in enumerate(string):
+                if letter in "XY":
+                    flip |= 1 << q
+                if letter in "YZ":
+                    zy |= 1 << q
+                ys += letter == "Y"
+            if flip:
+                rest.append((coeff * (1, 1j, -1, -1j)[ys % 4], flip, zy))
+                continue
+            if diagonal is None:
+                diagonal = np.zeros(labels.size)
+            diagonal += coeff * _signs(labels, zy)
+        return (labels if rest else None), diagonal, tuple(rest)
+
 
 def _split_terms(text: str):
     text = text.strip()
@@ -349,26 +422,20 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
         raise WidthMismatchError(
             f"observable width {observable.width} != state width "
             f"{state.width}")
+    labels, diagonal, rest = observable._plan
     amps = state.amplitudes
-    labels = np.arange(amps.size)
     total = 0.0
-    for coeff, string in observable.terms:
-        if coeff == 0.0:
-            continue
-        # P|k> = i**(#Y) (-1)**parity(k & zy) |k ^ flip>
-        flip = zy = ys = 0
-        for q, letter in enumerate(string):
-            if letter in "XY":
-                flip |= 1 << q
-            if letter in "YZ":
-                zy |= 1 << q
-            ys += letter == "Y"
-        signed = amps * (1 - 2 * _parity(labels & zy, zy.bit_length())) \
-            if zy else amps
-        partner = amps[labels ^ flip] if flip else amps
-        value = (1, 1j, -1, -1j)[ys % 4] * np.vdot(partner, signed)
-        total += coeff * float(np.real(value))
+    if diagonal is not None:
+        total += float(diagonal @ (amps.real ** 2 + amps.imag ** 2))
+    for weight, flip, zy in rest:
+        signed = amps * _signs(labels, zy) if zy else amps
+        total += float((weight * np.vdot(amps[labels ^ flip], signed)).real)
     return total
+
+
+def _signs(labels, mask: int):
+    """(-1)**parity(label & mask) for each label."""
+    return 1 - 2 * _parity(labels & mask, mask.bit_length())
 
 
 def _parity(words, bits: int):

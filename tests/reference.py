@@ -1,0 +1,117 @@
+"""Independent dense-algebra references and manifest texts shared by the
+test modules; fixtures live in conftest.py."""
+
+import numpy as np
+
+# reference single- and two-qubit matrices, written out by hand
+
+H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def rx_ref(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def ry_ref(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rz_ref(theta):
+    return np.diag([np.exp(-1j * theta / 2),
+                    np.exp(1j * theta / 2)]).astype(complex)
+
+
+def apply_ref(state, n, matrix, qubits):
+    """Apply a k-qubit matrix by explicit index arithmetic.
+
+    Qubit q is bit q of the basis index; the first listed qubit is the
+    least significant bit of the matrix index. Deliberately slow and
+    independent of the package's kernel.
+    """
+    state = np.asarray(state, dtype=complex)
+    out = np.zeros_like(state)
+    k = len(qubits)
+    for idx in range(2 ** n):
+        sub = 0
+        for j, q in enumerate(qubits):
+            sub |= ((idx >> q) & 1) << j
+        base = idx
+        for q in qubits:
+            base &= ~(1 << q)
+        for sub_out in range(2 ** k):
+            tgt = base
+            for j, q in enumerate(qubits):
+                tgt |= ((sub_out >> j) & 1) << q
+            out[tgt] += matrix[sub_out, sub] * state[idx]
+    return out
+
+
+def op_on(n, matrix, qubits):
+    """Full 2^n operator embedding ``matrix`` on the listed qubits."""
+    dim = 2 ** n
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        basis = np.zeros(dim, dtype=complex)
+        basis[col] = 1.0
+        full[:, col] = apply_ref(basis, n, matrix, qubits)
+    return full
+
+
+def cz_ref():
+    return np.diag([1, 1, 1, -1]).astype(complex)
+
+
+def cnot_ref():
+    # control is the first listed qubit (bit 0 of the matrix index)
+    m = np.eye(4, dtype=complex)
+    m[[1, 3]] = m[[3, 1]]
+    return m
+
+
+def dft_matrix(n):
+    dim = 2 ** n
+    omega = np.exp(2j * np.pi / dim)
+    return np.array([[omega ** (j * k) for k in range(dim)]
+                     for j in range(dim)]) / np.sqrt(dim)
+
+
+GROVER_MANIFEST = """\
+# two-qubit search: uniform start, one operator round, readout
+name grover_demo
+version 1
+level 5
+
+component sup = Superposition(n=2)
+component search = GroverOperator(n=2, marked=[3], iterations=1)
+component meas = Measurement(n=2)
+
+wire sup.out -> search.in
+wire search.out -> meas.in
+
+contract {0, 1}
+
+run simulate shots=512 seed=7
+"""
+
+VQE_MANIFEST = """\
+name vqe_demo
+version 1
+level 5
+
+component ansatz = HardwareEfficientAnsatz(n=2, layers=2, thetas=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+component meas = Measurement(n=2)
+component opt = Optimizer(observable="Z0*Z1 + 0.5*X0", max_iters=300)
+
+wire ansatz.out -> meas.in
+wire meas.bits -> opt.in
+wire opt.out -> ansatz.params
+
+contract {0, 1}
+
+run minimize
+"""

@@ -19,8 +19,8 @@ from qsaf import (AnalysisContext, ComponentInstance, DegenerateMarginalsError,
 from qsaf.analyze import complexity_check, compare
 from qsaf.classify import ATTRIBUTE_NAMES, check_mece, fleiss_kappa
 
-from conftest import H2, X2, Z2, cz_ref, dft_matrix, op_on
-from conftest import GROVER_MANIFEST, VQE_MANIFEST
+from reference import H2, X2, Z2, cz_ref, dft_matrix, op_on
+from reference import GROVER_MANIFEST, VQE_MANIFEST
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -267,3 +267,21 @@ def test_validate_reports_malformed_ansatz_structure(tmp_path, capsys,
     assert "error [bad_params]" in captured.out
     assert "1 finding(s), 1 blocking" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("component", [
+    "ArithmeticOracles(a=7, modulus=2097153)",
+    "StandardQPE(t=3, a=7, modulus=2097153)",
+    "IterativeQPE(k=1, a=7, modulus=1025)",
+])
+def test_validate_rejects_a_modulus_past_the_dense_cap(tmp_path, capsys,
+                                                       component):
+    # the work register would be wider than gates.UNITARY_WIDTH_CAP
+    path = tmp_path / "modulus.qsaf"
+    path.write_text(f"component o = {component}\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error [bad_params]" in captured.out
+    assert "dense cap is 10" in captured.out
+    assert "1 finding(s), 1 blocking" in captured.out
+    assert captured.err == ""

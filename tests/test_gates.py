@@ -12,7 +12,7 @@ from qsaf.errors import (DuplicateQubitError, GateArityError,
 from qsaf.gates import (Gate, GateCircuit, GateKind, apply_matrix, dagger,
                         depth, gate_counts, gate_matrix, unitary_of)
 
-from conftest import H2, X2, Y2, Z2, apply_ref, op_on, rx_ref, ry_ref, rz_ref
+from reference import H2, X2, Y2, Z2, apply_ref, op_on, rx_ref, ry_ref, rz_ref
 
 
 def test_constructors_record_kind_and_qubits():

@@ -1,9 +1,9 @@
 """Property checks of the statevector fast paths against slow references.
 
-Every gate kernel in ``run``, the bitmask Pauli ``expectation`` and the
-bincount ``sample`` are compared with the index-arithmetic kernel
-``apply_ref`` or a per-shot loop, over random gates, qubit orders, widths
-and states.
+Every gate kernel in ``run``, the fusion of one-qubit runs, the planned
+Pauli ``expectation`` and the bincount ``sample`` are compared with the
+index-arithmetic kernel ``apply_ref`` or a per-shot loop, over random
+gates, qubit orders, widths and states.
 """
 
 import math
@@ -14,12 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st
 
+import qsaf.simulate as simulate
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
                         gate_matrix)
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            format_outcome, run, sample)
 
-from conftest import X2, Y2, Z2, apply_ref
+from reference import X2, Y2, Z2, apply_ref
 
 MAX_WIDTH = 6
 ATOL = 1e-12
@@ -97,6 +98,103 @@ def test_run_leaves_the_initial_state_untouched(seed, width):
     assert np.array_equal(sv.amplitudes, before)
 
 
+ONE_QUBIT_KINDS = [k for k in UNITARY_KINDS
+                   if k is not GateKind.CONTROLLED_U and k not in _ARITY]
+
+
+def _reference_run(ops, width, amps):
+    for gate in ops:
+        amps = apply_ref(amps, width, gate_matrix(gate), gate.qubits)
+    return amps
+
+
+@st.composite
+def fused_circuits(draw):
+    """Runs of 1-4 one-qubit gates on one qubit between wider gates."""
+    width = draw(st.integers(1, MAX_WIDTH))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    wider = [k for k in (*_ARITY, GateKind.CONTROLLED_U)
+             if _ARITY.get(k, 2) <= width]
+    angles = st.floats(-2 * math.pi, 2 * math.pi)
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = draw(st.integers(0, width - 1))
+        for kind in draw(st.lists(st.sampled_from(ONE_QUBIT_KINDS),
+                                  min_size=1, max_size=4)):
+            theta = draw(angles) if kind in PARAMETRIC_KINDS else None
+            ops.append(Gate(kind, (q,), theta=theta))
+        if not wider or not draw(st.booleans()):
+            continue
+        kind = draw(st.sampled_from(wider))
+        if kind is GateKind.CONTROLLED_U:
+            arity = draw(st.integers(2, min(3, width)))
+            matrix = _random_unitary(rng, 2 ** (arity - 1))
+        else:
+            arity, matrix = _ARITY[kind], None
+        qubits = tuple(draw(st.permutations(range(width)))[:arity])
+        theta = draw(angles) if kind in PARAMETRIC_KINDS else None
+        ops.append(Gate(kind, qubits, theta=theta, matrix=matrix))
+    return ops, width, _random_state(rng, width)
+
+
+@given(fused_circuits())
+def test_fused_runs_match_gate_by_gate_reference(case):
+    ops, width, amps = case
+    got = run(GateCircuit(width, ops),
+              initial=StateVector(width, amps)).state.amplitudes
+    assert np.allclose(got, _reference_run(ops, width, amps), rtol=0,
+                       atol=ATOL)
+
+
+def test_measure_after_a_fused_run_sees_the_whole_run():
+    rng = np.random.default_rng(3)
+    amps = _random_state(rng, 2)
+    before = [Gate(GateKind.H, (0,)), Gate(GateKind.RY, (0,), 0.4),
+              Gate(GateKind.T, (0,)), Gate(GateKind.RX, (1,), 1.1)]
+    after = [Gate(GateKind.RZ, (0,), 0.8), Gate(GateKind.CNOT, (0, 1))]
+    circ = GateCircuit(2, allow_mid_measure=True)
+    circ.extend(before + [Gate(GateKind.MEASURE, (0,), cbit=0)] + after)
+    for seed in range(8):
+        result = run(circ, initial=StateVector(2, amps), seed=seed)
+        want = _reference_run(before, 2, amps)
+        ones = (np.arange(4) & 1).astype(bool)
+        p_one = float(np.sum(np.abs(want[ones]) ** 2))
+        outcome = int(np.random.default_rng(seed).random() < p_one)
+        want[ones != bool(outcome)] = 0.0
+        want = _reference_run(after, 2, want / np.linalg.norm(want))
+        assert result.bits == (outcome,)
+        assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
+
+
+def test_lone_gates_keep_their_kernels_and_runs_fuse(monkeypatch):
+    calls = []
+    for kind, kernel in list(simulate._KERNELS.items()):
+        monkeypatch.setitem(simulate._KERNELS, kind,
+                            lambda a, n, g, k=kernel: (calls.append(g.kind),
+                                                       k(a, n, g)))
+    update = simulate._update_1q
+    monkeypatch.setattr(simulate, "_update_1q",
+                        lambda a, q, e: (calls.append(("fused", q)),
+                                         update(a, q, e)))
+    ops = [Gate(GateKind.Z, (0,)), Gate(GateKind.X, (1,)),
+           Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (2,), 0.3),
+           Gate(GateKind.RZ, (2,), -1.2), Gate(GateKind.PHASE, (0,), 0.5)]
+    amps = _random_state(np.random.default_rng(4), 3)
+    got = run(GateCircuit(3, ops), initial=StateVector(3, amps))
+    assert calls == [GateKind.Z, GateKind.X, GateKind.CNOT, ("fused", 2),
+                     GateKind.PHASE]
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, 3, amps),
+                       rtol=0, atol=ATOL)
+
+
+def test_unitary_run_draws_nothing_from_a_given_generator():
+    gen = np.random.default_rng(21)
+    state = gen.bit_generator.state
+    run(GateCircuit(3, [Gate(GateKind.H, (q,)) for q in range(3)]),
+        seed=gen)
+    assert gen.bit_generator.state == state
+
+
 _LETTERS = {"X": X2, "Y": Y2, "Z": Z2}
 
 
@@ -112,9 +210,7 @@ def observables_on_states(draw):
         StateVector(width, _random_state(rng, width))
 
 
-@given(observables_on_states())
-def test_bitmask_expectation_matches_per_letter_products(case):
-    observable, state = case
+def _per_letter_expectation(state, observable):
     want = 0.0
     for coeff, string in observable.terms:
         vec = state.amplitudes
@@ -122,7 +218,52 @@ def test_bitmask_expectation_matches_per_letter_products(case):
             if letter != "I":
                 vec = apply_ref(vec, state.width, _LETTERS[letter], (q,))
         want += coeff * np.vdot(state.amplitudes, vec).real
-    assert abs(expectation(state, observable) - want) <= ATOL
+    return want
+
+
+@given(observables_on_states())
+def test_bitmask_expectation_matches_per_letter_products(case):
+    observable, state = case
+    assert abs(expectation(state, observable)
+               - _per_letter_expectation(state, observable)) <= ATOL
+
+
+@given(observables_on_states(), st.integers(0, 2 ** 32 - 1))
+def test_one_plan_serves_many_states(case, seed):
+    observable, _ = case
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        state = StateVector(observable.width,
+                            _random_state(rng, observable.width))
+        assert abs(expectation(state, observable)
+                   - _per_letter_expectation(state, observable)) <= ATOL
+    assert observable._plan is observable._plan
+
+
+def test_equal_terms_at_different_widths_get_their_own_plans():
+    text = "Z0 - 0.5*X0 + 0.25"
+    narrow, wide = PauliObservable.parse(text, 1), PauliObservable.parse(
+        text, 4)
+    rng = np.random.default_rng(8)
+    for observable in (narrow, wide, narrow, wide):
+        state = StateVector(observable.width,
+                            _random_state(rng, observable.width))
+        assert abs(expectation(state, observable)
+                   - _per_letter_expectation(state, observable)) <= ATOL
+    assert narrow._plan is not wide._plan
+
+
+@pytest.mark.parametrize("text", [
+    "Z0*Z2 - 0.7*Z1 + 1.5",    # diagonal terms only
+    "Y0 - 0.3*Y1*Y2",          # Y only
+    "0*X0*Y1 + Z0 + 0*Z2",     # zero coefficients
+    "0*Z1",                    # nothing left after zeros
+])
+def test_expectation_of_special_observables(text):
+    observable = PauliObservable.parse(text, 3)
+    state = StateVector(3, _random_state(np.random.default_rng(6), 3))
+    assert abs(expectation(state, observable)
+               - _per_letter_expectation(state, observable)) <= ATOL
 
 
 def _per_shot_counts(state, shots, seed):

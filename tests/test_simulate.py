@@ -16,7 +16,7 @@ from qsaf.simulate import (PauliObservable, StateVector, default_seed,
                            iterative_phase_estimate, maxcut_observable,
                            qpe_estimate, run, sample)
 
-from conftest import X2, Y2, Z2, op_on
+from reference import X2, Y2, Z2, op_on
 
 
 def test_statevector_validation():
@@ -190,3 +190,11 @@ def test_find_order_demo_and_validation():
         find_order(6, 15)
     with pytest.raises(BadParamsError):
         find_order(3, 1)
+
+
+def test_modular_unitaries_stop_at_the_dense_cap():
+    assert modular_multiply_matrix(3, 1024).shape == (1024, 1024)
+    with pytest.raises(BadParamsError, match="dense cap"):
+        modular_multiply_matrix(3, 1025)
+    with pytest.raises(BadParamsError, match="dense cap"):
+        find_order(7, 2097153)
