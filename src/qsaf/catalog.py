@@ -97,12 +97,16 @@ class PrimitiveDescriptor:
     attributes: ClassificationAttributes
     params: tuple[Parameter, ...]
     summary: str
-    lowerable: bool
     growth: Growth | None
     metric: CountMetric
     level_range: tuple[int, int]
     default_level: int
     reuse_pattern: ReusePattern
+
+    @property
+    def lowerable(self) -> bool:
+        """Whether the primitive has a gate realization."""
+        return self.growth is not None
 
     @property
     def is_auxiliary(self) -> bool:
@@ -209,120 +213,120 @@ def _p(name, kind, domain=""):
     return Parameter(name, kind, domain)
 
 
-# id: (name, manifest name, params, summary, lowerable, growth, metric,
-#      level range, default level, reuse pattern)
+# id: (name, manifest name, params, summary, growth, metric, level range,
+#      default level, reuse pattern)
 _ROWS = {
     1: ("Basis States", "BasisStates",
         (_p("n", _S, "qubit count"), _p("value", _P, "0 <= value < 2^n")),
         "Load a computational basis state by flipping the qubits of a bit "
-        "pattern", True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+        "pattern", Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
         ReusePattern.DIRECT),
     2: ("Superposition (H)", "Superposition",
         (_p("n", _S, "qubit count"),),
         "Uniform superposition over all basis states via a Hadamard on "
-        "every qubit", True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+        "every qubit", Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
         ReusePattern.DIRECT),
     3: ("Arbitrary States", "ArbitraryStates",
         (_p("theta", _P, "radians"), _p("phi", _P, "radians"),
          _p("lam", _P, "radians, default 0")),
         "Prepare a chosen single-qubit state from rotation angles",
-        True, Growth.CONSTANT, CountMetric.GATES, (2, 3), 2,
+        Growth.CONSTANT, CountMetric.GATES, (2, 3), 2,
         ReusePattern.PARAMETRIC),
     4: ("Bell States", "BellStates",
         (_p("variant", _S, "phi_plus | phi_minus | psi_plus | psi_minus"),),
         "Prepare one of the four maximally entangled two-qubit states",
-        True, Growth.CONSTANT, CountMetric.GATES, (2, 3), 2,
+        Growth.CONSTANT, CountMetric.GATES, (2, 3), 2,
         ReusePattern.DIRECT),
     5: ("GHZ States", "GHZStates",
         (_p("n", _S, "qubit count >= 2"),),
         "Prepare the n-qubit GHZ state (all-zeros plus all-ones)",
-        True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+        Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
         ReusePattern.PARAMETRIC),
     6: ("Cluster States", "ClusterStates",
         (_p("n", _S, "qubit count"), _p("edges", _S, "list of qubit pairs")),
         "Prepare a cluster state by entangling a graph of qubits with CZ",
-        True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+        Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
         ReusePattern.PARAMETRIC),
     7: ("Bell State Circuits", "BellStateCircuits",
         (_p("variant", _S, "phi_plus | phi_minus | psi_plus | psi_minus"),),
         "Bell pair generator used as an entangling subroutine",
-        True, Growth.CONSTANT, CountMetric.GATES, (2, 3), 2,
+        Growth.CONSTANT, CountMetric.GATES, (2, 3), 2,
         ReusePattern.DIRECT),
     8: ("GHZ State Circuits", "GHZStateCircuits",
         (_p("n", _S, "qubit count >= 2"),),
         "GHZ cascade used as an entangling subroutine",
-        True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+        Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
         ReusePattern.PARAMETRIC),
     9: ("W State Circuits", "WStateCircuits",
         (_p("n", _S, "qubit count >= 2"),),
         "W state: a single excitation shared equally across n qubits",
-        True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+        Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
         ReusePattern.PARAMETRIC),
     10: ("Cluster State Circuits", "ClusterStateCircuits",
          (_p("n", _S, "qubit count"), _p("edges", _S, "list of qubit pairs")),
          "Graph-topology entangler (H layer plus CZ per edge)",
-         True, Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
+         Growth.LINEAR, CountMetric.GATES, (2, 3), 2,
          ReusePattern.PARAMETRIC),
     11: ("Grover Operator", "GroverOperator",
          (_p("n", _S, "qubit count"), _p("marked", _P, "marked basis states"),
           _p("iterations", _S, "repetitions, default 1")),
          "One amplitude-amplification step: oracle then diffusion",
-         True, Growth.SQRT_STATES, CountMetric.ITERATIONS, (3, 4), 3,
+         Growth.SQRT_STATES, CountMetric.ITERATIONS, (3, 4), 3,
          ReusePattern.HIERARCHICAL),
     12: ("Diffusion Operator", "DiffusionOperator",
          (_p("n", _S, "qubit count"),),
          "Inversion about the mean over the uniform state",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 4), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 4), 3,
          ReusePattern.PARAMETRIC),
     13: ("Reflection Operators", "ReflectionOperators",
          (_p("n", _S, "qubit count"), _p("state", _P, "axis basis state")),
          "Reflection about a chosen basis state",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 4), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 4), 3,
          ReusePattern.CONTEXTUAL),
     14: ("Amplitude Damping", "AmplitudeDamping",
          (_p("gamma", _P, "damping strength"),),
          "Amplitude damping channel; no unitary gate realization",
-         False, None, CountMetric.GATES, (3, 4), 3,
+         None, CountMetric.GATES, (3, 4), 3,
          ReusePattern.CONTEXTUAL),
     15: ("Standard QFT", "StandardQFT",
          (_p("n", _S, "qubit count"),),
          "Quantum Fourier transform (controlled-phase ladder plus reversal "
-         "swaps)", True, Growth.QUADRATIC, CountMetric.GATES, (3, 4), 3,
+         "swaps)", Growth.QUADRATIC, CountMetric.GATES, (3, 4), 3,
          ReusePattern.PARAMETRIC),
     16: ("Inverse QFT", "InverseQFT",
          (_p("n", _S, "qubit count"),),
          "Inverse quantum Fourier transform",
-         True, Growth.QUADRATIC, CountMetric.GATES, (3, 4), 3,
+         Growth.QUADRATIC, CountMetric.GATES, (3, 4), 3,
          ReusePattern.PARAMETRIC),
     17: ("Approximate QFT", "ApproximateQFT",
          (_p("n", _S, "qubit count"),
           _p("cutoff", _S, "max controlled-phase span kept")),
          "QFT with small-angle controlled phases dropped beyond a cutoff",
-         True, Growth.QUADRATIC, CountMetric.GATES, (3, 4), 3,
+         Growth.QUADRATIC, CountMetric.GATES, (3, 4), 3,
          ReusePattern.PARAMETRIC),
     18: ("Phase Oracles", "PhaseOracles",
          (_p("n", _S, "qubit count"), _p("marked", _P, "marked basis states")),
          "Flip the phase of chosen basis states",
-         True, Growth.LINEAR, CountMetric.GATES, (2, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (2, 3), 3,
          ReusePattern.CONTEXTUAL),
     19: ("Bit-Flip Oracles", "BitFlipOracles",
          (_p("n", _S, "query qubit count"),
           _p("marked", _P, "marked basis states")),
          "Flip a result qubit on chosen basis states",
-         True, Growth.LINEAR, CountMetric.GATES, (2, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (2, 3), 3,
          ReusePattern.CONTEXTUAL),
     20: ("Arithmetic Oracles", "ArithmeticOracles",
          (_p("a", _P, "multiplier, coprime to modulus"),
           _p("modulus", _P, "modulus >= 2"),
           _p("power", _S, "controlled power, default 1")),
          "Modular multiply-by-a as a controlled arithmetic unitary",
-         True, Growth.CONSTANT, CountMetric.GATES, (2, 3), 3,
+         Growth.CONSTANT, CountMetric.GATES, (2, 3), 3,
          ReusePattern.CONTEXTUAL),
     21: ("Boolean Oracles", "BooleanOracles",
          (_p("n", _S, "input qubit count"),
           _p("truth_table", _P, "2^n output bits")),
          "Oracle compiled from an explicit truth table",
-         True, Growth.LINEAR, CountMetric.GATES, (2, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (2, 3), 3,
          ReusePattern.CONTEXTUAL),
     22: ("Standard QPE", "StandardQPE",
          (_p("t", _S, "counting qubits"),
@@ -330,7 +334,7 @@ _ROWS = {
           _p("a", _P, "modular multiplier alternative"),
           _p("modulus", _P, "modulus for the multiplier alternative")),
          "Phase readout of a unitary into a measured counting register",
-         True, Growth.QUADRATIC, CountMetric.GATES, (3, 4), 4,
+         Growth.QUADRATIC, CountMetric.GATES, (3, 4), 4,
          ReusePattern.HIERARCHICAL),
     23: ("Iterative QPE", "IterativeQPE",
          (_p("k", _S, "round exponent (power 2^k)"),
@@ -339,32 +343,32 @@ _ROWS = {
           _p("a", _P, "modular multiplier alternative"),
           _p("modulus", _P, "modulus for the multiplier alternative")),
          "Single-ancilla phase estimation round with phase feedback",
-         True, Growth.CONSTANT, CountMetric.GATES, (3, 4), 4,
+         Growth.CONSTANT, CountMetric.GATES, (3, 4), 4,
          ReusePattern.HIERARCHICAL),
     24: ("Bayesian QPE", "BayesianQPE",
          (_p("prior", _P, "phase prior"),),
          "Adaptive phase estimation via prior updates; realization is "
-         "problem-specific", False, None, CountMetric.GATES, (3, 4), 4,
+         "problem-specific", None, CountMetric.GATES, (3, 4), 4,
          ReusePattern.CONTEXTUAL),
     25: ("Hardware-Efficient Ansatz", "HardwareEfficientAnsatz",
          (_p("n", _S, "qubit count"), _p("layers", _S, "layer count"),
           _p("thetas", _V, "2 * n * layers angles")),
          "Layered single-qubit rotations with a CNOT chain",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
          ReusePattern.PARAMETRIC),
     26: ("Problem-Inspired Ansatz", "ProblemInspiredAnsatz",
          (_p("n", _S, "qubit count"), _p("edges", _P, "problem graph"),
           _p("gammas", _V, "cost angles, one per layer"),
           _p("betas", _V, "mixer angles, one per layer")),
          "Cost/mixer alternation built from a problem graph",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
          ReusePattern.CONTEXTUAL),
     27: ("UCCSD Ansatz", "UCCSDAnsatz",
          (_p("n", _S, "qubit count"),
           _p("thetas", _V, "excitation amplitudes"),
           _p("blocks", _P, "Pauli-string blocks, default singles+doubles")),
          "Excitation-block ansatz built from Pauli-string exponentials",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
          ReusePattern.CONTEXTUAL),
     28: ("Heuristic Ansatz", "HeuristicAnsatz",
          (_p("n", _S, "qubit count"), _p("layers", _S, "layer count"),
@@ -372,7 +376,7 @@ _ROWS = {
           _p("entangler", _S, "chain | ring"),
           _p("thetas", _V, "layers * n * len(rotations) angles")),
          "Configurable rotation/entangler template",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
          ReusePattern.PARAMETRIC),
     29: ("Hamiltonian Ansatz", "HamiltonianAnsatz",
          (_p("n", _S, "qubit count"), _p("coupling", _P, "bond strength"),
@@ -381,13 +385,13 @@ _ROWS = {
           _p("thetas", _V, "optional: 2 angles per step"),
           _p("periodic", _S, "ring topology flag")),
          "Trotterized evolution layers of a transverse-field Ising model",
-         True, Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
+         Growth.LINEAR, CountMetric.GATES, (3, 3), 3,
          ReusePattern.PARAMETRIC),
     30: ("SWAP Gates", "SwapGates",
          (_p("i", _S, "first qubit"), _p("j", _S, "second qubit"),
           _p("n", _S, "register width, default max(i,j)+1")),
          "Exchange two qubit positions",
-         True, Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
+         Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),
     31: ("Controlled Operations", "ControlledOperations",
          (_p("op", _S, "x | z | phase"), _p("control", _S, "control qubit"),
@@ -395,24 +399,24 @@ _ROWS = {
           _p("theta", _F, "angle for op=phase"),
           _p("n", _S, "register width, default max+1")),
          "Two-qubit controlled gate (X, Z, or phase)",
-         True, Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
+         Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),
     32: ("Toffoli Gates", "ToffoliGates",
          (_p("c1", _S, "first control"), _p("c2", _S, "second control"),
           _p("target", _S, "target qubit"),
           _p("n", _S, "register width, default max+1")),
          "Doubly controlled NOT",
-         True, Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
+         Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),
     33: ("Measurement", "Measurement",
          (_p("n", _S, "qubits to read out"),),
          "Read out qubits into classical bits",
-         True, Growth.LINEAR, CountMetric.GATES, (1, 2), 1,
+         Growth.LINEAR, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),
     34: ("Ancilla Management", "AncillaManagement",
          (_p("count", _S, "scratch qubits to reserve"),),
          "Reserve and release scratch qubits",
-         True, Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
+         Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),
 }
 
@@ -420,15 +424,15 @@ _ROWS = {
 def _build_catalog():
     out = {}
     for pid, row in _ROWS.items():
-        (name, mname, params, summary, lowerable, growth, metric,
-         level_range, default_level, pattern) = row
+        (name, mname, params, summary, growth, metric, level_range,
+         default_level, pattern) = row
         category = _category_of(pid)
         out[pid] = PrimitiveDescriptor(
             id=pid, name=name, manifest_name=mname, category=category,
             usage=_USAGE[pid], attributes=_attrs_for(category),
-            params=params, summary=summary, lowerable=lowerable,
-            growth=growth, metric=metric, level_range=level_range,
-            default_level=default_level, reuse_pattern=pattern)
+            params=params, summary=summary, growth=growth, metric=metric,
+            level_range=level_range, default_level=default_level,
+            reuse_pattern=pattern)
     return out
 
 

@@ -17,6 +17,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,23 +51,42 @@ class GateKind(enum.Enum):
     MEASURE = "measure"
 
 
-_FIXED_ARITY = {
-    GateKind.H: 1, GateKind.X: 1, GateKind.Y: 1, GateKind.Z: 1,
-    GateKind.S: 1, GateKind.SDG: 1, GateKind.T: 1, GateKind.TDG: 1,
-    GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.PHASE: 1,
-    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.CPHASE: 2, GateKind.SWAP: 2,
-    GateKind.TOFFOLI: 3, GateKind.MEASURE: 1,
+class KindRow(NamedTuple):
+    """What a gate kind is; validation, ``dagger``, the simulator's kernels
+    and QASM export all read these columns."""
+
+    arity: int | None  # None: the matrix sets it (CONTROLLED_U)
+    angled: bool  # takes a rotation angle
+    inverse: GateKind | None  # an angled kind's inverse negates the angle
+    structure: str | None  # picks the kernel in simulate._KERNELS
+    qasm: str | None  # OPENQASM 2.0 gate name, None where there is none
+
+
+_K = GateKind
+KINDS = {
+    _K.H: KindRow(1, False, _K.H, "dense", "h"),
+    _K.X: KindRow(1, False, _K.X, "permutation", "x"),
+    _K.Y: KindRow(1, False, _K.Y, "dense", "y"),
+    _K.Z: KindRow(1, False, _K.Z, "diagonal", "z"),
+    _K.S: KindRow(1, False, _K.SDG, "diagonal", "s"),
+    _K.SDG: KindRow(1, False, _K.S, "diagonal", "sdg"),
+    _K.T: KindRow(1, False, _K.TDG, "diagonal", "t"),
+    _K.TDG: KindRow(1, False, _K.T, "diagonal", "tdg"),
+    _K.RX: KindRow(1, True, _K.RX, "dense", "rx"),
+    _K.RY: KindRow(1, True, _K.RY, "dense", "ry"),
+    _K.RZ: KindRow(1, True, _K.RZ, "dense", "rz"),
+    _K.PHASE: KindRow(1, True, _K.PHASE, "diagonal", "u1"),
+    _K.CNOT: KindRow(2, False, _K.CNOT, "permutation", "cx"),
+    _K.CZ: KindRow(2, False, _K.CZ, "diagonal", "cz"),
+    _K.CPHASE: KindRow(2, True, _K.CPHASE, "diagonal", "cp"),
+    _K.SWAP: KindRow(2, False, _K.SWAP, "permutation", "swap"),
+    _K.TOFFOLI: KindRow(3, False, _K.TOFFOLI, "permutation", "ccx"),
+    _K.CONTROLLED_U: KindRow(None, False, _K.CONTROLLED_U, "controlled",
+                             None),
+    _K.MEASURE: KindRow(1, False, None, None, None),
 }
 
-PARAMETRIC_KINDS = frozenset(
-    {GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE})
-
-_SELF_INVERSE = frozenset(
-    {GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.CNOT,
-     GateKind.CZ, GateKind.SWAP, GateKind.TOFFOLI})
-
-_DAGGER_SWAPS = {GateKind.S: GateKind.SDG, GateKind.SDG: GateKind.S,
-                 GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T}
+PARAMETRIC_KINDS = frozenset(k for k, row in KINDS.items() if row.angled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +109,8 @@ class Gate:
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits):
             raise DuplicateQubitError(f"repeated qubit in {self.qubits}")
-        if self.kind is GateKind.CONTROLLED_U:
+        row = KINDS[self.kind]
+        if row.arity is None:  # CONTROLLED_U: the matrix sets the arity
             if self.matrix is None:
                 raise GateArityError("controlled_u needs a matrix")
             dim = self.matrix.shape[0]
@@ -110,16 +131,13 @@ class Gate:
             if err > 1e-8:
                 raise GateArityError(
                     f"controlled_u matrix is not unitary (deviation {err:.2e})")
-        else:
-            want = _FIXED_ARITY[self.kind]
-            if len(self.qubits) != want:
-                raise GateArityError(
-                    f"{self.kind.value} takes {want} qubit(s), got "
-                    f"{len(self.qubits)}")
-        needs_theta = self.kind in PARAMETRIC_KINDS
-        if needs_theta and self.theta is None:
+        elif len(self.qubits) != row.arity:
+            raise GateArityError(
+                f"{self.kind.value} takes {row.arity} qubit(s), got "
+                f"{len(self.qubits)}")
+        if row.angled and self.theta is None:
             raise GateArityError(f"{self.kind.value} needs an angle")
-        if not needs_theta and self.theta is not None:
+        if not row.angled and self.theta is not None:
             raise GateArityError(f"{self.kind.value} takes no angle")
         if self.kind is GateKind.MEASURE and self.cbit is None:
             raise GateArityError("measure needs a classical bit index")
@@ -397,17 +415,16 @@ def dagger(circuit: GateCircuit) -> GateCircuit:
         raise NonReversibleError("cannot invert a measuring circuit")
     inverted = []
     for g in reversed(circuit.ops):
-        if g.kind in _SELF_INVERSE:
-            inverted.append(g)
-        elif g.kind in _DAGGER_SWAPS:
-            inverted.append(replace(g, kind=_DAGGER_SWAPS[g.kind]))
-        elif g.kind in PARAMETRIC_KINDS:
-            inverted.append(replace(g, theta=-g.theta))
-        else:  # CONTROLLED_U; measurement is excluded above
-            inverted.append(Gate(GateKind.CONTROLLED_U, g.qubits,
-                                 matrix=np.linalg.matrix_power(
-                                     g.matrix, g.power).conj().T,
-                                 power=1))
+        row = KINDS[g.kind]
+        if g.kind is GateKind.CONTROLLED_U:
+            g = Gate(GateKind.CONTROLLED_U, g.qubits,
+                     matrix=np.linalg.matrix_power(g.matrix,
+                                                   g.power).conj().T)
+        elif row.angled:
+            g = replace(g, theta=-g.theta)
+        elif row.inverse is not g.kind:
+            g = replace(g, kind=row.inverse)
+        inverted.append(g)  # a self-inverse gate is reused as it is
     return GateCircuit(circuit.width, inverted,
                        allow_mid_measure=circuit.allow_mid_measure)
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates as g
-from .catalog import get_primitive
+from .catalog import all_primitives, get_primitive
+from .core import FunctionalCategory, ParameterKind
 from .errors import BadParamsError, NotLowerableError
 from .gates import GateCircuit
 
@@ -177,6 +178,20 @@ class Lowered:
 # multi-controlled helpers
 
 
+def _and_ladder(circ: GateCircuit, controls, target: int, scratch_base: int,
+                two_qubit):
+    """Compute the AND of three or more ``controls`` into scratch, apply
+    ``two_qubit(last scratch qubit, target)``, and uncompute."""
+    c = len(controls)
+    anc = [scratch_base + i for i in range(c - 1)]
+    forward = [g.toffoli(controls[0], controls[1], anc[0])]
+    for i in range(2, c):
+        forward.append(g.toffoli(controls[i], anc[i - 2], anc[i - 1]))
+    circ.extend(forward)
+    circ.append(two_qubit(anc[c - 2], target))
+    circ.extend(reversed(forward))
+
+
 def _append_mcz(circ: GateCircuit, qubits, scratch_base: int):
     """Phase-flip the all-ones state of ``qubits``."""
     qs = list(qubits)
@@ -192,46 +207,26 @@ def _append_mcz(circ: GateCircuit, qubits, scratch_base: int):
         circ.append(g.toffoli(qs[0], qs[1], qs[2]))
         circ.append(g.h(qs[2]))
         return
-    controls, target = qs[:-1], qs[-1]
-    c = len(controls)
-    anc = [scratch_base + i for i in range(c - 1)]
-    forward = [g.toffoli(controls[0], controls[1], anc[0])]
-    for i in range(2, c):
-        forward.append(g.toffoli(controls[i], anc[i - 2], anc[i - 1]))
-    circ.extend(forward)
-    circ.append(g.cz(anc[c - 2], target))
-    circ.extend(reversed(forward))
+    _and_ladder(circ, qs[:-1], qs[-1], scratch_base, g.cz)
 
 
 def _append_mcx(circ: GateCircuit, controls, target: int, scratch_base: int):
-    """Flip ``target`` when every control is one."""
+    """Flip ``target`` when every control is one; callers pass at least
+    one control."""
     cs = list(controls)
     c = len(cs)
-    if c == 0:
-        circ.append(g.x(target))
-        return
     if c == 1:
         circ.append(g.cnot(cs[0], target))
         return
     if c == 2:
         circ.append(g.toffoli(cs[0], cs[1], target))
         return
-    anc = [scratch_base + i for i in range(c - 1)]
-    forward = [g.toffoli(cs[0], cs[1], anc[0])]
-    for i in range(2, c):
-        forward.append(g.toffoli(cs[i], anc[i - 2], anc[i - 1]))
-    circ.extend(forward)
-    circ.append(g.cnot(anc[c - 2], target))
-    circ.extend(reversed(forward))
+    _and_ladder(circ, cs, target, scratch_base, g.cnot)
 
 
-def _mcz_scratch(set_size: int) -> int:
-    # the ladder over c = set_size-1 controls needs c-1 scratch qubits
-    return set_size - 2 if set_size >= 4 else 0
-
-
-def _mcx_scratch(control_count: int) -> int:
-    return max(0, control_count - 1) if control_count >= 3 else 0
+def _ladder_scratch(control_count: int) -> int:
+    # the ladder over c >= 3 controls needs c-1 scratch qubits
+    return control_count - 1 if control_count >= 3 else 0
 
 
 def _append_cry(circ: GateCircuit, theta: float, control: int, target: int):
@@ -428,7 +423,7 @@ def _phase_oracle_parts(p):
 def _phase_oracle(p):
     n, marked = _phase_oracle_parts(p)
     p.finish()
-    scratch = _mcz_scratch(n)
+    scratch = _ladder_scratch(n - 1)
     circ = GateCircuit(n + scratch)
     for value in marked:
         _phase_mark(circ, n, value, n)
@@ -450,7 +445,7 @@ def _diffusion_ops(circ, n, scratch_base):
 def _diffusion(p):
     n = p.int("n", lo=1, hi=24)
     p.finish()
-    scratch = _mcz_scratch(n)
+    scratch = _ladder_scratch(n - 1)
     circ = GateCircuit(n + scratch)
     _diffusion_ops(circ, n, n)
     return _simple(circ, n, anc=range(n, n + scratch))
@@ -460,7 +455,7 @@ def _reflection(p):
     n = p.int("n", lo=1, hi=24)
     state = p.int("state", lo=0, hi=2 ** n - 1)
     p.finish()
-    scratch = _mcz_scratch(n)
+    scratch = _ladder_scratch(n - 1)
     circ = GateCircuit(n + scratch)
     _phase_mark(circ, n, state, n)
     return _simple(circ, n, anc=range(n, n + scratch))
@@ -473,7 +468,7 @@ def _grover_operator(p):
         p._err("'marked' must list at least one basis state")
     iterations = p.int("iterations", 1, lo=1)
     p.finish()
-    scratch = _mcz_scratch(n)
+    scratch = _ladder_scratch(n - 1)
     circ = GateCircuit(n + scratch)
     for _ in range(iterations):
         for value in marked:
@@ -509,7 +504,7 @@ def _approx_qft(p):
 
 def _bitflip_from_marked(n, marked):
     target = n
-    scratch = _mcx_scratch(n)
+    scratch = _ladder_scratch(n)
     circ = GateCircuit(n + 1 + scratch)
     for value in marked:
         dress = [q for q in range(n) if not (value >> q) & 1]
@@ -615,25 +610,7 @@ def _hardware_efficient(p):
     layers = p.int("layers", lo=1)
     thetas = p.float_list("thetas", length=2 * n * layers)
     p.finish()
-    return _build_hea(n, layers, thetas)
-
-
-def _build_hea(n, layers, thetas):
-    circ = GateCircuit(n)
-    sites = [[] for _ in thetas]
-    idx = 0
-    for _ in range(layers):
-        for q in range(n):
-            sites[idx].append((len(circ.ops), 1.0))
-            circ.append(g.ry(thetas[idx], q))
-            idx += 1
-            sites[idx].append((len(circ.ops), 1.0))
-            circ.append(g.rz(thetas[idx], q))
-            idx += 1
-        for q in range(n - 1):
-            circ.append(g.cnot(q, q + 1))
-    low = _simple(circ, n, theta_count=len(thetas), sites=sites)
-    return low
+    return _build_heuristic(n, layers, ("ry", "rz"), "chain", thetas)
 
 
 def _problem_inspired(p):
@@ -644,14 +621,9 @@ def _problem_inspired(p):
     if not gammas:
         p._err("'gammas' must have at least one layer")
     p.finish()
-    return _build_qaoa(n, edges, list(gammas) + list(betas))
-
-
-def _build_qaoa(n, edges, flat):
-    layers = len(flat) // 2
-    gammas, betas = flat[:layers], flat[layers:]
+    layers = len(gammas)
     circ = GateCircuit(n)
-    sites = [[] for _ in flat]
+    sites = [[] for _ in range(2 * layers)]
     for q in range(n):
         circ.append(g.h(q))  # alternating layers act on the uniform state
     for layer in range(layers):
@@ -664,7 +636,7 @@ def _build_qaoa(n, edges, flat):
         for q in range(n):
             sites[layers + layer].append((len(circ.ops), 2.0))
             circ.append(g.rx(2.0 * betas[layer], q))
-    return _simple(circ, n, theta_count=len(flat), sites=sites)
+    return _simple(circ, n, theta_count=2 * layers, sites=sites)
 
 
 _DEFAULT_BLOCKS_4Q = (
@@ -738,10 +710,6 @@ def _uccsd(p):
                    "pass 'blocks' explicitly otherwise")
         blocks = _DEFAULT_BLOCKS_4Q
     p.finish()
-    return _build_uccsd(n, thetas, blocks)
-
-
-def _build_uccsd(n, thetas, blocks):
     circ = GateCircuit(n)
     sites = [[] for _ in thetas]
     for string, idx, coeff in blocks:
@@ -796,33 +764,18 @@ def _hamiltonian(p):
     field_ = p.float("field", 1.0)
     dt = p.float("dt")
     p.finish()
-    circ = GateCircuit(n)
-    bonds = _bonds(n, periodic)
-    for _ in range(steps):
-        for a, b in bonds:
-            _append_rzz(circ, 2.0 * coupling * dt, a, b)
-        for q in range(n):
-            circ.append(g.rx(2.0 * field_ * dt, q))
-    return _simple(circ, n)
-
-
-def _bonds(n, periodic):
-    bonds = [(q, q + 1) for q in range(n - 1)]
-    if periodic and n > 2:
-        bonds.append((n - 1, 0))
-    return bonds
-
-
-def _append_rzz(circ, theta, a, b):
-    circ.append(g.cnot(a, b))
-    circ.append(g.rz(theta, b))
-    circ.append(g.cnot(a, b))
+    fixed = [2.0 * coupling * dt, 2.0 * field_ * dt] * steps
+    # fixed angles are not variational, so the record keeps no sites
+    return _simple(
+        _build_hamiltonian_variational(n, periodic, steps, fixed).circuit, n)
 
 
 def _build_hamiltonian_variational(n, periodic, steps, thetas):
     circ = GateCircuit(n)
     sites = [[] for _ in thetas]
-    bonds = _bonds(n, periodic)
+    bonds = [(q, q + 1) for q in range(n - 1)]
+    if periodic and n > 2:
+        bonds.append((n - 1, 0))
     for step in range(steps):
         zz_idx, x_idx = 2 * step, 2 * step + 1
         for a, b in bonds:
@@ -916,10 +869,10 @@ _BUILDERS = {
     34: _ancilla_management,
 }
 
-#: Flat-theta builders for the variational loop: pid -> callable(structure,
-#: flat thetas) -> Lowered. The flat layout for id 26 is gammas then betas;
-#: for id 29 it is (zz, x) per step.
-ANSATZ_IDS = (25, 26, 27, 28, 29)
+#: The catalog's variational ansatz block. An ansatz's flat parameter vector
+#: joins its VARIATIONAL params in catalog order (id 26: gammas then betas).
+ANSATZ_IDS = tuple(d.id for d in all_primitives()
+                   if d.category is FunctionalCategory.VARIATIONAL_ANSATZ)
 
 
 def realize(primitive_id: int, params=None) -> Lowered:
@@ -967,18 +920,16 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
     ``structure`` holds the non-variational parameters. The returned record
     carries one site list per flat parameter for the shift rule.
     """
-    structure = dict(structure or {})
+    names = _flat_layout(primitive_id)
     flat = [float(v) for v in flat_thetas]
-    params = dict(structure)
-    if primitive_id == 26:
-        layers = len(flat) // 2
-        if len(flat) != 2 * layers or layers == 0:
-            raise BadParamsError("flat vector for id 26 must hold gammas "
-                                 "then betas, one of each per layer")
-        params["gammas"] = flat[:layers]
-        params["betas"] = flat[layers:]
-    else:
-        params["thetas"] = flat
+    size, rest = divmod(len(flat), len(names))
+    if rest:
+        raise BadParamsError(
+            f"flat vector for id {primitive_id} must hold "
+            f"{' then '.join(names)}, equally many of each")
+    params = dict(structure or {})
+    for i, name in enumerate(names):
+        params[name] = flat[i * size:(i + 1) * size]
     low = realize(primitive_id, params)
     if low.spec.theta_count != len(flat):
         raise BadParamsError(
@@ -990,13 +941,18 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
 def initial_thetas(primitive_id: int, params) -> list:
     """The flat parameter vector an ansatz's params start from, in the
     layout ``realize_ansatz`` reads."""
-    if primitive_id == 26:
-        gammas, betas = params.get("gammas"), params.get("betas")
-        if not gammas or betas is None:
-            raise BadParamsError("needs initial 'gammas' and 'betas'")
-        flat = list(gammas) + list(betas)
-    else:
-        flat = params.get("thetas")
-        if not flat:
-            raise BadParamsError("needs initial 'thetas'")
-    return [float(v) for v in flat]
+    names = _flat_layout(primitive_id)
+    if not all(params.get(name) for name in names):
+        raise BadParamsError("needs initial "
+                             + " and ".join(f"'{name}'" for name in names))
+    return [float(v) for name in names for v in params[name]]
+
+
+def _flat_layout(primitive_id: int) -> list:
+    """Names of an ansatz's variational params, in flat-vector order."""
+    desc = get_primitive(primitive_id)  # an unknown id raises here
+    if primitive_id not in ANSATZ_IDS:
+        raise BadParamsError(
+            f"primitive {primitive_id} is not a variational ansatz; "
+            f"expected one of {list(ANSATZ_IDS)}")
+    return [p.name for p in desc.params if p.kind is ParameterKind.VARIATIONAL]

@@ -9,19 +9,7 @@ unitaries have no textual form and are rejected.
 from __future__ import annotations
 
 from .errors import UnexportableError
-from .gates import GateCircuit, GateKind
-
-_PLAIN = {
-    GateKind.H: "h", GateKind.X: "x", GateKind.Y: "y", GateKind.Z: "z",
-    GateKind.S: "s", GateKind.SDG: "sdg", GateKind.T: "t",
-    GateKind.TDG: "tdg", GateKind.CNOT: "cx", GateKind.CZ: "cz",
-    GateKind.SWAP: "swap", GateKind.TOFFOLI: "ccx",
-}
-
-_ANGLED = {
-    GateKind.RX: "rx", GateKind.RY: "ry", GateKind.RZ: "rz",
-    GateKind.PHASE: "u1", GateKind.CPHASE: "cp",
-}
+from .gates import KINDS, GateCircuit, GateKind
 
 
 def _angle(theta: float) -> str:
@@ -35,16 +23,14 @@ def export_gates(circuit: GateCircuit) -> str:
     if circuit.classical_bits:
         lines.append(f"creg c[{circuit.classical_bits}];")
     for gate in circuit.ops:
+        name = KINDS[gate.kind].qasm
         if gate.kind is GateKind.MEASURE:
             lines.append(
                 f"measure q[{gate.qubits[0]}] -> c[{gate.cbit}];")
-        elif gate.kind in _PLAIN:
+        elif name is not None:
+            angle = "" if gate.theta is None else f"({_angle(gate.theta)})"
             regs = ",".join(f"q[{q}]" for q in gate.qubits)
-            lines.append(f"{_PLAIN[gate.kind]} {regs};")
-        elif gate.kind in _ANGLED:
-            regs = ",".join(f"q[{q}]" for q in gate.qubits)
-            lines.append(
-                f"{_ANGLED[gate.kind]}({_angle(gate.theta)}) {regs};")
+            lines.append(f"{name}{angle} {regs};")
         else:
             raise UnexportableError(
                 f"{gate.kind.value} has no OPENQASM 2.0 form; decompose "

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
-from .gates import (GateCircuit, GateKind, apply_matrix, gate_matrix,
+from .gates import (KINDS, GateCircuit, GateKind, apply_matrix, gate_matrix,
                     one_qubit_entries)
 from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
                        realize_ansatz)
@@ -245,17 +245,12 @@ def _controlled_u(amps, n, gate):
                              inner).reshape(half.shape)
 
 
-# gate kind -> kernel applying one unitary gate to ``amps`` in place
-_KERNELS = {
-    **dict.fromkeys((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
-                     GateKind.TDG, GateKind.PHASE, GateKind.CZ,
-                     GateKind.CPHASE), _phase_block),
-    **dict.fromkeys((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI,
-                     GateKind.SWAP), _block_swap),
-    **dict.fromkeys((GateKind.H, GateKind.Y, GateKind.RX, GateKind.RY,
-                     GateKind.RZ), _dense_1q),
-    GateKind.CONTROLLED_U: _controlled_u,
-}
+# the ``structure`` column of gates.KINDS -> kernel applying one unitary
+# gate to ``amps`` in place
+_STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _block_swap,
+                      "dense": _dense_1q, "controlled": _controlled_u}
+_KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
+            for kind, row in KINDS.items() if row.structure is not None}
 
 
 def _collapse(amps, n, qubit, rng):
@@ -480,11 +475,15 @@ def _ansatz_energy(low, observable) -> float:
 
 
 def _shifted_energy(low, observable, pos, delta) -> float:
-    ops = list(low.circuit.ops)
+    """Energy with one gate's angle shifted; the gate is swapped into the
+    realized circuit for one run and put back, so nothing is revalidated."""
+    ops = low.circuit.ops
     gate = ops[pos]
     ops[pos] = replace(gate, theta=gate.theta + delta)
-    circ = GateCircuit(low.circuit.width, ops)
-    return expectation(run(circ).state, observable)
+    try:
+        return expectation(run(low.circuit).state, observable)
+    finally:
+        ops[pos] = gate
 
 
 def parameter_shift_gradient(ansatz_id: int, thetas, observable,

@@ -7,12 +7,19 @@ from qsaf.catalog import (Algorithm, ALGORITHM_ORDER, all_primitives,
                           usage, usage_heatmap)
 from qsaf.core import FunctionalCategory, UsageLevel
 from qsaf.errors import UnknownAlgorithmError, UnknownPrimitiveError
+from qsaf.lowering import _BUILDERS
 
 
 def test_ids_are_dense_and_stable():
     prims = all_primitives()
     assert [d.id for d in prims] == list(range(1, 35))
     assert all(get_primitive(d.id) is d for d in prims)
+
+
+def test_lowerable_primitives_are_exactly_those_with_builders():
+    lowerable = {d.id for d in all_primitives() if d.lowerable}
+    assert set(_BUILDERS) == lowerable
+    assert lowerable == set(range(1, 35)) - {14, 24}
 
 
 def test_unknown_id_and_name():

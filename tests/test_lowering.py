@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 import qsaf
+from qsaf.analyze import DEFAULT_DEMO_PARAMS
+from qsaf.catalog import get_primitive
+from qsaf.core import ParameterKind
 from qsaf.errors import BadParamsError, NotLowerableError
 from qsaf.gates import GateCircuit, GateKind, gate_counts, unitary_of
-from qsaf.lowering import (ANSATZ_IDS, ansatz_theta_count, lower,
-                           modular_multiply_matrix, phase_unitary, port_spec,
-                           qpe_circuit, qpe_round, realize, realize_ansatz)
+from qsaf.lowering import (ANSATZ_IDS, ansatz_theta_count, initial_thetas,
+                           lower, modular_multiply_matrix, phase_unitary,
+                           port_spec, qpe_circuit, qpe_round, realize,
+                           realize_ansatz)
 from qsaf.simulate import StateVector, run
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -94,6 +98,29 @@ def test_phase_oracle_with_scratch_restores_ancillas():
         want = -1.0 if value == 31 else 1.0
         # scratch qubits end in |0>, so the amplitude stays at ``value``
         assert abs(amps[value] - want) <= 1e-10
+
+
+def _on_clean_scratch(low):
+    """Unitary of a lowering restricted to inputs with every ancilla at 0."""
+    u = unitary_of(low.circuit)
+    dim = 2 ** len(low.spec.in_qubits)
+    # scratch returns to |0>
+    assert np.abs(u[dim:, :dim]).max(initial=0.0) <= 1e-10
+    return u[:dim, :dim]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_oracles_match_their_reference_unitaries(n):
+    marked = sorted({2 ** n - 1, 2 ** n // 3})
+    phase = np.diag([-1.0 if x in marked else 1.0 for x in range(2 ** n)])
+    got = _on_clean_scratch(realize(18, {"n": n, "marked": marked}))
+    assert np.abs(got - phase).max() <= 1e-10
+    flip = np.zeros((2 ** (n + 1), 2 ** (n + 1)))
+    for x in range(2 ** n):
+        for b in (0, 1):
+            flip[x | ((b ^ (x in marked)) << n), x | (b << n)] = 1.0
+    got = _on_clean_scratch(realize(19, {"n": n, "marked": marked}))
+    assert np.abs(got - flip).max() <= 1e-10
 
 
 def test_diffusion_is_a_reflection_about_the_mean():
@@ -283,9 +310,31 @@ def test_ansatz_sites_locate_the_parameterized_gates():
                 assert gate.theta == pytest.approx(scale * flat[i])
 
 
+@pytest.mark.parametrize("pid", ANSATZ_IDS)
+def test_flat_layout_round_trips_through_realize(pid):
+    # the demo HamiltonianAnsatz takes the fixed dt path, so give it angles
+    params = DEFAULT_DEMO_PARAMS[pid] if pid != 29 else {
+        "n": 3, "steps": 2, "thetas": [0.1, 0.2, 0.3, 0.4]}
+    names = [p.name for p in get_primitive(pid).params
+             if p.kind is ParameterKind.VARIATIONAL]
+    structure = {k: v for k, v in params.items() if k not in names}
+    flat = initial_thetas(pid, params)
+    direct = realize(pid, params)
+    low = realize_ansatz(pid, structure, flat)
+    assert low.circuit == direct.circuit
+    assert low.sites == direct.sites
+    assert len(flat) == len(low.sites)
+    # each flat entry drives the gates its builder attributes to it
+    for i, sites in enumerate(low.sites):
+        for op_index, scale in sites:
+            assert low.circuit.ops[op_index].theta == scale * flat[i]
+
+
 def test_ansatz_rejects_wrong_flat_length():
     with pytest.raises(BadParamsError):
         realize_ansatz(25, {"n": 2, "layers": 1}, [0.1, 0.2, 0.3])
+    with pytest.raises(BadParamsError):
+        realize_ansatz(26, {"n": 2, "edges": [[0, 1]]}, [0.1, 0.2, 0.3])
     with pytest.raises(BadParamsError):
         realize_ansatz(15, {"n": 2}, [0.1])
     with pytest.raises(BadParamsError):

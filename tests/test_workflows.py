@@ -1,15 +1,17 @@
 """Run directives: simulation outcomes, minimization, error paths."""
 
+import numpy as np
 import pytest
 
 from qsaf.composition import ArchitectureGraph, ComponentInstance, optimizer
 from qsaf.errors import QsafError, ValidationFailedError
 from qsaf.lowering import lower
 from qsaf.manifest import RunDirective, parse_manifest
-from qsaf.simulate import run, sample
+from qsaf.simulate import PauliObservable, expectation, run, sample
 from qsaf.workflows import (MinimizationOutcome, SimulationOutcome, execute,
                             execute_directive, render_minimization,
                             render_simulation, simulate_graph)
+from reference import X2, Z2, op_on
 
 COIN = ("name coin\n"
         "component sup = Superposition(n=1)\n"
@@ -181,6 +183,33 @@ def test_minimize_needs_initial_thetas():
     with pytest.raises(QsafError) as info:
         execute(manifest)
     assert str(info.value) == "h needs initial 'thetas'"
+
+
+def test_minimize_descends_on_a_problem_inspired_ansatz():
+    params = {"n": 3, "edges": [[0, 1], [1, 2]], "gammas": [0.4, 0.1],
+              "betas": [0.3, 0.2]}
+    text = "Z0*Z1 + Z1*Z2 + 0.5*X1"
+    manifest = parse_manifest(
+        "component qaoa = ProblemInspiredAnsatz(n=3, edges=[[0, 1], [1, 2]],"
+        " gammas=[0.4, 0.1], betas=[0.3, 0.2])\n"
+        "component meas = Measurement(n=3)\n"
+        f'component opt = Optimizer(observable="{text}", max_iters=40)\n'
+        "wire qaoa.out -> meas.in\n"
+        "wire meas.bits -> opt.in\n"
+        "wire opt.out -> qaoa.params\n"
+        "run minimize\n")
+    outcome, = execute(manifest)
+    obs = PauliObservable.parse(text, 3)
+    start = expectation(run(lower(26, params)).state, obs)
+    matrix = (op_on(3, Z2, [0]) @ op_on(3, Z2, [1])
+              + op_on(3, Z2, [1]) @ op_on(3, Z2, [2])
+              + 0.5 * op_on(3, X2, [1]))
+    ground = float(np.linalg.eigvalsh(matrix)[0])
+    result = outcome.result
+    assert outcome.ansatz_instance == "qaoa"
+    assert result.trace[0] == pytest.approx(start, abs=1e-12)
+    assert ground - 1e-9 <= result.best_energy < start
+    assert len(result.best_params) == 4
 
 
 def test_minimize_surfaces_blocking_diagnostics():
