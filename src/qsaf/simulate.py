@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -29,6 +29,16 @@ from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
 SIM_WIDTH_CAP = 16
 NORM_ATOL = 1e-10
 EIGEN_ATOL = 1e-8
+
+# From WIDE_WIDTH qubits on, a flush applies every pending one-qubit run,
+# up to GROUP_QUBITS contiguous qubits per block update, and permutation
+# gates swap blocks. Narrower states take the runs one by one and gather
+# permutations through a cached index array of at most 4 KB.
+WIDE_WIDTH = 10
+GROUP_QUBITS = 4
+# a group with at most this many amplitudes at and below it is folded into
+# rows of the flat state, so its update is one matmul, not many tiny ones
+_FOLD_SPAN = 32
 
 
 def default_seed():
@@ -119,7 +129,8 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     Consecutive one-qubit gates on a qubit are held as one pending 2x2 and
     applied when another gate or a measurement touches that qubit, or at
     the end. A lone gate keeps its own kernel; a longer run is one dense
-    update with the product matrix.
+    update with the product matrix. From WIDE_WIDTH qubits on, such a
+    flush applies every pending run, in groups of contiguous qubits.
     """
     n = circuit.width
     if n > SIM_WIDTH_CAP:
@@ -144,28 +155,25 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     pending = {}  # qubit -> [first gate, product entries once fused]
     for gate in circuit.ops:
         qubits = gate.qubits
-        if gate.kind is GateKind.MEASURE:
-            q = qubits[0]
-            if q in pending:
-                _flush(amps, n, q, pending.pop(q))
-            if rng is None:
-                rng = _rng(seed)
-            amps, outcome = _collapse(amps, n, q, rng)
-            bits[gate.cbit] = outcome
-        elif len(qubits) == 1:
+        measure = gate.kind is GateKind.MEASURE
+        if len(qubits) == 1 and not measure:
             held = pending.get(qubits[0])
             if held is None:
                 pending[qubits[0]] = [gate, None]
             else:
-                held[1] = _product(one_qubit_entries(gate),
-                                   held[1] or one_qubit_entries(held[0]))
+                held[1] = _product(one_qubit_entries(gate), _entries(held))
+            continue
+        touched = [q for q in qubits if q in pending]
+        if touched:
+            _flush(amps, n, pending, touched)
+        if measure:
+            if rng is None:
+                rng = _rng(seed)
+            amps, outcome = _collapse(amps, n, qubits[0], rng)
+            bits[gate.cbit] = outcome
         else:
-            for q in qubits:
-                if q in pending:
-                    _flush(amps, n, q, pending.pop(q))
             _KERNELS[gate.kind](amps, n, gate)
-    for q, held in pending.items():
-        _flush(amps, n, q, held)
+    _flush(amps, n, pending, list(pending))
     return RunResult(StateVector(n, amps), tuple(bits))
 
 
@@ -177,13 +185,46 @@ def _product(b, a):
             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
 
 
-def _flush(amps, n, q, held):
-    """Apply a qubit's pending one-qubit run."""
+def _flush(amps, n, pending, qubits):
+    """Apply and drop the pending one-qubit runs of ``qubits``, or of every
+    pending qubit at wide widths.
+
+    Runs on different qubits commute, so at wide widths they are applied
+    in groups (see ``_groups``) and a group of two or more is one block
+    update. Otherwise each run is applied alone: a lone gate with its own
+    kernel, a longer run as one dense 2x2 update.
+    """
+    groups = _groups(pending) if n >= WIDE_WIDTH else ([q] for q in qubits)
+    for group in groups:
+        if len(group) > 1:
+            _update_group(amps, group[0],
+                          [_entries(pending.pop(q)) for q in group])
+            continue
+        gate, entries = pending.pop(group[0])
+        if entries is None:
+            _KERNELS[gate.kind](amps, n, gate)
+        else:
+            _update_1q(amps, group[0], entries)
+
+
+def _entries(held):
     gate, entries = held
-    if entries is None:
-        _KERNELS[gate.kind](amps, n, gate)
-    else:
-        _update_1q(amps, q, entries)
+    return entries or one_qubit_entries(gate)
+
+
+def _groups(qubits):
+    """Split each stretch of consecutive qubits into the fewest groups of
+    at most GROUP_QUBITS, their sizes differing by at most one."""
+    stretches = []
+    for q in sorted(qubits):
+        if stretches and stretches[-1][-1] == q - 1:
+            stretches[-1].append(q)
+        else:
+            stretches.append([q])
+    for stretch in stretches:
+        size, count = len(stretch), -(-len(stretch) // GROUP_QUBITS)
+        for j in range(count):
+            yield stretch[j * size // count:(j + 1) * size // count]
 
 
 def _block(amps, n, qubits, bits):
@@ -202,6 +243,32 @@ def _phase_block(amps, n, gate):
     """Diagonal gates: scale the block where every listed qubit is 1."""
     _block(amps, n, gate.qubits, (1,) * gate.arity)[...] *= \
         gate_matrix(gate)[-1, -1]
+
+
+def _permute(amps, n, gate):
+    """Permutation gates: one gather through a cached index array at
+    narrow widths, a block swap at wide ones."""
+    if n < WIDE_WIDTH:
+        amps[...] = amps[_permutation(n, gate.kind, gate.qubits)]
+    else:
+        _block_swap(amps, n, gate)
+
+
+@lru_cache(maxsize=256)
+def _permutation(n, kind, qubits):
+    """Source label of each basis label under a permutation gate; every
+    such gate is its own inverse, so this is also its image."""
+    labels = np.arange(1 << n)
+    if kind is GateKind.SWAP:
+        a, b = qubits
+        differ = ((labels >> a) ^ (labels >> b)) & 1
+        perm = labels ^ (differ * ((1 << a) | (1 << b)))
+    else:
+        *controls, target = qubits
+        mask = sum(1 << c for c in controls)
+        perm = labels ^ (((labels & mask) == mask) << target)
+    perm.flags.writeable = False  # shared by every later call
+    return perm
 
 
 def _block_swap(amps, n, gate):
@@ -230,6 +297,34 @@ def _update_1q(amps, q, entries):
     one += m10 * saved
 
 
+def _update_group(amps, q0, entries):
+    """Dense update of qubits q0, q0 + 1, ... with the Kronecker product
+    of their 2x2s (``entries`` lowest qubit first).
+
+    The block acts on a (high, 2**k, low) view, half of it at a time, so
+    no temporary outgrows the half-state copy of ``_update_1q``.
+    """
+    block = reduce(_kron, [np.reshape(e, (2, 2)) for e in entries[::-1]])
+    low = 1 << q0
+    if low * len(block) <= _FOLD_SPAN:
+        block = _kron(block, np.eye(low))
+        view = amps.reshape(-1, len(block)).T[None]
+    else:
+        view = amps.reshape(-1, len(block), low)
+    axis = 0 if len(view) > 1 else 2
+    size = view.shape[axis]
+    step = (size + 1) // 2
+    for start in range(0, size, step):
+        part = view[(slice(None),) * axis + (slice(start, start + step),)]
+        part[...] = block @ part
+
+
+def _kron(a, b):
+    """Kronecker product of two square matrices (``np.kron`` without its
+    general-shape overhead)."""
+    return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _dense_1q(amps, n, gate):
     """Dense one-qubit gates."""
     _update_1q(amps, gate.qubits[0], one_qubit_entries(gate))
@@ -247,7 +342,7 @@ def _controlled_u(amps, n, gate):
 
 # the ``structure`` column of gates.KINDS -> kernel applying one unitary
 # gate to ``amps`` in place
-_STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _block_swap,
+_STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _permute,
                       "dense": _dense_1q, "controlled": _controlled_u}
 _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             for kind, row in KINDS.items() if row.structure is not None}

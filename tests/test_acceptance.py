@@ -361,3 +361,33 @@ def test_c11_round_trip_byte_stable_export_and_seeded_counts():
     golden_counts = json.loads((GOLDEN / "bell_counts.json").read_text())
     assert qsaf.sample(state, 256, seed=11) == golden_counts
     assert qsaf.sample(state, 256, seed=11) == golden_counts
+
+
+# seeded runs at the 16-qubit cap, whose counts every engine must reproduce
+# bit for bit: Grover n=9 with 7 scratch qubits, and QPE order finding
+WIDE_MANIFESTS = {
+    "grover9_w16_counts.json": """\
+name grover_wide
+component sup = Superposition(n=9)
+component search = GroverOperator(n=9, marked=[301], iterations=5)
+component meas = Measurement(n=9)
+wire sup.out -> search.in
+wire search.out -> meas.in
+run simulate shots=2000 seed=1234
+""",
+    "qpe21_w16_counts.json": """\
+name order_wide
+component work = BasisStates(n=5, value=1)
+component qpe = StandardQPE(t=11, a=5, modulus=21)
+wire work.out -> qpe.in
+run simulate shots=2000 seed=4321
+""",
+}
+
+
+@pytest.mark.parametrize("golden", list(WIDE_MANIFESTS))
+def test_c11_seeded_counts_at_the_width_cap(golden):
+    manifest = qsaf.parse_manifest(WIDE_MANIFESTS[golden])
+    assert manifest.graph.flatten().width == 16
+    (outcome,) = qsaf.execute(manifest)
+    assert outcome.counts == json.loads((GOLDEN / golden).read_text())

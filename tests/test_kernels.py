@@ -1,9 +1,10 @@
 """Property checks of the statevector fast paths against slow references.
 
-Every gate kernel in ``run``, the fusion of one-qubit runs, the planned
-Pauli ``expectation`` and the bincount ``sample`` are compared with the
-index-arithmetic kernel ``apply_ref`` or a per-shot loop, over random
-gates, qubit orders, widths and states.
+Every gate kernel in ``run``, the fusion of one-qubit runs and their
+grouped flushes at wide widths, the planned Pauli ``expectation`` and the
+bincount ``sample`` are compared with the index-arithmetic kernel
+``apply_ref`` or a per-shot loop, over random gates, qubit orders, widths
+and states.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st
 
 import qsaf.simulate as simulate
@@ -193,6 +194,146 @@ def test_unitary_run_draws_nothing_from_a_given_generator():
     run(GateCircuit(3, [Gate(GateKind.H, (q,)) for q in range(3)]),
         seed=gen)
     assert gen.bit_generator.state == state
+
+
+# grouped flushes of pending one-qubit runs at wide widths
+
+WIDE = simulate.WIDE_WIDTH
+GROUP = simulate.GROUP_QUBITS
+
+
+def _kron_ref(mats):
+    """Kronecker product with the first matrix on the lowest qubit."""
+    out = np.eye(1)
+    for m in mats:
+        out = np.kron(m, out)
+    return out
+
+
+@st.composite
+def groups_on_states(draw):
+    width = draw(st.integers(1, 10))
+    size = draw(st.integers(1, min(width, GROUP + 1)))
+    q0 = draw(st.integers(0, width - size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = [_random_unitary(rng, 2) for _ in range(size)]
+    return width, q0, mats, _random_state(rng, width)
+
+
+@settings(deadline=None)
+@given(groups_on_states())
+def test_group_kernel_matches_the_kronecker_reference(case):
+    width, q0, mats, amps = case
+    got = amps.copy()
+    simulate._update_group(got, q0, [tuple(m.reshape(-1)) for m in mats])
+    want = apply_ref(amps, width, _kron_ref(mats),
+                     tuple(range(q0, q0 + len(mats))))
+    assert np.allclose(got, want, rtol=0, atol=ATOL)
+
+
+@given(st.sets(st.integers(0, 15)))
+def test_groups_split_each_stretch_evenly(qubits):
+    qubits = sorted(qubits)
+    groups = list(simulate._groups(qubits))
+    assert [q for g in groups for q in g] == qubits
+    assert all(g == list(range(g[0], g[0] + len(g))) for g in groups)
+    stretches = []
+    for q in qubits:
+        if stretches and stretches[-1][-1] == q - 1:
+            stretches[-1].append(q)
+        else:
+            stretches.append([q])
+    for stretch in stretches:
+        sizes = [len(g) for g in groups if g[0] in stretch]
+        assert sum(sizes) == len(stretch)
+        assert len(sizes) == -(-len(stretch) // GROUP)
+        assert max(sizes) <= GROUP and max(sizes) - min(sizes) <= 1
+
+
+def _layer(qubits, rng):
+    """A lone X, a lone Z or a fused RY-RZ run on each listed qubit."""
+    ops = []
+    for q in qubits:
+        pick = rng.integers(3)
+        if pick == 0:
+            ops.append(Gate(GateKind.X, (q,)))
+        elif pick == 1:
+            ops.append(Gate(GateKind.Z, (q,)))
+        else:
+            ops += [Gate(GateKind.RY, (q,), float(rng.uniform(-3, 3))),
+                    Gate(GateKind.RZ, (q,), float(rng.uniform(-3, 3)))]
+    return ops
+
+
+_WIDE_CASES = {
+    # every qubit pending when the CNOT forces the flush
+    "full_layer": (range(WIDE), [Gate(GateKind.CNOT, (WIDE - 1, 0))]),
+    # stretches 0-4, 6 and 8-9: two groups, a singleton and a pair
+    "gapped_layer": ([0, 1, 2, 3, 4, 6, 8, 9],
+                     [Gate(GateKind.TOFFOLI, (9, 6, 5))]),
+    **{f"{kind.value}_block_swap": (range(WIDE), [Gate(kind, qubits)])
+       for kind, qubits in ((GateKind.X, (7,)),
+                            (GateKind.CNOT, (3, 8)),
+                            (GateKind.TOFFOLI, (0, 9, 4)),
+                            (GateKind.SWAP, (2, 6)))},
+}
+
+
+@pytest.mark.parametrize("name", list(_WIDE_CASES))
+def test_wide_runs_match_gate_by_gate_reference(name):
+    layer, tail = _WIDE_CASES[name]
+    rng = np.random.default_rng(len(name))
+    ops = _layer(layer, rng) + tail + _layer(range(0, WIDE, 3), rng)
+    amps = _random_state(rng, WIDE)
+    got = run(GateCircuit(WIDE, ops), initial=StateVector(WIDE, amps))
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, WIDE, amps),
+                       rtol=0, atol=ATOL)
+
+
+def test_wide_measure_flushes_every_pending_run():
+    rng = np.random.default_rng(8)
+    amps = _random_state(rng, WIDE)
+    before = _layer(range(WIDE), rng)
+    after = [Gate(GateKind.H, (2,)), Gate(GateKind.CNOT, (2, 5))]
+    circ = GateCircuit(WIDE, allow_mid_measure=True)
+    circ.extend(before + [Gate(GateKind.MEASURE, (2,), cbit=0)] + after)
+    ones = ((np.arange(2 ** WIDE) >> 2) & 1).astype(bool)
+    for seed in range(4):
+        result = run(circ, initial=StateVector(WIDE, amps), seed=seed)
+        want = _reference_run(before, WIDE, amps)
+        p_one = float(np.sum(np.abs(want[ones]) ** 2))
+        outcome = int(np.random.default_rng(seed).random() < p_one)
+        want[ones != bool(outcome)] = 0.0
+        want = _reference_run(after, WIDE, want / np.linalg.norm(want))
+        assert result.bits == (outcome,)
+        assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
+
+
+def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
+    calls = []
+    group, update = simulate._update_group, simulate._update_1q
+    monkeypatch.setattr(simulate, "_update_group",
+                        lambda a, q0, e: (calls.append(("group", len(e))),
+                                          group(a, q0, e)))
+    monkeypatch.setattr(simulate, "_update_1q",
+                        lambda a, q, e: (calls.append(("1q", q)),
+                                         update(a, q, e)))
+    width = simulate.SIM_WIDTH_CAP
+    ops = [Gate(GateKind.H, (q,)) for q in range(9)]
+    ops += [Gate(GateKind.X, (q,)) for q in range(9)]
+    # touches one layer qubit, yet the whole layer is flushed with it
+    ops.append(Gate(GateKind.TOFFOLI, (9, 10, 4)))
+    amps = _random_state(np.random.default_rng(5), width)
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    assert calls and all(kind == "group" for kind, _ in calls)
+    assert len(calls) <= -(-9 // GROUP)
+    assert sum(size for _, size in calls) == 9
+    # one circuit per gate: every gate takes its own kernel
+    want = StateVector(width, amps)
+    for gate in ops:
+        want = run(GateCircuit(width, [gate]), initial=want).state
+    assert np.allclose(got.state.amplitudes, want.amplitudes, rtol=0,
+                       atol=ATOL)
 
 
 _LETTERS = {"X": X2, "Y": Y2, "Z": Z2}
