@@ -466,7 +466,9 @@ def _grover_operator(p):
     marked = p.int_list("marked", lo=0, hi=2 ** n - 1, distinct=True)
     if not marked:
         p._err("'marked' must list at least one basis state")
-    iterations = p.int("iterations", 1, lo=1)
+    # at n=24 each iteration is about 1 ms of gate building, so the cap
+    # keeps one realization within a second
+    iterations = p.int("iterations", 1, lo=1, hi=512)
     p.finish()
     scratch = _ladder_scratch(n - 1)
     circ = GateCircuit(n + scratch)
@@ -755,7 +757,9 @@ def _build_heuristic(n, layers, rotations, entangler, thetas):
 def _hamiltonian(p):
     n = p.int("n", lo=2, hi=24)
     periodic = p.bool("periodic", False)
-    steps = p.int("steps", 1, lo=1)
+    # the variational path is bounded by its thetas; a fixed-angle step is
+    # about 0.5 ms of gate building at n=24, so 1024 stay within a second
+    steps = p.int("steps", 1, lo=1, hi=None if p.has("thetas") else 1024)
     if p.has("thetas"):
         thetas = p.float_list("thetas", length=2 * steps)
         p.finish()

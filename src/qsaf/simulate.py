@@ -27,6 +27,9 @@ from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
                        realize_ansatz)
 
 SIM_WIDTH_CAP = 16
+# most shots one simulate directive may draw: the sampler holds one float
+# and one index per shot, so 10**7 shots take about 160 MB
+SHOT_CAP = 10 ** 7
 NORM_ATOL = 1e-10
 EIGEN_ATOL = 1e-8
 
@@ -150,10 +153,21 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
         raise TypeError(f"initial must be None, a basis label, or a "
                         f"StateVector, got {type(initial).__name__}")
 
-    rng = None
     bits = [None] * circuit.classical_bits
+    amps = _evolve(amps, n, circuit.ops, bits, seed)
+    return RunResult(StateVector(n, amps), tuple(bits))
+
+
+def _evolve(amps, n, ops, bits=(), seed=None):
+    """Apply ``ops`` to ``amps`` (2**n amplitudes, updated in place until a
+    measurement collapses them) and return the final amplitudes.
+
+    Measurement outcomes land in ``bits``; the seeded generator is built at
+    the first measurement. Pending one-qubit runs are flushed at the end.
+    """
+    rng = None
     pending = {}  # qubit -> [first gate, product entries once fused]
-    for gate in circuit.ops:
+    for gate in ops:
         qubits = gate.qubits
         measure = gate.kind is GateKind.MEASURE
         if len(qubits) == 1 and not measure:
@@ -174,7 +188,7 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
         else:
             _KERNELS[gate.kind](amps, n, gate)
     _flush(amps, n, pending, list(pending))
-    return RunResult(StateVector(n, amps), tuple(bits))
+    return amps
 
 
 def _product(b, a):
@@ -569,32 +583,39 @@ def _ansatz_energy(low, observable) -> float:
     return expectation(state, observable)
 
 
-def _shifted_energy(low, observable, pos, delta) -> float:
-    """Energy with one gate's angle shifted; the gate is swapped into the
-    realized circuit for one run and put back, so nothing is revalidated."""
-    ops = low.circuit.ops
-    gate = ops[pos]
-    ops[pos] = replace(gate, theta=gate.theta + delta)
-    try:
-        return expectation(run(low.circuit).state, observable)
-    finally:
-        ops[pos] = gate
-
-
 def parameter_shift_gradient(ansatz_id: int, thetas, observable,
                              structure=None) -> np.ndarray:
     """Exact gradient of the ansatz energy via the two-point shift rule.
 
     A parameter may drive several gates (each with its own angle scale), so
     the rule is applied per gate occurrence and combined by the chain rule.
+    One forward sweep carries the unshifted state through the circuit; each
+    shifted run starts from the state just before its gate, so it replays
+    only the gates from that one on.
     """
     low = realize_ansatz(ansatz_id, structure, thetas)
+    n, ops = low.circuit.width, low.circuit.ops
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = 1.0
+    done = 0
+    diff = {}  # site position -> E(+pi/2) - E(-pi/2)
+    for pos in sorted({pos for sites in low.sites for pos, _ in sites}):
+        amps = _evolve(amps, n, ops[done:pos])
+        done = pos
+        prefix = StateVector(n, amps)
+        energies = []
+        for delta in (math.pi / 2, -math.pi / 2):
+            # built from validated gates, so the circuit is not revalidated
+            suffix = GateCircuit(n)
+            suffix.ops = [replace(ops[pos], theta=ops[pos].theta + delta),
+                          *ops[pos + 1:]]
+            energies.append(expectation(run(suffix, prefix).state,
+                                        observable))
+        diff[pos] = energies[0] - energies[1]
     grad = np.zeros(len(low.sites))
     for i, sites in enumerate(low.sites):
         for pos, scale in sites:
-            plus = _shifted_energy(low, observable, pos, math.pi / 2)
-            minus = _shifted_energy(low, observable, pos, -math.pi / 2)
-            grad[i] += scale * (plus - minus) / 2.0
+            grad[i] += scale * diff[pos] / 2.0
     return grad
 
 

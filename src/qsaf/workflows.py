@@ -9,14 +9,15 @@ then runs the variational loop against the optimizer's observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .composition import ArchitectureGraph
 from .errors import BadParamsError, QsafError, ValidationFailedError
 from .gates import GateCircuit, GateKind
 from .lowering import ANSATZ_IDS, initial_thetas, realize_ansatz
 from .manifest import Manifest, RunDirective
-from .simulate import (OptimizerConfig, PauliObservable, VariationalResult,
-                       run, sample, variational_minimize)
+from .simulate import (SHOT_CAP, OptimizerConfig, PauliObservable,
+                       VariationalResult, run, sample, variational_minimize)
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,11 @@ def simulate_graph(graph: ArchitectureGraph, shots: int = 512,
 
 
 def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
-    shots = int(options.get("shots", 512))
+    shots = _int_option("shots", options.get("shots", 512), 1, SHOT_CAP)
     if seed is None:
         seed = options.get("seed")
+    if seed is not None:
+        seed = _int_option("seed", seed, 0)
     circuit = graph.flatten()
     unitary_ops = []
     measured = []
@@ -83,6 +86,18 @@ def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
         bits = "".join(key[circuit.width - 1 - q] for q in order)
         projected[bits] = projected.get(bits, 0) + hits
     return SimulationOutcome(projected, shots, len(measured), True)
+
+
+def _int_option(key, value, lo, hi=None):
+    """``value`` as a checked integer in [lo, hi]; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise QsafError(f"simulate option {key!r} must be an integer, "
+                        f"got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"between {lo} and {hi}" if hi is not None else f">= {lo}"
+        raise QsafError(f"simulate option {key!r} must be {bound}, "
+                        f"got {value}")
+    return int(value)
 
 
 _CONFIG_KEYS = ("step", "max_iters", "tol", "min_step")

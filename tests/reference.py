@@ -1,7 +1,14 @@
-"""Independent dense-algebra references and manifest texts shared by the
-test modules; fixtures live in conftest.py."""
+"""Independent dense-algebra references, the full-replay shift gradient,
+and manifest texts shared by the test modules; fixtures live in
+conftest.py."""
+
+from dataclasses import replace
 
 import numpy as np
+
+from qsaf.gates import GateCircuit
+from qsaf.lowering import realize_ansatz
+from qsaf.simulate import expectation, run
 
 # reference single- and two-qubit matrices, written out by hand
 
@@ -60,6 +67,27 @@ def op_on(n, matrix, qubits):
         basis[col] = 1.0
         full[:, col] = apply_ref(basis, n, matrix, qubits)
     return full
+
+
+def shift_gradient_ref(ansatz_id, thetas, observable, structure=None):
+    """Parameter-shift gradient by full replays: every shifted circuit is
+    rebuilt, revalidated and run from |0...0>, and the sites are summed in
+    (parameter, site) order."""
+    low = realize_ansatz(ansatz_id, structure, thetas)
+    ops = low.circuit.ops
+
+    def energy(pos, delta):
+        shifted = list(ops)
+        shifted[pos] = replace(ops[pos], theta=ops[pos].theta + delta)
+        circuit = GateCircuit(low.circuit.width, shifted)
+        return expectation(run(circuit).state, observable)
+
+    grad = np.zeros(len(low.sites))
+    for i, sites in enumerate(low.sites):
+        for pos, scale in sites:
+            grad[i] += scale * (energy(pos, np.pi / 2)
+                                - energy(pos, -np.pi / 2)) / 2.0
+    return grad
 
 
 def cz_ref():

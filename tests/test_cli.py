@@ -285,3 +285,53 @@ def test_validate_rejects_a_modulus_past_the_dense_cap(tmp_path, capsys,
     assert "dense cap is 10" in captured.out
     assert "1 finding(s), 1 blocking" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("options,message", [
+    ("shots=8 seed=1.5", "'seed' must be an integer, got 1.5"),
+    ("shots=8 seed=true", "'seed' must be an integer, got True"),
+    ("shots=8 seed=-1", "'seed' must be >= 0, got -1"),
+    ("shots=1.5", "'shots' must be an integer, got 1.5"),
+    ("shots=true", "'shots' must be an integer, got True"),
+    ("shots=0", "'shots' must be between 1 and 10000000, got 0"),
+    ("shots=10000000000000", "'shots' must be between 1 and 10000000"),
+])
+def test_run_rejects_malformed_simulate_options(tmp_path, capsys, options,
+                                                message):
+    path = tmp_path / "bell.qsaf"
+    path.write_text("component bell = BellStates()\n"
+                    f"run simulate {options}\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_caps_shots(tmp_path, capsys):
+    path = tmp_path / "bell.qsaf"
+    path.write_text("component bell = BellStates()\n")
+    assert main(["simulate", str(path), "--shots", "10000001"]) == 2
+    captured = capsys.readouterr()
+    assert "'shots' must be between 1 and 10000000" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("component,message", [
+    ("GroverOperator(n=3, marked=[1], iterations=513)",
+     "'iterations' must be <= 512"),
+    ("GroverOperator(n=3, marked=[1], iterations=10000000)",
+     "'iterations' must be <= 512"),
+    ("HamiltonianAnsatz(n=2, steps=1025, dt=0.1)", "'steps' must be <= 1024"),
+    ("HamiltonianAnsatz(n=2, steps=10000000, dt=0.1)",
+     "'steps' must be <= 1024"),
+])
+def test_validate_bounds_repetition_counts(tmp_path, capsys, component,
+                                           message):
+    path = tmp_path / "repeat.qsaf"
+    path.write_text(f"component a = {component}\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error [bad_params]" in captured.out
+    assert message in captured.out
+    assert "1 finding(s), 1 blocking" in captured.out
+    assert captured.err == ""

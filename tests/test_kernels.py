@@ -1,10 +1,10 @@
 """Property checks of the statevector fast paths against slow references.
 
 Every gate kernel in ``run``, the fusion of one-qubit runs and their
-grouped flushes at wide widths, the planned Pauli ``expectation`` and the
-bincount ``sample`` are compared with the index-arithmetic kernel
-``apply_ref`` or a per-shot loop, over random gates, qubit orders, widths
-and states.
+grouped flushes at wide widths, the planned Pauli ``expectation``, the
+bincount ``sample`` and the prefix-sharing parameter-shift gradient are
+compared with the index-arithmetic kernel ``apply_ref``, a per-shot loop
+or full replays, over random gates, qubit orders, widths and states.
 """
 
 import math
@@ -19,9 +19,10 @@ import qsaf.simulate as simulate
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
                         gate_matrix)
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
-                           format_outcome, run, sample)
+                           format_outcome, parameter_shift_gradient, run,
+                           sample)
 
-from reference import X2, Y2, Z2, apply_ref
+from reference import X2, Y2, Z2, apply_ref, shift_gradient_ref
 
 MAX_WIDTH = 6
 ATOL = 1e-12
@@ -431,3 +432,57 @@ def test_sample_matches_the_per_shot_loop(seed, width, shots):
     counts = sample(state, shots, seed)
     assert counts == _per_shot_counts(state, shots, seed)
     assert list(counts) == sorted(counts)
+
+
+# parameter-shift gradient
+
+
+@st.composite
+def ansatz_cases(draw):
+    """An ansatz of ids 25-29 with a random structure, flat angles and an
+    observable drawn from X, Y and Z strings. Ids 26, 27 and 29 give
+    parameters several sites."""
+    pid = draw(st.sampled_from([25, 26, 27, 28, 29]))
+    n = draw(st.integers(2, 4))
+    structure = {"n": n}
+    if pid in (25, 28):
+        structure["layers"] = draw(st.integers(1, 2))
+        count = 2 * n * structure["layers"]
+    if pid == 26:
+        pairs = [[a, b] for a in range(n) for b in range(n) if a != b]
+        structure["edges"] = draw(st.lists(st.sampled_from(pairs),
+                                           max_size=4))
+        count = 2 * draw(st.integers(1, 2))
+    if pid == 27:
+        count = draw(st.integers(1, 3))
+        strings = st.text("IXYZ", min_size=n, max_size=n).filter(
+            lambda text: set(text) != {"I"})
+        structure["blocks"] = draw(st.lists(
+            st.tuples(strings, st.integers(0, count - 1),
+                      st.floats(-1, 1)), min_size=1, max_size=4))
+    if pid == 28:
+        rotations = draw(st.lists(st.sampled_from(["rx", "ry", "rz"]),
+                                  min_size=1, max_size=3))
+        structure["rotations"] = rotations
+        structure["entangler"] = draw(st.sampled_from(["chain", "ring"]))
+        count = structure["layers"] * n * len(rotations)
+    if pid == 29:
+        structure["periodic"] = draw(st.booleans())
+        structure["steps"] = draw(st.integers(1, 2))
+        count = 2 * structure["steps"]
+    thetas = draw(st.lists(st.floats(-math.pi, math.pi), min_size=count,
+                           max_size=count))
+    terms = draw(st.lists(
+        st.tuples(st.floats(-2, 2), st.text("IXYZ", min_size=n,
+                                            max_size=n)),
+        min_size=1, max_size=4))
+    return pid, structure, thetas, PauliObservable(n, tuple(terms))
+
+
+@settings(deadline=None)
+@given(ansatz_cases())
+def test_shift_gradient_matches_full_replays(case):
+    pid, structure, thetas, observable = case
+    got = parameter_shift_gradient(pid, thetas, observable, structure)
+    want = shift_gradient_ref(pid, thetas, observable, structure)
+    assert np.allclose(got, want, rtol=0, atol=ATOL)

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import qsaf.simulate as simulate
 from qsaf.errors import BadParamsError
+from qsaf.gates import gate_matrix
 from qsaf.lowering import realize_ansatz
 from qsaf.simulate import (NonDecreasingEnergyWarning, OptimizerConfig,
                            PauliObservable, expectation,
                            parameter_shift_gradient, run,
                            variational_minimize)
+
+from reference import apply_ref
 
 
 def _energy(pid, structure, thetas, obs):
@@ -52,6 +56,40 @@ def test_gradient_of_a_single_rotation_is_analytic():
     grad = parameter_shift_gradient(25, thetas, obs, structure=structure)
     assert grad[0] == pytest.approx(-math.sin(0.8), abs=1e-10)
     assert grad[1] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_shifted_runs_resume_from_the_unshifted_prefix(monkeypatch):
+    structure = {"n": 3, "layers": 2}
+    thetas = np.random.default_rng(4).uniform(-math.pi, math.pi, size=12)
+    obs = PauliObservable.parse("Z0*Z1 + 0.5*X2 - 0.3*Y1", 3)
+    calls = []
+
+    def spy(circuit, initial=None, seed=None):
+        calls.append((list(circuit.ops), initial))
+        return run(circuit, initial, seed)
+
+    monkeypatch.setattr(simulate, "run", spy)
+    parameter_shift_gradient(25, thetas, obs, structure=structure)
+    low = realize_ansatz(25, structure, thetas)
+    ops = low.circuit.ops
+    positions = sorted(pos for sites in low.sites for pos, _ in sites)
+    assert len(calls) == 2 * len(positions)
+    shifts = {}
+    for suffix, initial in calls:
+        pos = len(ops) - len(suffix)  # the run replays ops[pos:] only
+        gate = ops[pos]
+        assert (suffix[0].kind, suffix[0].qubits) == (gate.kind, gate.qubits)
+        assert suffix[1:] == ops[pos + 1:]
+        shifts.setdefault(pos, []).append(suffix[0].theta - gate.theta)
+        prefix = np.eye(8, dtype=complex)[0]
+        for earlier in ops[:pos]:
+            prefix = apply_ref(prefix, 3, gate_matrix(earlier),
+                               earlier.qubits)
+        assert np.allclose(initial.amplitudes, prefix, rtol=0, atol=1e-12)
+    assert sorted(shifts) == positions
+    for deltas in shifts.values():
+        assert sorted(deltas) == pytest.approx([-math.pi / 2, math.pi / 2],
+                                               abs=1e-12)
 
 
 def test_minimize_reaches_the_single_qubit_ground_state():
