@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import analyze, catalog, workflows
@@ -17,7 +18,7 @@ from .core import UsageLevel
 from .errors import QsafError
 from .manifest import parse_manifest
 from .qasm import export_gates
-from .simulate import default_seed
+from .simulate import NonDecreasingEnergyWarning, default_seed
 
 
 def _resolve(token: str):
@@ -142,8 +143,11 @@ def _cmd_run(args) -> int:
         print("manifest has no run directives", file=sys.stderr)
         return 1
     for directive in manifest.directives:
-        outcome = workflows.execute_directive(manifest, directive,
-                                              args.seed)
+        # the report's "warning = ..." lines already carry the message
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonDecreasingEnergyWarning)
+            outcome = workflows.execute_directive(manifest, directive,
+                                                  args.seed)
         if directive.verb == "simulate":
             print(workflows.render_simulation(outcome))
         else:

@@ -28,20 +28,28 @@ from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
 
 SIM_WIDTH_CAP = 16
 # most shots one simulate directive may draw: the sampler holds one float
-# and one index per shot, so 10**7 shots take about 160 MB
+# per shot, so 10**7 shots take about 80 MB
 SHOT_CAP = 10 ** 7
+# most iterations one minimize directive may run
+ITERATION_CAP = 10 ** 5
 NORM_ATOL = 1e-10
 EIGEN_ATOL = 1e-8
 
 # From WIDE_WIDTH qubits on, a flush applies every pending one-qubit run,
-# up to GROUP_QUBITS contiguous qubits per block update, and permutation
-# gates swap blocks. Narrower states take the runs one by one and gather
-# permutations through a cached index array of at most 4 KB.
+# up to GROUP_QUBITS contiguous qubits per block update, permutation gates
+# swap blocks, and runs of CNOT, CZ, SWAP and Toffoli gates are held.
+# Narrower states take the runs one by one and gather permutations through
+# a cached index array of at most 4 KB.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
 # a group with at most this many amplitudes at and below it is folded into
 # rows of the flat state, so its update is one matmul, not many tiny ones
 _FOLD_SPAN = 32
+# _RUN_CACHE remembers the RUN_WINDOW held runs seen last and keeps the
+# signed permutations of those that recur, RUN_BYTES of labels at most:
+# eight runs at 16 qubits, each three arrays of 2**16 int64 labels
+RUN_WINDOW = 64
+RUN_BYTES = 12 * 2 ** 20
 
 
 def default_seed():
@@ -134,6 +142,12 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     the end. A lone gate keeps its own kernel; a longer run is one dense
     update with the product matrix. From WIDE_WIDTH qubits on, such a
     flush applies every pending run, in groups of contiguous qubits.
+
+    From WIDE_WIDTH qubits on, consecutive CNOT, CZ, SWAP and Toffoli
+    gates are held as one run too, applied before any later gate that
+    touches their qubits, any other multi-qubit gate, a measurement, or
+    the end; a run that recurs is one cached signed permutation (see
+    ``_apply_run``).
     """
     n = circuit.width
     if n > SIM_WIDTH_CAP:
@@ -163,14 +177,25 @@ def _evolve(amps, n, ops, bits=(), seed=None):
     measurement collapses them) and return the final amplitudes.
 
     Measurement outcomes land in ``bits``; the seeded generator is built at
-    the first measurement. Pending one-qubit runs are flushed at the end.
+    the first measurement. Pending one-qubit runs and the held run of
+    _RUN_KINDS gates are applied at the end.
+
+    No pending qubit is ever a qubit of the held run: a run gate flushes
+    the pending runs it touches before it joins, and a one-qubit gate on
+    a held qubit applies the run first. So a flush may apply pending runs
+    before the held run that precedes them in ``ops``: they commute.
     """
     rng = None
     pending = {}  # qubit -> [first gate, product entries once fused]
+    run_gates, run_qubits = [], set()  # the held run and the qubits it acts on
+    # a narrower state gathers each permutation about as fast as a run
+    hold = n >= WIDE_WIDTH
     for gate in ops:
         qubits = gate.qubits
         measure = gate.kind is GateKind.MEASURE
         if len(qubits) == 1 and not measure:
+            if qubits[0] in run_qubits:
+                _apply_run(amps, n, run_gates, run_qubits)
             held = pending.get(qubits[0])
             if held is None:
                 pending[qubits[0]] = [gate, None]
@@ -180,6 +205,12 @@ def _evolve(amps, n, ops, bits=(), seed=None):
         touched = [q for q in qubits if q in pending]
         if touched:
             _flush(amps, n, pending, touched)
+        if hold and gate.kind in _RUN_KINDS:
+            run_gates.append(gate)
+            run_qubits.update(qubits)
+            continue
+        if run_gates:
+            _apply_run(amps, n, run_gates, run_qubits)
         if measure:
             if rng is None:
                 rng = _rng(seed)
@@ -187,6 +218,8 @@ def _evolve(amps, n, ops, bits=(), seed=None):
             bits[gate.cbit] = outcome
         else:
             _KERNELS[gate.kind](amps, n, gate)
+    if run_gates:
+        _apply_run(amps, n, run_gates, run_qubits)
     _flush(amps, n, pending, list(pending))
     return amps
 
@@ -270,19 +303,114 @@ def _permute(amps, n, gate):
 
 @lru_cache(maxsize=256)
 def _permutation(n, kind, qubits):
-    """Source label of each basis label under a permutation gate; every
+    """Read-only ``_sources`` of every basis label at width n."""
+    perm = _sources(np.arange(1 << n), kind, qubits)
+    perm.flags.writeable = False  # shared by every later call
+    return perm
+
+
+def _sources(labels, kind, qubits):
+    """Source label of each of ``labels`` under a permutation gate; every
     such gate is its own inverse, so this is also its image."""
-    labels = np.arange(1 << n)
     if kind is GateKind.SWAP:
         a, b = qubits
         differ = ((labels >> a) ^ (labels >> b)) & 1
-        perm = labels ^ (differ * ((1 << a) | (1 << b)))
+        return labels ^ (differ * ((1 << a) | (1 << b)))
+    *controls, target = qubits
+    mask = sum(1 << c for c in controls)
+    return labels ^ (((labels & mask) == mask) << target)
+
+
+def _apply_run(amps, n, run_gates, run_qubits):
+    """Apply and drop the held run. A run of two or more gates that
+    recurs (see ``_RunCache``) is at most one gather and one in-place
+    negation; any other run goes gate by gate through its kernels."""
+    parts = None
+    if len(run_gates) > 1:
+        parts = _RUN_CACHE.lookup(
+            (n, tuple((gate.kind, gate.qubits) for gate in run_gates)))
+    if parts is None:
+        for gate in run_gates:
+            _KERNELS[gate.kind](amps, n, gate)
     else:
-        *controls, target = qubits
-        mask = sum(1 << c for c in controls)
-        perm = labels ^ (((labels & mask) == mask) << target)
-    perm.flags.writeable = False  # shared by every later call
-    return perm
+        moved, sources, negated = parts
+        if moved.size:
+            amps[moved] = amps[sources]
+        if negated.size:
+            amps[negated] *= -1
+    run_gates.clear()
+    run_qubits.clear()
+
+
+class _RunCache:
+    """The held runs seen last, keyed by (width, ((kind, qubits), ...)).
+
+    A run is composed into its signed permutation when it recurs among
+    the ``window`` runs seen last and the labels kept stay within
+    ``budget`` bytes; any other sighting goes gate by gate. Composing
+    works on all 2**n labels per gate, more than the gate itself moves,
+    so it pays only for a run that recurs, and a full budget keeps a
+    circuit with many distinct wide runs from composing them again and
+    again.
+    """
+
+    _UNSEEN = object()
+    # most bytes a run keeps per basis label: three int64 labels
+    _LABEL_BYTES = 3 * np.dtype(np.intp).itemsize
+
+    def __init__(self, window, budget):
+        self.window, self.budget = window, budget
+        self.runs = {}  # key -> None or its parts, least recent first
+        self.held = 0  # bytes of the parts kept
+
+    def lookup(self, key):
+        """The run's signed permutation, or None to go gate by gate."""
+        parts = self.runs.pop(key, self._UNSEEN)
+        if parts is self._UNSEEN:
+            parts = None
+        elif parts is None and (self.held + (self._LABEL_BYTES << key[0])
+                                <= self.budget):
+            parts = _signed_permutation(*key)
+            self.held += sum(part.nbytes for part in parts)
+        self.runs[key] = parts
+        if len(self.runs) > self.window:
+            old = self.runs.pop(next(iter(self.runs)))
+            if old is not None:
+                self.held -= sum(part.nbytes for part in old)
+        return parts
+
+    def clear(self):
+        self.runs.clear()
+        self.held = 0
+
+
+_RUN_CACHE = _RunCache(RUN_WINDOW, RUN_BYTES)
+
+
+def _signed_permutation(n, run):
+    """(moved, sources, negated) for a run of ((kind, qubits), ...) of
+    _RUN_KINDS gates at width n, applied first to last.
+
+    The run maps amplitudes as out[i] = s[i] * in[src[i]] with s[i] = +-1.
+    ``moved`` holds the labels with src[i] != i and ``sources`` their
+    src[i]; ``negated`` holds the labels with s[i] = -1.
+    """
+    labels = np.arange(1 << n)
+    src, negative = labels, np.zeros(1 << n, dtype=bool)
+    for kind, qubits in run:
+        if KINDS[kind].structure == "diagonal":
+            # CZ: -1 on the labels where every listed qubit is 1
+            mask = sum(1 << q for q in qubits)
+            negative = negative ^ ((labels & mask) == mask)
+        else:
+            # the gate reads out[i] = before[step[i]]
+            step = _sources(labels, kind, qubits)
+            src, negative = src[step], negative[step]
+    moved = np.flatnonzero(src != labels)
+    parts = moved, src[moved], np.flatnonzero(negative)
+    for part in parts:
+        part.flags.writeable = False  # shared by every later run
+    return parts
 
 
 def _block_swap(amps, n, gate):
@@ -360,6 +488,13 @@ _STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _permute,
                       "dense": _dense_1q, "controlled": _controlled_u}
 _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             for kind, row in KINDS.items() if row.structure is not None}
+# the unangled multi-qubit permutations and phases (CNOT, CZ, SWAP,
+# Toffoli; CZ's phase is -1): _evolve holds each run of them, and a run
+# that recurs is applied as one signed permutation
+_RUN_KINDS = frozenset(
+    kind for kind, row in KINDS.items()
+    if (row.arity or 0) >= 2 and not row.angled
+    and row.structure in ("permutation", "diagonal"))
 
 
 def _collapse(amps, n, qubit, rng):
@@ -379,12 +514,16 @@ def sample(state: StateVector, shots: int, seed=None) -> dict:
     """Draw bitstring counts from the exact outcome distribution."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    probs = state.probabilities()
-    cumulative = np.cumsum(probs)
+    cumulative = np.cumsum(state.probabilities())
     cumulative[-1] = 1.0  # guard against rounding at the top end
     draws = _rng(seed).random(shots)
-    outcomes = np.searchsorted(cumulative, draws, side="right")
-    hits = np.bincount(outcomes, minlength=probs.size)
+    draws.sort()
+    # label j takes the draws in [cumulative[j - 1], cumulative[j]): the
+    # difference of the draw counts below the two ends, taken in place
+    # once ``cumulative`` is freed, so at most two label-sized arrays live
+    hits = np.searchsorted(draws, cumulative, side="left")
+    del cumulative
+    hits[1:] -= hits[:-1]
     return {format_outcome(label, state.width): int(hits[label])
             for label in np.flatnonzero(hits).tolist()}
 

@@ -8,16 +8,18 @@ then runs the variational loop against the optimizer's observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 from .composition import ArchitectureGraph
 from .errors import BadParamsError, QsafError, ValidationFailedError
 from .gates import GateCircuit, GateKind
 from .lowering import ANSATZ_IDS, initial_thetas, realize_ansatz
 from .manifest import Manifest, RunDirective
-from .simulate import (SHOT_CAP, OptimizerConfig, PauliObservable,
-                       VariationalResult, run, sample, variational_minimize)
+from .simulate import (ITERATION_CAP, SHOT_CAP, OptimizerConfig,
+                       PauliObservable, VariationalResult, run, sample,
+                       variational_minimize)
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,29 @@ def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
 def _int_option(key, value, lo, hi=None):
     """``value`` as a checked integer in [lo, hi]; bools are refused."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise QsafError(f"simulate option {key!r} must be an integer, "
-                        f"got {value!r}")
+        raise QsafError(f"option {key!r} must be an integer, got {value!r}")
     if value < lo or (hi is not None and value > hi):
         bound = f"between {lo} and {hi}" if hi is not None else f">= {lo}"
-        raise QsafError(f"simulate option {key!r} must be {bound}, "
-                        f"got {value}")
+        raise QsafError(f"option {key!r} must be {bound}, got {value}")
     return int(value)
+
+
+def _real_option(key, value, positive):
+    """``value`` as a finite float, > 0 when ``positive`` and >= 0
+    otherwise; bools are refused."""
+    number = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise QsafError(f"option {key!r} must be a finite number, "
+                        f"got {value!r}")
+    bound = "> 0" if positive else ">= 0"
+    if number < 0 or (positive and number == 0):
+        raise QsafError(f"option {key!r} must be {bound}, got {value}")
+    return number
 
 
 _CONFIG_KEYS = ("step", "max_iters", "tol", "min_step")
@@ -135,8 +153,12 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
     for key in options:
         if key not in _CONFIG_KEYS and key != "seed":
             raise QsafError(f"unknown minimize option {key!r}")
-    if "max_iters" in cfg_values:
-        cfg_values["max_iters"] = int(cfg_values["max_iters"])
+    for key, value in cfg_values.items():
+        if key == "max_iters":
+            cfg_values[key] = _int_option(key, value, 1, ITERATION_CAP)
+        else:
+            # a zero step or min_step would halve the step forever
+            cfg_values[key] = _real_option(key, value, key != "tol")
     config = OptimizerConfig(**cfg_values)
 
     result = variational_minimize(pid, init, observable, config, structure)

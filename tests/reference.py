@@ -1,6 +1,6 @@
 """Independent dense-algebra references, the full-replay shift gradient,
-and manifest texts shared by the test modules; fixtures live in
-conftest.py."""
+the bincount sampler, and manifest texts shared by the test modules;
+fixtures live in conftest.py."""
 
 from dataclasses import replace
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from qsaf.gates import GateCircuit
 from qsaf.lowering import realize_ansatz
-from qsaf.simulate import expectation, run
+from qsaf.simulate import expectation, format_outcome, run
 
 # reference single- and two-qubit matrices, written out by hand
 
@@ -88,6 +88,19 @@ def shift_gradient_ref(ansatz_id, thetas, observable, structure=None):
             grad[i] += scale * (energy(pos, np.pi / 2)
                                 - energy(pos, -np.pi / 2)) / 2.0
     return grad
+
+
+def sample_ref(state, shots, seed):
+    """The sampler as one searchsorted per shot and a bincount over the
+    labels, from the same seeded draws as ``simulate.sample``."""
+    probs = state.probabilities()
+    cumulative = np.cumsum(probs)
+    cumulative[-1] = 1.0
+    draws = np.random.default_rng(seed).random(shots)
+    outcomes = np.searchsorted(cumulative, draws, side="right")
+    hits = np.bincount(outcomes, minlength=probs.size)
+    return {format_outcome(label, state.width): int(hits[label])
+            for label in np.flatnonzero(hits).tolist()}
 
 
 def cz_ref():

@@ -1,8 +1,17 @@
 """Command-line interface: every subcommand, exit codes, error paths."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
 from qsaf.cli import main
+from qsaf.simulate import NonDecreasingEnergyWarning
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 RATINGS = "2,1\n2,1\n1,2\n"
 
@@ -335,3 +344,69 @@ def test_validate_bounds_repetition_counts(tmp_path, capsys, component,
     assert message in captured.out
     assert "1 finding(s), 1 blocking" in captured.out
     assert captured.err == ""
+
+
+def _cli(*args, timeout=60):
+    """``python -m qsaf.cli`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "qsaf.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def _with_minimize_options(tmp_path, manifest_text, options):
+    path = tmp_path / "minimize.qsaf"
+    path.write_text(manifest_text.replace("run minimize",
+                                          f"run minimize {options}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("options,message", [
+    ('step="abc"', "'step' must be a finite number, got 'abc'"),
+    ("tol=[1]", "'tol' must be a finite number, got [1]"),
+    ("step=true", "'step' must be a finite number, got True"),
+    ("min_step=1e400", "'min_step' must be a finite number, got inf"),
+    ("step=0", "'step' must be > 0, got 0"),
+    ("tol=-0.5", "'tol' must be >= 0, got -0.5"),
+    ("max_iters=1.5", "'max_iters' must be an integer, got 1.5"),
+    ("max_iters=true", "'max_iters' must be an integer, got True"),
+    ("max_iters=0", "'max_iters' must be between 1 and 100000, got 0"),
+    ("max_iters=100001", "'max_iters' must be between 1 and 100000"),
+])
+def test_run_rejects_malformed_minimize_options(tmp_path, capsys,
+                                                vqe_manifest_text, options,
+                                                message):
+    path = _with_minimize_options(tmp_path, vqe_manifest_text, options)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_zero_tolerance_and_min_step_end_without_a_traceback(
+        tmp_path, vqe_manifest_text):
+    # a step halved to 0.0 still satisfied "step >= min_step"
+    path = _with_minimize_options(tmp_path, vqe_manifest_text,
+                                  "tol=0 min_step=0")
+    done = _cli("run", path, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == "error: option 'min_step' must be > 0, got 0\n"
+    assert done.stdout == ""
+
+
+def test_run_reports_a_stalled_descent_once(tmp_path, vqe_manifest_text):
+    # no step of length >= min_step lowers the energy
+    path = _with_minimize_options(tmp_path, vqe_manifest_text, "min_step=1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path]) == 0
+    assert not [w for w in caught
+                if issubclass(w.category, NonDecreasingEnergyWarning)]
+    done = _cli("run", path)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "warning = energy non-decreasing at iteration 1; stopping" \
+        in done.stdout.splitlines()

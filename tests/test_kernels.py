@@ -1,10 +1,12 @@
 """Property checks of the statevector fast paths against slow references.
 
 Every gate kernel in ``run``, the fusion of one-qubit runs and their
-grouped flushes at wide widths, the planned Pauli ``expectation``, the
-bincount ``sample`` and the prefix-sharing parameter-shift gradient are
-compared with the index-arithmetic kernel ``apply_ref``, a per-shot loop
-or full replays, over random gates, qubit orders, widths and states.
+grouped flushes at wide widths, the held runs of CNOT, CZ, SWAP and
+Toffoli gates, the planned Pauli ``expectation``, the sorted-draw
+``sample`` and the prefix-sharing parameter-shift gradient are compared
+with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
+bincount sampler or full replays, over random gates, qubit orders, widths
+and states.
 """
 
 import math
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 import qsaf.simulate as simulate
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
                         gate_matrix)
+from qsaf.manifest import parse_manifest
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            format_outcome, parameter_shift_gradient, run,
                            sample)
 
-from reference import X2, Y2, Z2, apply_ref, shift_gradient_ref
+from reference import (X2, Y2, Z2, apply_ref, sample_ref,
+                       shift_gradient_ref)
 
 MAX_WIDTH = 6
 ATOL = 1e-12
@@ -337,6 +341,223 @@ def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
                        atol=ATOL)
 
 
+# held runs of CNOT, CZ, SWAP and Toffoli gates
+
+RUN_KINDS = [GateKind.CNOT, GateKind.CZ, GateKind.SWAP, GateKind.TOFFOLI]
+
+
+def test_run_kinds_come_from_the_kind_table():
+    assert simulate._RUN_KINDS == frozenset(RUN_KINDS)
+
+
+@st.composite
+def held_run_circuits(draw):
+    """6 to 16 gates: CNOT, CZ, SWAP and Toffoli gates, one-qubit gates
+    (half of them on a qubit of the preceding run gates), CPHASE,
+    CONTROLLED_U and mid-circuit measurements, at widths on both sides of
+    WIDE_WIDTH, where runs are held."""
+    width = draw(st.one_of(st.integers(1, WIDE - 1), st.integers(WIDE, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angles = st.floats(-2 * math.pi, 2 * math.pi)
+    choices = ["one"] * 3 + ["measure"]
+    if width > 1:
+        choices += ["run"] * 6 + ["cphase", "controlled_u"]
+    run_kinds = [k for k in RUN_KINDS if _ARITY[k] <= width]
+    # three in four gates act only on three qubits, so that they overlap
+    hot = draw(st.permutations(range(width)))[:3]
+
+    def pick(arity):
+        pool = hot if arity <= len(hot) and draw(st.integers(0, 3)) \
+            else range(width)
+        return tuple(draw(st.permutations(pool))[:arity])
+
+    circuit = GateCircuit(width, allow_mid_measure=True)
+    recent = []  # qubits of the run gates since the last other gate
+    for choice in draw(st.lists(st.sampled_from(choices), min_size=6,
+                                max_size=16)):
+        if choice == "run":
+            kind = draw(st.sampled_from(run_kinds))
+            qubits = pick(_ARITY[kind])
+            circuit.append(Gate(kind, qubits))
+            recent += qubits
+            continue
+        if choice == "one":
+            on_run = recent and draw(st.booleans())
+            (q,) = (draw(st.sampled_from(recent)),) if on_run else pick(1)
+            kind = draw(st.sampled_from(ONE_QUBIT_KINDS))
+            theta = draw(angles) if kind in PARAMETRIC_KINDS else None
+            circuit.append(Gate(kind, (q,), theta=theta))
+            continue
+        recent = []
+        pair = pick(2)
+        if choice == "measure":
+            circuit.append(Gate(GateKind.MEASURE, pick(1),
+                                cbit=circuit.classical_bits))
+        elif choice == "cphase":
+            circuit.append(Gate(GateKind.CPHASE, pair, theta=draw(angles)))
+        else:
+            circuit.append(Gate(GateKind.CONTROLLED_U, pair,
+                                matrix=_random_unitary(rng, 2),
+                                power=draw(st.integers(1, 3))))
+    return circuit, _random_state(rng, width), draw(st.integers(0, 2 ** 16))
+
+
+def _reference_with_measurements(circuit, amps, bits, seed):
+    """Gate by gate through ``apply_ref``; each measurement collapses onto
+    the reported bit, which must be the one the seeded draw picks."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(amps.size)
+    for gate in circuit.ops:
+        if gate.kind is not GateKind.MEASURE:
+            amps = apply_ref(amps, circuit.width, gate_matrix(gate),
+                             gate.qubits)
+            continue
+        ones = ((labels >> gate.qubits[0]) & 1).astype(bool)
+        p_one = float(np.sum(np.abs(amps[ones]) ** 2))
+        draw, outcome = rng.random(), bits[gate.cbit]
+        if abs(draw - p_one) > 1e-9:
+            assert outcome == int(draw < p_one)
+        amps = np.where(ones == bool(outcome), amps, 0.0)
+        amps = amps / np.linalg.norm(amps)
+    return amps
+
+
+@settings(deadline=None, max_examples=60)
+@given(held_run_circuits())
+def test_held_runs_match_gate_by_gate_reference(case):
+    circuit, amps, seed = case
+    # every run of the circuit fits the window: the first pass applies it
+    # gate by gate, the second composes it, the third reads it back
+    assert len(circuit.ops) <= simulate.RUN_WINDOW
+    simulate._RUN_CACHE.clear()
+    results = [run(circuit, initial=StateVector(circuit.width, amps),
+                   seed=seed) for _ in range(3)]
+    want = _reference_with_measurements(circuit, amps, results[0].bits,
+                                        seed)
+    for result in results:
+        assert result.bits == results[0].bits
+        assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
+
+
+def test_a_run_waits_for_a_later_gate_on_its_qubits():
+    width = simulate.WIDE_WIDTH
+    ops = [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (2,)),
+           Gate(GateKind.CZ, (1, 3)), Gate(GateKind.TOFFOLI, (3, 0, 1)),
+           Gate(GateKind.RY, (1,), 0.7),  # applies the held run first
+           Gate(GateKind.SWAP, (2, 0)), Gate(GateKind.CNOT, (1, 2))]
+    amps = _random_state(np.random.default_rng(9), width)
+    want = _reference_run(ops, width, amps)
+    simulate._RUN_CACHE.clear()
+    # gate by gate, then as the composed runs
+    for _ in range(2):
+        got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+        assert np.allclose(got.state.amplitudes, want, rtol=0, atol=ATOL)
+
+
+GROVER16 = """\
+component sup = Superposition(n=9)
+component search = GroverOperator(n=9, marked=[300], iterations=17)
+component meas = Measurement(n=9)
+wire sup.out -> search.in
+wire search.out -> meas.in
+"""
+
+
+def test_the_grover_ladders_are_one_signed_permutation(monkeypatch):
+    circuit = parse_manifest(GROVER16).graph.flatten()
+    unitary = GateCircuit(circuit.width, [
+        g for g in circuit.ops if g.kind is not GateKind.MEASURE])
+    assert unitary.width == simulate.SIM_WIDTH_CAP
+    swaps, runs, composed = [], [], []
+    block_swap, apply_run = simulate._block_swap, simulate._apply_run
+    compose = simulate._signed_permutation
+    monkeypatch.setattr(simulate, "_block_swap",
+                        lambda a, n, g: (swaps.append(g),
+                                         block_swap(a, n, g)))
+    monkeypatch.setattr(simulate, "_apply_run", lambda a, n, gates, qubits: (
+        runs.append(tuple((g.kind, g.qubits) for g in gates)),
+        apply_run(a, n, gates, qubits)))
+    monkeypatch.setattr(simulate, "_signed_permutation", lambda n, run_: (
+        composed.append(run_), compose(n, run_))[1])
+    simulate._RUN_CACHE.clear()
+    first = run(unitary).state.amplitudes
+    # the first ladder goes gate by gate, the second composes the run
+    assert len(swaps) == 14 and len(composed) == 1
+    swaps.clear()
+    second = run(unitary).state.amplitudes
+    assert swaps == [] and len(composed) == 1
+    assert len(runs) == 2 * 34 and set(runs) == set(composed)
+    assert np.array_equal(first, second)
+    # 7 Toffolis compute, a CZ phases and 7 uncompute: one sign flip on a
+    # quarter of the labels, and no amplitude moves
+    assert [kind for kind, _ in runs[0]] == \
+        [GateKind.TOFFOLI] * 7 + [GateKind.CZ] + [GateKind.TOFFOLI] * 7
+    moved, _, negated = simulate._RUN_CACHE.runs[(unitary.width, runs[0])]
+    assert moved.size == 0 and negated.size == 2 ** 16 // 4
+
+
+def _spy_compositions(monkeypatch):
+    composed = []
+    compose = simulate._signed_permutation
+    monkeypatch.setattr(simulate, "_signed_permutation", lambda n, run_: (
+        composed.append(run_), compose(n, run_))[1])
+    return composed
+
+
+def test_only_runs_recurring_in_the_window_are_composed(monkeypatch):
+    composed = _spy_compositions(monkeypatch)
+    keys = [(4, ((GateKind.CNOT, (0, 1)),) * length) for length in (2, 3, 4)]
+    # one more distinct run than the window holds, cycled: none recurs
+    # while still in the window, so each goes gate by gate
+    cache = simulate._RunCache(window=2, budget=simulate.RUN_BYTES)
+    for _ in range(3):
+        assert [cache.lookup(key) for key in keys] == [None] * 3
+    assert composed == [] and len(cache.runs) == 2 and cache.held == 0
+    # as many runs as the window holds: each is composed once, when it
+    # first recurs, and kept
+    cache = simulate._RunCache(window=3, budget=simulate.RUN_BYTES)
+    for cycle in range(3):
+        parts = [cache.lookup(key) for key in keys]
+        assert all((p is None) == (cycle == 0) for p in parts)
+    assert composed == [run_ for _, run_ in keys]
+    assert cache.held == sum(part.nbytes for parts in cache.runs.values()
+                             for part in parts)
+
+
+def test_a_full_budget_composes_no_more_runs(monkeypatch):
+    composed = _spy_compositions(monkeypatch)
+    # odd runs of one CNOT: each moves 8 of the 16 labels
+    keys = [(4, ((GateKind.CNOT, (0, 1)),) * length) for length in (3, 5, 7)]
+    # room for one run of the worst size, as three arrays of 16 labels
+    worst = 3 * np.dtype(np.intp).itemsize << 4
+    cache = simulate._RunCache(window=8, budget=worst + 1)
+    for _ in range(4):
+        parts = [cache.lookup(key) for key in keys]
+    assert parts[0] is not None and parts[1:] == [None, None]
+    assert composed == [keys[0][1]]
+    assert 0 < cache.held <= cache.budget
+
+
+def test_run_cache_stays_under_12_mib_at_width_16(monkeypatch):
+    composed = _spy_compositions(monkeypatch)
+    width = simulate.SIM_WIDTH_CAP
+    # chains moving every label but two, with phases: each run is seen
+    # twice, so it is composed while the budget allows
+    chain = tuple((GateKind.CNOT, (q, q + 1)) for q in range(width - 1))
+    cache = simulate._RunCache(simulate.RUN_WINDOW, simulate.RUN_BYTES)
+    for extra in range(10):
+        key = (width, chain + ((GateKind.CZ, (extra, extra + 1)),
+                               (GateKind.TOFFOLI, (3, 9, 12))))
+        cache.lookup(key)
+        cache.lookup(key)
+    kept = [parts for parts in cache.runs.values() if parts is not None]
+    assert len(kept) == len(composed) >= 8
+    assert cache.held == sum(part.nbytes for parts in kept for part in parts)
+    assert cache.held <= simulate.RUN_BYTES <= 12 * 2 ** 20
+    for parts in kept:
+        assert not any(part.flags.writeable for part in parts)
+
+
 _LETTERS = {"X": X2, "Y": Y2, "Z": Z2}
 
 
@@ -432,6 +653,36 @@ def test_sample_matches_the_per_shot_loop(seed, width, shots):
     counts = sample(state, shots, seed)
     assert counts == _per_shot_counts(state, shots, seed)
     assert list(counts) == sorted(counts)
+
+
+@st.composite
+def sparse_states(draw):
+    """States with zero-probability labels at both ends and inside."""
+    width = draw(st.integers(2, MAX_WIDTH))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = _random_state(rng, width)
+    amps[:draw(st.integers(0, 2 ** width // 2))] = 0.0
+    amps[2 ** width - draw(st.integers(0, 2 ** width // 2 - 1)):] = 0.0
+    amps[rng.random(amps.size) < 0.3] = 0.0
+    if not amps.any():
+        amps[rng.integers(amps.size)] = 1.0
+    return StateVector(width, amps / np.linalg.norm(amps))
+
+
+@given(sparse_states(), st.integers(0, 2 ** 32 - 1), st.integers(1, 5000))
+def test_sample_matches_the_bincount_reference(state, seed, shots):
+    assert sample(state, shots, seed) == sample_ref(state, shots, seed)
+
+
+@pytest.mark.parametrize("labels", [[0], [3], [1, 2], [0, 3]])
+def test_sample_with_one_or_two_reachable_labels(labels):
+    amps = np.zeros(4, dtype=complex)
+    amps[labels] = 1.0
+    state = StateVector(2, amps / np.linalg.norm(amps))
+    counts = sample(state, 999, 5)
+    assert counts == sample_ref(state, 999, 5)
+    assert sum(counts.values()) == 999
+    assert set(counts) <= {format_outcome(k, 2) for k in labels}
 
 
 # parameter-shift gradient
