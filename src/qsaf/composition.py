@@ -15,16 +15,17 @@ pseudo-component closes the feedback loop at the algorithm level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .catalog import get_primitive
 from .core import FunctionalCategory
 from .errors import (BadParamsError, CompositionError, FanOutError,
                      KindMismatchError, LevelViolationError,
-                     MeasuredQubitReuseError, UnknownPortError,
+                     MeasuredQubitReuseError, QsafError, UnknownPortError,
                      ValidationFailedError, WidthMismatchError)
-from .gates import GateCircuit, GateKind
+from .gates import Gate, GateCircuit, GateKind
 from .lowering import realize
+from .simulate import OptimizerConfig
 
 OPTIMIZER_NAME = "Optimizer"
 
@@ -269,6 +270,12 @@ class ArchitectureGraph:
             except BadParamsError as exc:
                 ports[inst_id] = None
                 out.append(Diagnostic("bad_params", str(exc), (inst_id,)))
+            if inst.is_optimizer:
+                try:
+                    OptimizerConfig.from_options(inst.params)
+                except QsafError as exc:
+                    out.append(Diagnostic("bad_params", f"{inst_id}: {exc}",
+                                          (inst_id,)))
 
         good_wires = []
         for w in self.wires:
@@ -472,16 +479,15 @@ class ArchitectureGraph:
                 if local not in mapping:
                     mapping[local] = next_qubit
                     next_qubit += 1
-            cbit_offset[inst_id] = next_cbit
+            cbit_offset[inst_id] = offset = next_cbit
             next_cbit += spec.classical_out
             for gate in low.circuit.ops:
-                moved = tuple(mapping[q] for q in gate.qubits)
-                if gate.kind is GateKind.MEASURE:
-                    circuit_ops.append(replace(
-                        gate, qubits=moved,
-                        cbit=gate.cbit + cbit_offset[inst_id]))
-                else:
-                    circuit_ops.append(replace(gate, qubits=moved))
+                # Gate(...) directly: dataclasses.replace costs twice as much
+                cbit = gate.cbit
+                circuit_ops.append(Gate(
+                    gate.kind, tuple(mapping[q] for q in gate.qubits),
+                    gate.theta, gate.matrix, gate.power,
+                    cbit if cbit is None else cbit + offset))
             out_globals[(inst_id, "out")] = tuple(
                 mapping[q] for q in spec.out_qubits)
             layout[inst_id] = mapping

@@ -13,16 +13,17 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
-from .gates import (KINDS, GateCircuit, GateKind, apply_matrix, gate_matrix,
-                    one_qubit_entries)
+from .gates import (KINDS, Gate, GateCircuit, GateKind, apply_matrix,
+                    gate_matrix, one_qubit_entries)
 from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
                        realize_ansatz)
 
@@ -42,8 +43,9 @@ EIGEN_ATOL = 1e-8
 # a cached index array of at most 4 KB.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
-# a group with at most this many amplitudes at and below it is folded into
-# rows of the flat state, so its update is one matmul, not many tiny ones
+# a group with at most this many amplitudes at and below it (float64s,
+# for a real block) is folded into rows of the flat state, so its update
+# is one matmul, not many tiny ones
 _FOLD_SPAN = 32
 # _RUN_CACHE remembers the RUN_WINDOW held runs seen last and keeps the
 # signed permutations of those that recur, RUN_BYTES of labels at most:
@@ -190,6 +192,7 @@ def _evolve(amps, n, ops, bits=(), seed=None):
     run_gates, run_qubits = [], set()  # the held run and the qubits it acts on
     # a narrower state gathers each permutation about as fast as a run
     hold = n >= WIDE_WIDTH
+    flush = _flush_wide if hold else _flush
     for gate in ops:
         qubits = gate.qubits
         measure = gate.kind is GateKind.MEASURE
@@ -204,7 +207,7 @@ def _evolve(amps, n, ops, bits=(), seed=None):
             continue
         touched = [q for q in qubits if q in pending]
         if touched:
-            _flush(amps, n, pending, touched)
+            flush(amps, n, pending, touched)
         if hold and gate.kind in _RUN_KINDS:
             run_gates.append(gate)
             run_qubits.update(qubits)
@@ -220,7 +223,7 @@ def _evolve(amps, n, ops, bits=(), seed=None):
             _KERNELS[gate.kind](amps, n, gate)
     if run_gates:
         _apply_run(amps, n, run_gates, run_qubits)
-    _flush(amps, n, pending, list(pending))
+    flush(amps, n, pending, list(pending))
     return amps
 
 
@@ -233,25 +236,43 @@ def _product(b, a):
 
 
 def _flush(amps, n, pending, qubits):
-    """Apply and drop the pending one-qubit runs of ``qubits``, or of every
-    pending qubit at wide widths.
+    """Apply and drop the pending one-qubit runs of ``qubits``: a lone
+    gate with its own kernel, a longer run as one dense 2x2 update."""
+    for q in qubits:
+        gate, entries = pending.pop(q)
+        if entries is None:
+            _KERNELS[gate.kind](amps, n, gate)
+        else:
+            _update_1q(amps, q, entries)
 
-    Runs on different qubits commute, so at wide widths they are applied
-    in groups (see ``_groups``) and a group of two or more is one block
-    update. Otherwise each run is applied alone: a lone gate with its own
-    kernel, a longer run as one dense 2x2 update.
+
+def _flush_wide(amps, n, pending, qubits):
+    """Apply and drop every pending one-qubit run, whichever ``qubits``
+    forced the flush.
+
+    Runs on different qubits commute, so they are applied in groups (see
+    ``_groups``) and a group of two or more is one block update. A lone
+    gate whose kernel is not dense (X, Z, a phase) keeps its kernel; any
+    other lone run is one dense 2x2 update, of the float64 view when its
+    entries are real (see ``_update_group``).
     """
-    groups = _groups(pending) if n >= WIDE_WIDTH else ([q] for q in qubits)
-    for group in groups:
+    del qubits  # every pending run is flushed
+    for group in _groups(pending):
         if len(group) > 1:
             _update_group(amps, group[0],
                           [_entries(pending.pop(q)) for q in group])
             continue
-        gate, entries = pending.pop(group[0])
+        q = group[0]
+        gate, entries = pending.pop(q)
         if entries is None:
-            _KERNELS[gate.kind](amps, n, gate)
+            if KINDS[gate.kind].structure != "dense":
+                _KERNELS[gate.kind](amps, n, gate)
+                continue
+            entries = one_qubit_entries(gate)
+        if any(isinstance(e, complex) for e in entries):
+            _update_1q(amps, q, entries)
         else:
-            _update_1q(amps, group[0], entries)
+            _update_1q(amps.view(np.float64), q + 1, entries)
 
 
 def _entries(held):
@@ -428,7 +449,9 @@ def _block_swap(amps, n, gate):
 
 
 def _update_1q(amps, q, entries):
-    """Dense 2x2 update of qubit ``q`` through a (high, 2, low) view."""
+    """Dense 2x2 update of qubit ``q`` through a (high, 2, low) view;
+    ``amps`` may be the float64 view of the state, with ``q`` one higher
+    and real entries."""
     m00, m01, m10, m11 = entries
     view = amps.reshape(-1, 2, 1 << q)
     zero, one = view[:, 0], view[:, 1]
@@ -444,21 +467,33 @@ def _update_group(amps, q0, entries):
     of their 2x2s (``entries`` lowest qubit first).
 
     The block acts on a (high, 2**k, low) view, half of it at a time, so
-    no temporary outgrows the half-state copy of ``_update_1q``.
+    no temporary outgrows the half-state copy of ``_update_1q``. A block
+    without a complex entry (an int one for X alone) acts alike on the
+    real and imaginary parts, so it acts on the float64 view of the state
+    instead, where they are one more low qubit: one real matmul, half
+    the multiplies of a complex one.
     """
     block = reduce(_kron, [np.reshape(e, (2, 2)) for e in entries[::-1]])
+    if block.dtype.kind != "c":
+        amps, q0 = amps.view(np.float64), q0 + 1
     low = 1 << q0
     if low * len(block) <= _FOLD_SPAN:
-        block = _kron(block, np.eye(low))
-        view = amps.reshape(-1, len(block)).T[None]
-    else:
-        view = amps.reshape(-1, len(block), low)
-    axis = 0 if len(view) > 1 else 2
-    size = view.shape[axis]
-    step = (size + 1) // 2
-    for start in range(0, size, step):
-        part = view[(slice(None),) * axis + (slice(start, start + step),)]
+        # each row of the flat state holds 2**k tiles of ``low``: one
+        # matmul from the right, not many tiny ones
+        block = _kron(block, np.eye(low)).T
+        for part in _halves(amps.reshape(-1, len(block)), 0):
+            part[...] = part @ block
+        return
+    view = amps.reshape(-1, len(block), low)
+    for part in _halves(view, 0 if len(view) > 1 else 2):
         part[...] = block @ part
+
+
+def _halves(view, axis):
+    """``view`` split in two along ``axis``."""
+    step = (view.shape[axis] + 1) // 2
+    for start in range(0, view.shape[axis], step):
+        yield view[(slice(None),) * axis + (slice(start, start + step),)]
 
 
 def _kron(a, b):
@@ -517,13 +552,20 @@ def sample(state: StateVector, shots: int, seed=None) -> dict:
     cumulative = np.cumsum(state.probabilities())
     cumulative[-1] = 1.0  # guard against rounding at the top end
     draws = _rng(seed).random(shots)
-    draws.sort()
-    # label j takes the draws in [cumulative[j - 1], cumulative[j]): the
-    # difference of the draw counts below the two ends, taken in place
-    # once ``cumulative`` is freed, so at most two label-sized arrays live
-    hits = np.searchsorted(draws, cumulative, side="left")
-    del cumulative
-    hits[1:] -= hits[:-1]
+    # label j takes the draws in [cumulative[j - 1], cumulative[j]); both
+    # ways below make the same comparisons, so they give the same counts
+    if shots < cumulative.size:
+        # fewer shots than labels: one search per shot
+        hits = np.bincount(np.searchsorted(cumulative, draws, side="right"),
+                           minlength=cumulative.size)
+    else:
+        # one search per label: the difference of the draw counts below
+        # the two ends, taken in place once ``cumulative`` is freed, so at
+        # most two label-sized arrays live
+        draws.sort()
+        hits = np.searchsorted(draws, cumulative, side="left")
+        del cumulative
+        hits[1:] -= hits[:-1]
     return {format_outcome(label, state.width): int(hits[label])
             for label in np.flatnonzero(hits).tolist()}
 
@@ -706,6 +748,54 @@ class OptimizerConfig:
     tol: float = 1e-6
     min_step: float = 1e-7
 
+    @classmethod
+    def from_options(cls, options) -> "OptimizerConfig":
+        """The config with each field that ``options`` sets, checked:
+        ``max_iters`` an integer in 1..ITERATION_CAP, ``step`` and
+        ``min_step`` finite and > 0 (a zero one would halve the step
+        forever), ``tol`` finite and >= 0. Other keys are ignored; a
+        malformed value raises QsafError."""
+        values = {}
+        for key in OPTIMIZER_KEYS:
+            if key not in options:
+                continue
+            if key == "max_iters":
+                values[key] = int_option(key, options[key], 1, ITERATION_CAP)
+            else:
+                values[key] = real_option(key, options[key], key != "tol")
+        return cls(**values)
+
+
+OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig))
+
+
+def int_option(key, value, lo, hi=None):
+    """``value`` as a checked integer in [lo, hi]; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise QsafError(f"option {key!r} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"between {lo} and {hi}" if hi is not None else f">= {lo}"
+        raise QsafError(f"option {key!r} must be {bound}, got {value}")
+    return int(value)
+
+
+def real_option(key, value, positive):
+    """``value`` as a finite float, > 0 when ``positive`` and >= 0
+    otherwise; bools are refused."""
+    number = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise QsafError(f"option {key!r} must be a finite number, "
+                        f"got {value!r}")
+    bound = "> 0" if positive else ">= 0"
+    if number < 0 or (positive and number == 0):
+        raise QsafError(f"option {key!r} must be {bound}, got {value}")
+    return number
+
 
 @dataclass
 class VariationalResult:
@@ -742,11 +832,13 @@ def parameter_shift_gradient(ansatz_id: int, thetas, observable,
         amps = _evolve(amps, n, ops[done:pos])
         done = pos
         prefix = StateVector(n, amps)
+        gate = ops[pos]
         energies = []
         for delta in (math.pi / 2, -math.pi / 2):
             # built from validated gates, so the circuit is not revalidated
             suffix = GateCircuit(n)
-            suffix.ops = [replace(ops[pos], theta=ops[pos].theta + delta),
+            suffix.ops = [Gate(gate.kind, gate.qubits, gate.theta + delta,
+                               gate.matrix, gate.power, gate.cbit),
                           *ops[pos + 1:]]
             energies.append(expectation(run(suffix, prefix).state,
                                         observable))

@@ -8,18 +8,16 @@ then runs the variational loop against the optimizer's observable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 from .composition import ArchitectureGraph
 from .errors import BadParamsError, QsafError, ValidationFailedError
 from .gates import GateCircuit, GateKind
 from .lowering import ANSATZ_IDS, initial_thetas, realize_ansatz
 from .manifest import Manifest, RunDirective
-from .simulate import (ITERATION_CAP, SHOT_CAP, OptimizerConfig,
-                       PauliObservable, VariationalResult, run, sample,
-                       variational_minimize)
+from .simulate import (OPTIMIZER_KEYS, SHOT_CAP, OptimizerConfig,
+                       PauliObservable, VariationalResult, int_option, run,
+                       sample, variational_minimize)
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,11 @@ def simulate_graph(graph: ArchitectureGraph, shots: int = 512,
 
 
 def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
-    shots = _int_option("shots", options.get("shots", 512), 1, SHOT_CAP)
+    shots = int_option("shots", options.get("shots", 512), 1, SHOT_CAP)
     if seed is None:
         seed = options.get("seed")
     if seed is not None:
-        seed = _int_option("seed", seed, 0)
+        seed = int_option("seed", seed, 0)
     circuit = graph.flatten()
     unitary_ops = []
     measured = []
@@ -88,37 +86,6 @@ def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
         bits = "".join(key[circuit.width - 1 - q] for q in order)
         projected[bits] = projected.get(bits, 0) + hits
     return SimulationOutcome(projected, shots, len(measured), True)
-
-
-def _int_option(key, value, lo, hi=None):
-    """``value`` as a checked integer in [lo, hi]; bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise QsafError(f"option {key!r} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bound = f"between {lo} and {hi}" if hi is not None else f">= {lo}"
-        raise QsafError(f"option {key!r} must be {bound}, got {value}")
-    return int(value)
-
-
-def _real_option(key, value, positive):
-    """``value`` as a finite float, > 0 when ``positive`` and >= 0
-    otherwise; bools are refused."""
-    number = math.nan
-    if isinstance(value, Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not math.isfinite(number):
-        raise QsafError(f"option {key!r} must be a finite number, "
-                        f"got {value!r}")
-    bound = "> 0" if positive else ">= 0"
-    if number < 0 or (positive and number == 0):
-        raise QsafError(f"option {key!r} must be {bound}, got {value}")
-    return number
-
-
-_CONFIG_KEYS = ("step", "max_iters", "tol", "min_step")
 
 
 def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
@@ -147,19 +114,12 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
     width = realize_ansatz(pid, structure, init).spec.width
     observable = PauliObservable.parse(observable_text, width)
 
-    cfg_values = {k: opt.params[k] for k in _CONFIG_KEYS
-                  if k in opt.params}
-    cfg_values.update({k: options[k] for k in _CONFIG_KEYS if k in options})
     for key in options:
-        if key not in _CONFIG_KEYS and key != "seed":
+        if key not in OPTIMIZER_KEYS and key != "seed":
             raise QsafError(f"unknown minimize option {key!r}")
-    for key, value in cfg_values.items():
-        if key == "max_iters":
-            cfg_values[key] = _int_option(key, value, 1, ITERATION_CAP)
-        else:
-            # a zero step or min_step would halve the step forever
-            cfg_values[key] = _real_option(key, value, key != "tol")
-    config = OptimizerConfig(**cfg_values)
+    # validate has checked the optimizer's own params; the run's options
+    # override them and are checked here
+    config = OptimizerConfig.from_options({**opt.params, **options})
 
     result = variational_minimize(pid, init, observable, config, structure)
     return MinimizationOutcome(ansatz.instance_id, observable_text, result)

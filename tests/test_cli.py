@@ -386,6 +386,47 @@ def test_run_rejects_malformed_minimize_options(tmp_path, capsys,
     assert captured.out == ""
 
 
+def _with_optimizer_params(tmp_path, manifest_text, params):
+    path = tmp_path / "optimizer.qsaf"
+    path.write_text(manifest_text.replace("max_iters=300)", f"{params})"))
+    return str(path)
+
+
+@pytest.mark.parametrize("params,message", [
+    ('max_iters=300, step="abc", tol=-1',
+     "'step' must be a finite number, got 'abc'"),
+    ("max_iters=300, tol=-1", "'tol' must be >= 0, got -1"),
+    ("max_iters=300, min_step=0", "'min_step' must be > 0, got 0"),
+    ("max_iters=300, step=true", "'step' must be a finite number, got True"),
+    ("max_iters=1.5", "'max_iters' must be an integer, got 1.5"),
+    ("max_iters=0", "'max_iters' must be between 1 and 100000, got 0"),
+])
+def test_validate_and_run_reject_malformed_optimizer_params(
+        tmp_path, capsys, vqe_manifest_text, params, message):
+    path = _with_optimizer_params(tmp_path, vqe_manifest_text, params)
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"error [bad_params] opt: option {message}",
+        "1 finding(s), 1 blocking"]
+    assert captured.err == ""
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: graph has blocking diagnostics: bad_params\n"
+    assert captured.out == ""
+
+
+def test_validate_leaves_run_options_to_run(tmp_path, capsys,
+                                            vqe_manifest_text):
+    # the directive's options override the optimizer's params at run time
+    path = _with_minimize_options(tmp_path, vqe_manifest_text, "step=0")
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "validation clean\n"
+    assert main(["run", path]) == 2
+    assert "option 'step' must be > 0, got 0" in capsys.readouterr().err
+
+
 def test_zero_tolerance_and_min_step_end_without_a_traceback(
         tmp_path, vqe_manifest_text):
     # a step halved to 0.0 still satisfied "step >= min_step"

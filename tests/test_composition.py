@@ -1,5 +1,9 @@
 """Architecture graphs: wiring rules, validation, flattening."""
 
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,14 @@ from qsaf.errors import (CompositionError, FanOutError, KindMismatchError,
                          UnknownPortError, ValidationFailedError,
                          WidthMismatchError)
 from qsaf.gates import GateCircuit
-from qsaf.lowering import lower
+from qsaf.lowering import lower, realize
+from qsaf.manifest import parse_manifest
 from qsaf.simulate import run
+
+from reference import GROVER_MANIFEST, VQE_MANIFEST
+from test_acceptance import WIDE_MANIFESTS
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _graph(*components, level=AbstractionLevel.ALGORITHM):
@@ -334,3 +344,57 @@ def test_entanglement_sets_ignore_single_qubit_gates():
 def test_entanglement_sets_accept_a_graph():
     graph = _graph(ComponentInstance("ghz", 5, {"n": 3}))
     assert entanglement_sets(graph) == {frozenset({0, 1, 2})}
+
+
+def _flatten_ref(graph):
+    """The flat circuit rebuilt from its layout: each component's realized
+    gates relabeled with ``dataclasses.replace``."""
+    flat, layout = graph.flatten_with_layout()
+    ops = []
+    for inst_id in layout.order:
+        inst = graph.components[inst_id]
+        if inst.is_optimizer:
+            continue
+        mapping = layout.qubit_map[inst_id]
+        for gate in realize(inst.primitive_id, inst.params).circuit.ops:
+            moved = tuple(mapping[q] for q in gate.qubits)
+            if gate.cbit is None:
+                ops.append(replace(gate, qubits=moved))
+            else:
+                ops.append(replace(
+                    gate, qubits=moved,
+                    cbit=gate.cbit + layout.cbit_offsets[inst_id]))
+    return GateCircuit(flat.width, ops, classical_bits=flat.classical_bits)
+
+
+def _compose_mix_texts(seed):
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+    return [case.text for case in
+            workloads.WORKLOADS["compose_mix"].generate(seed)]
+
+
+# the second readout's classical bits are offset by the first one's
+TWO_READOUTS = """\
+component a = Superposition(n=2)
+component ma = Measurement(n=2)
+component b = BellStates()
+component mb = Measurement(n=2)
+wire a.out -> ma.in
+wire b.out -> mb.in
+"""
+
+
+def test_flatten_relabels_every_gate_as_replace_would():
+    texts = [GROVER_MANIFEST, VQE_MANIFEST, TWO_READOUTS,
+             *WIDE_MANIFESTS.values(), *_compose_mix_texts(1)]
+    flattened = 0
+    for text in texts:
+        graph = parse_manifest(text).graph
+        if any(d.blocking for d in graph.validate()):
+            continue  # an injected fault
+        assert graph.flatten() == _flatten_ref(graph)
+        flattened += 1
+    # one compose_mix chain in four carries a fault
+    assert flattened == 5 + 144 * 3 // 4

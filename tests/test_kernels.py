@@ -1,8 +1,9 @@
 """Property checks of the statevector fast paths against slow references.
 
 Every gate kernel in ``run``, the fusion of one-qubit runs and their
-grouped flushes at wide widths, the held runs of CNOT, CZ, SWAP and
-Toffoli gates, the planned Pauli ``expectation``, the sorted-draw
+grouped flushes at wide widths (real blocks through the float64 view,
+complex ones on the amplitudes), the held runs of CNOT, CZ, SWAP and
+Toffoli gates, the planned Pauli ``expectation``, both ways of
 ``sample`` and the prefix-sharing parameter-shift gradient are compared
 with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
 bincount sampler or full replays, over random gates, qubit orders, widths
@@ -341,6 +342,113 @@ def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
                        atol=ATOL)
 
 
+# real blocks through the float64 view of the state
+
+REAL_KINDS = [GateKind.H, GateKind.X, GateKind.Z, GateKind.RY]
+COMPLEX_KINDS = [GateKind.RZ, GateKind.S, GateKind.T, GateKind.RX]
+
+
+@st.composite
+def real_and_complex_layers(draw):
+    """One or two layers of one-qubit runs at widths 10-12, each flushed
+    by a CNOT from one of its qubits. A layer's runs are drawn from the
+    real kinds (H, X, Z, RY), the complex ones (RZ, S, T, RX) or both, on
+    a stretch of 1-8 qubits anywhere in the register, so groups come out
+    real, complex or mixed and are folded or not, and lone runs come out
+    real or complex."""
+    width = draw(st.integers(WIDE, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angles = st.floats(-2 * math.pi, 2 * math.pi)
+    ops = []
+    for _ in range(draw(st.integers(1, 2))):
+        q0 = draw(st.integers(0, width - 1))
+        size = draw(st.integers(1, min(width - q0, 2 * GROUP)))
+        pool = draw(st.sampled_from([REAL_KINDS, COMPLEX_KINDS,
+                                     REAL_KINDS + COMPLEX_KINDS]))
+        for q in range(q0, q0 + size):
+            for kind in draw(st.lists(st.sampled_from(pool), min_size=1,
+                                      max_size=2)):
+                theta = draw(angles) if kind in PARAMETRIC_KINDS else None
+                ops.append(Gate(kind, (q,), theta=theta))
+        control = draw(st.integers(q0, q0 + size - 1))
+        target = draw(st.sampled_from(
+            [q for q in range(width) if q != control]))
+        ops.append(Gate(GateKind.CNOT, (control, target)))
+    return ops, width, _random_state(rng, width)
+
+
+@settings(deadline=None, max_examples=25)
+@given(real_and_complex_layers())
+def test_real_and_complex_layers_match_gate_by_gate_reference(case):
+    ops, width, amps = case
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
+                       rtol=0, atol=ATOL)
+
+
+def _run_of(kind, q, rng):
+    """A run on qubit q: real, complex, or X alone (an int 2x2). The real
+    run is a rotation, so its 2x2 is not symmetric and a transposed block
+    shows."""
+    theta = float(rng.uniform(-3, 3))
+    if kind == "x":
+        return [Gate(GateKind.X, (q,))]
+    if kind == "real":
+        return [Gate(GateKind.H, (q,)), Gate(GateKind.Z, (q,)),
+                Gate(GateKind.RY, (q,), theta)]
+    return [Gate(GateKind.H, (q,)), Gate(GateKind.RZ, (q,), theta)]
+
+
+@pytest.mark.parametrize("k", range(1, GROUP + 1))
+@pytest.mark.parametrize("q0", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("layer", ["real", "complex", "mixed", "x"])
+def test_groups_on_both_sides_of_the_fold(layer, q0, k):
+    # a real group folds while (2 << q0) * 2**k <= _FOLD_SPAN float64s,
+    # a complex one while (1 << q0) * 2**k <= _FOLD_SPAN amplitudes
+    rng = np.random.default_rng(100 * q0 + k)
+    ops = []
+    for j, q in enumerate(range(q0, q0 + k)):
+        kind = ("real", "complex")[j % 2] if layer == "mixed" else layer
+        ops += _run_of(kind, q, rng)
+    amps = _random_state(rng, WIDE)
+    got = run(GateCircuit(WIDE, ops), initial=StateVector(WIDE, amps))
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, WIDE, amps),
+                       rtol=0, atol=ATOL)
+
+
+def _spy_dtypes(monkeypatch):
+    """Record the dtype of each view a group update or a dense 2x2
+    update writes to."""
+    dtypes = []
+    halves, update = simulate._halves, simulate._update_1q
+    monkeypatch.setattr(simulate, "_halves", lambda view, axis: (
+        dtypes.append(view.dtype), halves(view, axis))[1])
+    monkeypatch.setattr(simulate, "_update_1q", lambda a, q, e: (
+        dtypes.append(a.dtype), update(a, q, e)))
+    return dtypes
+
+
+def test_grover_flushes_take_the_float_view(monkeypatch):
+    circuit = parse_manifest(GROVER16).graph.flatten()
+    unitary = GateCircuit(circuit.width, [
+        g for g in circuit.ops if g.kind is not GateKind.MEASURE])
+    dtypes = _spy_dtypes(monkeypatch)
+    run(unitary)
+    # three groups of three qubits per H or X layer, all real
+    assert len(dtypes) >= 3 * 2 * 17 and set(dtypes) == {np.dtype(float)}
+
+
+def test_a_complex_group_keeps_the_complex_state(monkeypatch):
+    dtypes = _spy_dtypes(monkeypatch)
+    ops = [Gate(GateKind.RZ, (q,), 0.3 * q + 0.1) for q in range(GROUP)]
+    ops += [Gate(GateKind.RZ, (GROUP + 1,), 0.2)]
+    amps = _random_state(np.random.default_rng(12), WIDE)
+    got = run(GateCircuit(WIDE, ops), initial=StateVector(WIDE, amps))
+    assert dtypes and set(dtypes) == {np.dtype(complex)}
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, WIDE, amps),
+                       rtol=0, atol=ATOL)
+
+
 # held runs of CNOT, CZ, SWAP and Toffoli gates
 
 RUN_KINDS = [GateKind.CNOT, GateKind.CZ, GateKind.SWAP, GateKind.TOFFOLI]
@@ -656,9 +764,9 @@ def test_sample_matches_the_per_shot_loop(seed, width, shots):
 
 
 @st.composite
-def sparse_states(draw):
+def sparse_states(draw, widths=st.integers(2, MAX_WIDTH)):
     """States with zero-probability labels at both ends and inside."""
-    width = draw(st.integers(2, MAX_WIDTH))
+    width = draw(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = _random_state(rng, width)
     amps[:draw(st.integers(0, 2 ** width // 2))] = 0.0
@@ -671,6 +779,19 @@ def sparse_states(draw):
 
 @given(sparse_states(), st.integers(0, 2 ** 32 - 1), st.integers(1, 5000))
 def test_sample_matches_the_bincount_reference(state, seed, shots):
+    assert sample(state, shots, seed) == sample_ref(state, shots, seed)
+
+
+@pytest.mark.parametrize("per_shot", [True, False])
+@given(data=st.data())
+def test_sample_matches_the_bincount_reference_with_few_or_many_shots(
+        per_shot, data):
+    # fewer shots than labels search once per shot, others once per label
+    state = data.draw(sparse_states(st.integers(2, 12)))
+    labels = 2 ** state.width
+    shots = data.draw(st.integers(1, labels - 1) if per_shot
+                      else st.integers(labels, 4 * labels))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
     assert sample(state, shots, seed) == sample_ref(state, shots, seed)
 
 
