@@ -414,7 +414,9 @@ _ROWS = {
          Growth.LINEAR, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),
     34: ("Ancilla Management", "AncillaManagement",
-         (_p("count", _S, "scratch qubits to reserve"),),
+         (_p("count", _S, "scratch qubits to reserve"),
+          _p("released", _S,
+             "released scratch qubits, 0..count, default count")),
          "Reserve and release scratch qubits",
          Growth.CONSTANT, CountMetric.GATES, (1, 2), 1,
          ReusePattern.DIRECT),

@@ -92,7 +92,8 @@ class ValidationFailedError(CompositionError):
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
-        lines = "; ".join(d.code for d in self.diagnostics)
+        lines = "; ".join(f"[{d.code}] {d.message}"
+                          for d in self.diagnostics)
         super().__init__(f"graph has blocking diagnostics: {lines}")
 
 

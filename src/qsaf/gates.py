@@ -203,16 +203,33 @@ def measure(q, cbit):
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
+# the phase each unangled diagonal kind puts on the labels where every
+# listed qubit is one; every other label keeps its amplitude
+_PHASES = {
+    GateKind.Z: -1,
+    GateKind.S: 1j,
+    GateKind.SDG: -1j,
+    GateKind.T: cmath.exp(0.25j * math.pi),
+    GateKind.TDG: cmath.exp(-0.25j * math.pi),
+    GateKind.CZ: -1,
+}
+
+
+def diagonal_phase(gate: Gate):
+    """Phase of a diagonal gate on the labels where every listed qubit is
+    one: from ``_PHASES``, or e^{i theta} for PHASE and CPHASE."""
+    if gate.theta is None:
+        return _PHASES[gate.kind]
+    return cmath.exp(1j * gate.theta)
+
+
 # (m00, m01, m10, m11) of the one-qubit kinds without an angle
 _FIXED_ENTRIES = {
     GateKind.H: (_SQ2, _SQ2, _SQ2, -_SQ2),
     GateKind.X: (0, 1, 1, 0),
     GateKind.Y: (0, -1j, 1j, 0),
-    GateKind.Z: (1, 0, 0, -1),
-    GateKind.S: (1, 0, 0, 1j),
-    GateKind.SDG: (1, 0, 0, -1j),
-    GateKind.T: (1, 0, 0, cmath.exp(0.25j * math.pi)),
-    GateKind.TDG: (1, 0, 0, cmath.exp(-0.25j * math.pi)),
+    **{kind: (1, 0, 0, phase) for kind, phase in _PHASES.items()
+       if KINDS[kind].arity == 1},
 }
 
 
@@ -235,50 +252,51 @@ def one_qubit_entries(gate: Gate) -> tuple:
         e = cmath.exp(0.5j * gate.theta)
         return (e.conjugate(), 0, 0, e)
     if k is GateKind.PHASE:
-        return (1, 0, 0, cmath.exp(1j * gate.theta))
+        return (1, 0, 0, diagonal_phase(gate))
     raise GateArityError(f"{k.value} is not a one-qubit unitary gate")
 
 
-# Two/three-qubit matrices indexed little-endian over the listed qubits:
-# first listed qubit = least significant bit of the row/column index.
-_CNOT = np.zeros((4, 4), dtype=complex)
-for _c in (0, 1):
-    for _t in (0, 1):
-        _CNOT[(_t ^ _c) * 2 + _c, _t * 2 + _c] = 1.0
+def sources(labels, kind: GateKind, qubits):
+    """Source label of each of ``labels`` under a permutation gate, so the
+    gate maps amplitudes as out[i] = in[sources(i)]. Every permutation
+    kind (X, CNOT, Toffoli: controls first, target last; SWAP) is its own
+    inverse, so this is also the image of each label."""
+    if kind is GateKind.SWAP:
+        a, b = qubits
+        differ = ((labels >> a) ^ (labels >> b)) & 1
+        return labels ^ (differ * ((1 << a) | (1 << b)))
+    *controls, target = qubits
+    mask = sum(1 << c for c in controls)
+    return labels ^ (((labels & mask) == mask) << target)
 
-_SWAP = np.zeros((4, 4), dtype=complex)
-for _a in (0, 1):
-    for _b in (0, 1):
-        _SWAP[_a * 2 + _b, _b * 2 + _a] = 1.0
 
-_TOFFOLI = np.eye(8, dtype=complex)
-_TOFFOLI[[3, 7], [3, 7]] = 0.0
-_TOFFOLI[3, 7] = _TOFFOLI[7, 3] = 1.0
+def controlled_power(gate: Gate) -> np.ndarray:
+    """What a CONTROLLED_U gate applies to its targets when the control is
+    one: its matrix raised to its power."""
+    return np.linalg.matrix_power(gate.matrix, gate.power)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Dense unitary of one gate over its own qubits (little-endian)."""
-    k = gate.kind
-    if gate.arity == 1 and k is not GateKind.MEASURE:
+    """Dense unitary of one gate over its own qubits (little-endian),
+    built from its kind's ``structure``."""
+    structure = KINDS[gate.kind].structure
+    if structure is None:
+        raise NonReversibleError("measurement has no unitary matrix")
+    if gate.arity == 1:
         return np.array(one_qubit_entries(gate), dtype=complex).reshape(2, 2)
-    if k is GateKind.CNOT:
-        return _CNOT.copy()
-    if k is GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if k is GateKind.CPHASE:
-        return np.diag([1, 1, 1, cmath.exp(1j * gate.theta)]).astype(complex)
-    if k is GateKind.SWAP:
-        return _SWAP.copy()
-    if k is GateKind.TOFFOLI:
-        return _TOFFOLI.copy()
-    if k is GateKind.CONTROLLED_U:
-        up = np.linalg.matrix_power(gate.matrix, gate.power)
-        dim = up.shape[0]
-        big = np.eye(2 * dim, dtype=complex)
-        # control is the first listed qubit, hence the low index bit
-        big[1::2, 1::2] = up
-        return big
-    raise NonReversibleError("measurement has no unitary matrix")
+    dim = 1 << gate.arity
+    if structure == "permutation":
+        # out[i] = in[sources(i)]: row i of the identity at sources(i)
+        return np.eye(dim, dtype=complex)[
+            sources(np.arange(dim), gate.kind, range(gate.arity))]
+    if structure == "diagonal":
+        return np.diag([1] * (dim - 1)
+                       + [diagonal_phase(gate)]).astype(complex)
+    up = controlled_power(gate)
+    big = np.eye(2 * len(up), dtype=complex)
+    # control is the first listed qubit, hence the low index bit
+    big[1::2, 1::2] = up
+    return big
 
 
 def apply_matrix(state: np.ndarray, width: int, matrix: np.ndarray,
@@ -418,8 +436,7 @@ def dagger(circuit: GateCircuit) -> GateCircuit:
         row = KINDS[g.kind]
         if g.kind is GateKind.CONTROLLED_U:
             g = Gate(GateKind.CONTROLLED_U, g.qubits,
-                     matrix=np.linalg.matrix_power(g.matrix,
-                                                   g.power).conj().T)
+                     matrix=controlled_power(g).conj().T)
         elif row.angled:
             g = replace(g, theta=-g.theta)
         elif row.inverse is not g.kind:

@@ -3,7 +3,9 @@
 Every lowerable primitive builds a GateCircuit from a parameter dict. The
 full record (circuit, register roles, variational sites) is produced by
 ``realize``; ``lower`` returns just the circuit and ``port_spec`` just the
-register layout.
+register layout. ``realize`` rejects every parameter key that the
+builder's path did not read, so no builder restates that rule. Builders
+only place gates: what each gate does is defined once, in ``gates``.
 
 Multi-controlled phase/NOT gates over c >= 3 controls use a Toffoli ladder
 with c-1 clean scratch qubits (compute the AND chain, apply, uncompute), so
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -25,10 +28,28 @@ from .errors import BadParamsError, NotLowerableError
 from .gates import GateCircuit
 
 _MISSING = object()
+# largest register size (``n``, or AncillaManagement's ``count``) a builder
+# takes; running a circuit is capped lower, at simulate.SIM_WIDTH_CAP
+WIDTH_CAP = 24
+
+
+def finite_real(v):
+    """``v`` as a float when it is a finite real number, not a bool; None
+    otherwise (inf, nan, an int beyond the float range)."""
+    # int and float first: they skip the slower abstract check of Real
+    if isinstance(v, (int, float, Real)) and not isinstance(v, bool):
+        try:
+            number = float(v)
+        except OverflowError:
+            return None
+        if math.isfinite(number):
+            return number
+    return None
 
 
 class _Params:
-    """Typed accessor over a raw parameter dict; rejects leftovers."""
+    """Typed accessor over a raw parameter dict; ``finish`` rejects the
+    keys no accessor read."""
 
     def __init__(self, pid: int, raw):
         self._pid = pid
@@ -65,9 +86,10 @@ class _Params:
         v = self._fetch(key, default)
         if v is None:
             return v
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self._err(f"'{key}' must be a number, got {v!r}")
-        return float(v)
+        number = finite_real(v)
+        if number is None:
+            self._err(f"'{key}' must be a finite number, got {v!r}")
+        return number
 
     def bool(self, key, default=_MISSING):
         v = self._fetch(key, default)
@@ -111,9 +133,11 @@ class _Params:
             self._err(f"'{key}' must be a list, got {v!r}")
         out = []
         for item in v:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                self._err(f"'{key}' must contain numbers, got {item!r}")
-            out.append(float(item))
+            number = finite_real(item)
+            if number is None:
+                self._err(f"'{key}' must contain finite numbers, "
+                          f"got {item!r}")
+            out.append(number)
         if length is not None and len(out) != length:
             self._err(f"'{key}' must have {length} entries, got {len(out)}")
         return out
@@ -309,20 +333,21 @@ def _unitary_from_params(p: _Params):
 # builders
 
 
-def _simple(circ, n, measures=False, classical=0, theta_count=0, sites=None,
-            anc=()):
-    main = tuple(q for q in range(circ.width) if q not in set(anc))
+def _simple(circ, n, measures=False, classical=0, theta_count=0, sites=None):
+    """Record of a circuit whose qubits below ``n`` are its ports and whose
+    qubits from ``n`` up are scratch."""
+    main = tuple(range(n))
     spec = PortSpec(width=circ.width, in_qubits=main, out_qubits=main,
-                    anc_qubits=tuple(anc), classical_out=classical,
+                    anc_qubits=tuple(range(n, circ.width)),
+                    classical_out=classical,
                     measures=measures, out_measured=measures,
                     theta_count=theta_count)
     return Lowered(circ, spec, sites or [])
 
 
 def _basis_states(p):
-    n = p.int("n", lo=1, hi=24)
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
     value = p.int("value", lo=0, hi=2 ** n - 1)
-    p.finish()
     circ = GateCircuit(n)
     for q in range(n):
         if (value >> q) & 1:
@@ -331,8 +356,7 @@ def _basis_states(p):
 
 
 def _superposition(p):
-    n = p.int("n", lo=1, hi=24)
-    p.finish()
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.h(q))
@@ -343,7 +367,6 @@ def _arbitrary_state(p):
     theta = p.float("theta")
     phi = p.float("phi")
     lam = p.float("lam", 0.0)
-    p.finish()
     circ = GateCircuit(1)
     circ.append(g.rz(lam, 0))
     circ.append(g.ry(theta, 0))
@@ -352,25 +375,22 @@ def _arbitrary_state(p):
 
 
 _BELL_DRESSING = {
-    "phi_plus": (), "phi_minus": ("z0",),
-    "psi_plus": ("x1",), "psi_minus": ("x1", "z1"),
+    "phi_plus": (), "phi_minus": (g.z(0),),
+    "psi_plus": (g.x(1),), "psi_minus": (g.x(1), g.z(1)),
 }
 
 
 def _bell(p):
     variant = p.str("variant", "phi_plus", choices=set(_BELL_DRESSING))
-    p.finish()
     circ = GateCircuit(2)
     circ.append(g.h(0))
     circ.append(g.cnot(0, 1))
-    for tag in _BELL_DRESSING[variant]:
-        circ.append({"z0": g.z(0), "x1": g.x(1), "z1": g.z(1)}[tag])
+    circ.extend(_BELL_DRESSING[variant])
     return _simple(circ, 2)
 
 
 def _ghz(p):
-    n = p.int("n", lo=2, hi=24)
-    p.finish()
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     circ = GateCircuit(n)
     circ.append(g.h(0))
     for q in range(n - 1):
@@ -379,9 +399,8 @@ def _ghz(p):
 
 
 def _cluster(p):
-    n = p.int("n", lo=2, hi=24)
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     edges = p.pair_list("edges", n)
-    p.finish()
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.h(q))
@@ -391,8 +410,7 @@ def _cluster(p):
 
 
 def _w_state(p):
-    n = p.int("n", lo=2, hi=24)
-    p.finish()
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     circ = GateCircuit(n)
     circ.append(g.x(0))
     for k in range(n - 1):
@@ -403,17 +421,24 @@ def _w_state(p):
     return _simple(circ, n)
 
 
-def _phase_mark(circ, n, value, scratch_base):
-    dress = [q for q in range(n) if not (value >> q) & 1]
-    for q in dress:
-        circ.append(g.x(q))
-    _append_mcz(circ, range(n), scratch_base)
-    for q in dress:
-        circ.append(g.x(q))
+def _on_value(circ, n, value, append, *args):
+    """``append(circ, *args)`` between X gates on the qubits below ``n``
+    that are 0 in ``value``: gates that act on the all-ones state of those
+    qubits then act on ``value`` instead."""
+    dress = [g.x(q) for q in range(n) if not (value >> q) & 1]
+    circ.extend(dress)
+    append(circ, *args)
+    circ.extend(dress)
 
 
-def _phase_oracle_parts(p):
-    n = p.int("n", lo=1, hi=24)
+def _phase_mark(circ, n, value):
+    """Phase-flip basis state ``value`` of the qubits below ``n``; the
+    ladder's scratch starts at qubit ``n``."""
+    _on_value(circ, n, value, _append_mcz, range(n), n)
+
+
+def _phase_oracle_parts(p, lo=1):
+    n = p.int("n", lo=lo, hi=WIDTH_CAP)
     marked = p.int_list("marked", lo=0, hi=2 ** n - 1, distinct=True)
     if not marked:
         p._err("'marked' must list at least one basis state")
@@ -422,106 +447,76 @@ def _phase_oracle_parts(p):
 
 def _phase_oracle(p):
     n, marked = _phase_oracle_parts(p)
-    p.finish()
-    scratch = _ladder_scratch(n - 1)
-    circ = GateCircuit(n + scratch)
+    circ = GateCircuit(n + _ladder_scratch(n - 1))
     for value in marked:
-        _phase_mark(circ, n, value, n)
-    return _simple(circ, n, anc=range(n, n + scratch))
+        _phase_mark(circ, n, value)
+    return _simple(circ, n)
 
 
-def _diffusion_ops(circ, n, scratch_base):
-    for q in range(n):
-        circ.append(g.h(q))
-    for q in range(n):
-        circ.append(g.x(q))
-    _append_mcz(circ, range(n), scratch_base)
-    for q in range(n):
-        circ.append(g.x(q))
-    for q in range(n):
-        circ.append(g.h(q))
+def _diffusion_ops(circ, n):
+    """Reflect about the uniform state: H on every qubit around a phase
+    flip of |0...0>."""
+    hs = [g.h(q) for q in range(n)]
+    circ.extend(hs)
+    _phase_mark(circ, n, 0)
+    circ.extend(hs)
 
 
 def _diffusion(p):
-    n = p.int("n", lo=1, hi=24)
-    p.finish()
-    scratch = _ladder_scratch(n - 1)
-    circ = GateCircuit(n + scratch)
-    _diffusion_ops(circ, n, n)
-    return _simple(circ, n, anc=range(n, n + scratch))
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
+    circ = GateCircuit(n + _ladder_scratch(n - 1))
+    _diffusion_ops(circ, n)
+    return _simple(circ, n)
 
 
 def _reflection(p):
-    n = p.int("n", lo=1, hi=24)
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
     state = p.int("state", lo=0, hi=2 ** n - 1)
-    p.finish()
-    scratch = _ladder_scratch(n - 1)
-    circ = GateCircuit(n + scratch)
-    _phase_mark(circ, n, state, n)
-    return _simple(circ, n, anc=range(n, n + scratch))
+    circ = GateCircuit(n + _ladder_scratch(n - 1))
+    _phase_mark(circ, n, state)
+    return _simple(circ, n)
 
 
 def _grover_operator(p):
-    n = p.int("n", lo=2, hi=24)
-    marked = p.int_list("marked", lo=0, hi=2 ** n - 1, distinct=True)
-    if not marked:
-        p._err("'marked' must list at least one basis state")
+    n, marked = _phase_oracle_parts(p, lo=2)
     # at n=24 each iteration is about 1 ms of gate building, so the cap
     # keeps one realization within a second
     iterations = p.int("iterations", 1, lo=1, hi=512)
-    p.finish()
-    scratch = _ladder_scratch(n - 1)
-    circ = GateCircuit(n + scratch)
+    circ = GateCircuit(n + _ladder_scratch(n - 1))
     for _ in range(iterations):
         for value in marked:
-            _phase_mark(circ, n, value, n)
-        _diffusion_ops(circ, n, n)
-    return _simple(circ, n, anc=range(n, n + scratch))
+            _phase_mark(circ, n, value)
+        _diffusion_ops(circ, n)
+    return _simple(circ, n)
 
 
 def _qft(p):
-    n = p.int("n", lo=1, hi=24)
-    p.finish()
-    circ = GateCircuit(n)
-    circ.extend(_qft_ops(range(n)))
-    return _simple(circ, n)
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
+    return _simple(GateCircuit(n, _qft_ops(range(n))), n)
 
 
 def _inverse_qft(p):
-    n = p.int("n", lo=1, hi=24)
-    p.finish()
-    circ = GateCircuit(n)
-    circ.extend(_inverse_ops(_qft_ops(range(n))))
-    return _simple(circ, n)
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
+    return _simple(GateCircuit(n, _inverse_ops(_qft_ops(range(n)))), n)
 
 
 def _approx_qft(p):
-    n = p.int("n", lo=1, hi=24)
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
     cutoff = p.int("cutoff", lo=1)
-    p.finish()
-    circ = GateCircuit(n)
-    circ.extend(_qft_ops(range(n), cutoff))
-    return _simple(circ, n)
+    return _simple(GateCircuit(n, _qft_ops(range(n), cutoff)), n)
 
 
 def _bitflip_from_marked(n, marked):
-    target = n
-    scratch = _ladder_scratch(n)
-    circ = GateCircuit(n + 1 + scratch)
+    """Flip result qubit ``n`` on each marked state of the qubits below
+    it; the ladder's scratch starts at qubit n + 1."""
+    circ = GateCircuit(n + 1 + _ladder_scratch(n))
     for value in marked:
-        dress = [q for q in range(n) if not (value >> q) & 1]
-        for q in dress:
-            circ.append(g.x(q))
-        _append_mcx(circ, range(n), target, n + 1)
-        for q in dress:
-            circ.append(g.x(q))
-    main = n + 1
-    return _simple(circ, main, anc=range(main, main + scratch))
+        _on_value(circ, n, value, _append_mcx, range(n), n, n + 1)
+    return _simple(circ, n + 1)
 
 
 def _bitflip_oracle(p):
     n, marked = _phase_oracle_parts(p)
-    p.finish()
     return _bitflip_from_marked(n, marked)
 
 
@@ -529,12 +524,10 @@ def _arithmetic_oracle(p):
     a = p.int("a", lo=1)
     modulus = p.int("modulus", lo=2)
     power = p.int("power", 1, lo=1)
-    p.finish()
     mat = modular_multiply_matrix(a, modulus)
     m = int(math.log2(mat.shape[0]))
-    circ = GateCircuit(1 + m)
-    circ.append(g.controlled_u(mat, 0, list(range(1, 1 + m)), power=power))
-    return _simple(circ, 1 + m)
+    gate = g.controlled_u(mat, 0, list(range(1, 1 + m)), power=power)
+    return _simple(GateCircuit(1 + m, [gate]), 1 + m)
 
 
 def _boolean_oracle(p):
@@ -542,7 +535,6 @@ def _boolean_oracle(p):
     table = p.int_list("truth_table", lo=0, hi=1)
     if len(table) != 2 ** n:
         p._err(f"'truth_table' must have {2 ** n} entries, got {len(table)}")
-    p.finish()
     marked = [i for i, bit in enumerate(table) if bit]
     return _bitflip_from_marked(n, marked)
 
@@ -585,7 +577,6 @@ def qpe_round(mat, power: int, feedback: float) -> GateCircuit:
 def _standard_qpe(p):
     t_bits = p.int("t", lo=1, hi=20)
     mat, m = _unitary_from_params(p)
-    p.finish()
     circ = qpe_circuit(mat, t_bits)
     for k in range(t_bits):
         circ.append(g.measure(k, k))
@@ -600,7 +591,6 @@ def _iterative_qpe(p):
     k = p.int("k", 0, lo=0, hi=62)
     feedback = p.float("feedback", 0.0)
     mat, m = _unitary_from_params(p)
-    p.finish()
     work = tuple(range(1, 1 + m))
     spec = PortSpec(width=1 + m, in_qubits=work, out_qubits=work,
                     anc_qubits=(0,), classical_out=1, measures=True)
@@ -608,21 +598,19 @@ def _iterative_qpe(p):
 
 
 def _hardware_efficient(p):
-    n = p.int("n", lo=2, hi=24)
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     layers = p.int("layers", lo=1)
     thetas = p.float_list("thetas", length=2 * n * layers)
-    p.finish()
     return _build_heuristic(n, layers, ("ry", "rz"), "chain", thetas)
 
 
 def _problem_inspired(p):
-    n = p.int("n", lo=2, hi=24)
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     edges = p.pair_list("edges", n)
     gammas = p.float_list("gammas")
     betas = p.float_list("betas", length=len(gammas))
     if not gammas:
         p._err("'gammas' must have at least one layer")
-    p.finish()
     layers = len(gammas)
     circ = GateCircuit(n)
     sites = [[] for _ in range(2 * layers)]
@@ -692,14 +680,15 @@ def _normalize_blocks(p, n, theta_count, raw_blocks):
                 or not 0 <= idx < theta_count:
             p._err(f"'blocks' theta index {idx!r} outside 0.."
                    f"{theta_count - 1}")
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-            p._err(f"'blocks' coefficient {coeff!r} must be a number")
-        blocks.append((string, idx, float(coeff)))
+        number = finite_real(coeff)
+        if number is None:
+            p._err(f"'blocks' coefficient {coeff!r} must be a finite number")
+        blocks.append((string, idx, number))
     return blocks
 
 
 def _uccsd(p):
-    n = p.int("n", lo=2, hi=24)
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     thetas = p.float_list("thetas")
     if not thetas:
         p._err("'thetas' must not be empty")
@@ -711,7 +700,6 @@ def _uccsd(p):
             p._err("default excitation blocks need n=4 and 2 thetas; "
                    "pass 'blocks' explicitly otherwise")
         blocks = _DEFAULT_BLOCKS_4Q
-    p.finish()
     circ = GateCircuit(n)
     sites = [[] for _ in thetas]
     for string, idx, coeff in blocks:
@@ -723,7 +711,7 @@ _ROTATION_BUILDERS = {"rx": g.rx, "ry": g.ry, "rz": g.rz}
 
 
 def _heuristic(p):
-    n = p.int("n", lo=2, hi=24)
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     layers = p.int("layers", lo=1)
     rotations = p._fetch("rotations", ["ry", "rz"])
     if (not isinstance(rotations, (list, tuple)) or not rotations
@@ -733,7 +721,6 @@ def _heuristic(p):
                f"{sorted(_ROTATION_BUILDERS)}, got {rotations!r}")
     entangler = p.str("entangler", "chain", choices={"chain", "ring"})
     thetas = p.float_list("thetas", length=layers * n * len(rotations))
-    p.finish()
     return _build_heuristic(n, layers, tuple(rotations), entangler, thetas)
 
 
@@ -755,19 +742,17 @@ def _build_heuristic(n, layers, rotations, entangler, thetas):
 
 
 def _hamiltonian(p):
-    n = p.int("n", lo=2, hi=24)
+    n = p.int("n", lo=2, hi=WIDTH_CAP)
     periodic = p.bool("periodic", False)
     # the variational path is bounded by its thetas; a fixed-angle step is
     # about 0.5 ms of gate building at n=24, so 1024 stay within a second
     steps = p.int("steps", 1, lo=1, hi=None if p.has("thetas") else 1024)
     if p.has("thetas"):
         thetas = p.float_list("thetas", length=2 * steps)
-        p.finish()
         return _build_hamiltonian_variational(n, periodic, steps, thetas)
     coupling = p.float("coupling", 1.0)
     field_ = p.float("field", 1.0)
     dt = p.float("dt")
-    p.finish()
     fixed = [2.0 * coupling * dt, 2.0 * field_ * dt] * steps
     # fixed angles are not variational, so the record keeps no sites
     return _simple(
@@ -793,58 +778,43 @@ def _build_hamiltonian_variational(n, periodic, steps, thetas):
     return _simple(circ, n, theta_count=len(thetas), sites=sites)
 
 
+def _one_gate(p, keys, make, *args):
+    """Record of the one gate ``make(*args, *qubits)`` on the distinct
+    qubits that ``keys`` (key -> default) name, in a register ``n`` that
+    is by default just wide enough."""
+    qubits = [p.int(key, default, lo=0) for key, default in keys.items()]
+    if len(set(qubits)) != len(qubits):
+        p._err(f"{', '.join(map(repr, keys))} must be distinct")
+    hi = max(qubits) + 1
+    n = p.int("n", hi, lo=hi)
+    return _simple(GateCircuit(n, [make(*args, *qubits)]), n)
+
+
 def _swap_gate(p):
-    i = p.int("i", 0, lo=0)
-    j = p.int("j", 1, lo=0)
-    if i == j:
-        p._err("'i' and 'j' must differ")
-    n = p.int("n", max(i, j) + 1, lo=max(i, j) + 1)
-    p.finish()
-    circ = GateCircuit(n)
-    circ.append(g.swap(i, j))
-    return _simple(circ, n)
+    return _one_gate(p, {"i": 0, "j": 1}, g.swap)
+
+
+_CONTROLLED_OPS = {"x": g.cnot, "z": g.cz, "phase": g.cphase}
 
 
 def _controlled_op(p):
-    op = p.str("op", "x", choices={"x", "z", "phase"})
-    control = p.int("control", 0, lo=0)
-    target = p.int("target", 1, lo=0)
-    if control == target:
-        p._err("'control' and 'target' must differ")
-    n = p.int("n", max(control, target) + 1, lo=max(control, target) + 1)
+    op = p.str("op", "x", choices=set(_CONTROLLED_OPS))
     theta = p.float("theta", None)
     if op == "phase" and theta is None:
         p._err("op='phase' needs 'theta'")
     if op != "phase" and theta is not None:
         p._err(f"op={op!r} takes no 'theta'")
-    p.finish()
-    circ = GateCircuit(n)
-    if op == "x":
-        circ.append(g.cnot(control, target))
-    elif op == "z":
-        circ.append(g.cz(control, target))
-    else:
-        circ.append(g.cphase(theta, control, target))
-    return _simple(circ, n)
+    angle = () if theta is None else (theta,)
+    return _one_gate(p, {"control": 0, "target": 1}, _CONTROLLED_OPS[op],
+                     *angle)
 
 
 def _toffoli_gate(p):
-    c1 = p.int("c1", 0, lo=0)
-    c2 = p.int("c2", 1, lo=0)
-    target = p.int("target", 2, lo=0)
-    if len({c1, c2, target}) != 3:
-        p._err("controls and target must be distinct")
-    hi = max(c1, c2, target) + 1
-    n = p.int("n", hi, lo=hi)
-    p.finish()
-    circ = GateCircuit(n)
-    circ.append(g.toffoli(c1, c2, target))
-    return _simple(circ, n)
+    return _one_gate(p, {"c1": 0, "c2": 1, "target": 2}, g.toffoli)
 
 
 def _measurement(p):
-    n = p.int("n", lo=1, hi=24)
-    p.finish()
+    n = p.int("n", lo=1, hi=WIDTH_CAP)
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.measure(q, q))
@@ -852,9 +822,8 @@ def _measurement(p):
 
 
 def _ancilla_management(p):
-    count = p.int("count", lo=1, hi=24)
+    count = p.int("count", lo=1, hi=WIDTH_CAP)
     p.int("released", count, lo=0, hi=count)  # ledger knob, no gates
-    p.finish()
     circ = GateCircuit(count)
     spec = PortSpec(width=count, in_qubits=(), out_qubits=tuple(range(count)))
     return Lowered(circ, spec, [])
@@ -880,12 +849,16 @@ ANSATZ_IDS = tuple(d.id for d in all_primitives()
 
 
 def realize(primitive_id: int, params=None) -> Lowered:
-    """Build the full lowering record for a primitive."""
+    """Build the full lowering record for a primitive; a parameter key
+    that its builder did not read is a BadParamsError."""
     desc = get_primitive(primitive_id)
     if not desc.lowerable:
         raise NotLowerableError(
             f"{desc.name} (id {desc.id}) has no gate-level realization")
-    return _BUILDERS[primitive_id](_Params(primitive_id, params))
+    p = _Params(primitive_id, params)
+    low = _BUILDERS[primitive_id](p)
+    p.finish()
+    return low
 
 
 def lower(primitive_id: int, params=None) -> GateCircuit:

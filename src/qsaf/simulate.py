@@ -16,16 +16,17 @@ import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
 from .gates import (KINDS, Gate, GateCircuit, GateKind, apply_matrix,
-                    gate_matrix, one_qubit_entries)
-from .lowering import (modular_multiply_matrix, qpe_circuit, qpe_round,
-                       realize_ansatz)
+                    controlled_power, diagonal_phase, one_qubit_entries,
+                    sources)
+from .lowering import (finite_real, modular_multiply_matrix, qpe_circuit,
+                       qpe_round, realize_ansatz)
 
 SIM_WIDTH_CAP = 16
 # most shots one simulate directive may draw: the sampler holds one float
@@ -33,7 +34,6 @@ SIM_WIDTH_CAP = 16
 SHOT_CAP = 10 ** 7
 # most iterations one minimize directive may run
 ITERATION_CAP = 10 ** 5
-NORM_ATOL = 1e-10
 EIGEN_ATOL = 1e-8
 
 # From WIDE_WIDTH qubits on, a flush applies every pending one-qubit run,
@@ -310,7 +310,7 @@ def _block(amps, n, qubits, bits):
 def _phase_block(amps, n, gate):
     """Diagonal gates: scale the block where every listed qubit is 1."""
     _block(amps, n, gate.qubits, (1,) * gate.arity)[...] *= \
-        gate_matrix(gate)[-1, -1]
+        diagonal_phase(gate)
 
 
 def _permute(amps, n, gate):
@@ -324,22 +324,10 @@ def _permute(amps, n, gate):
 
 @lru_cache(maxsize=256)
 def _permutation(n, kind, qubits):
-    """Read-only ``_sources`` of every basis label at width n."""
-    perm = _sources(np.arange(1 << n), kind, qubits)
+    """Read-only ``gates.sources`` of every basis label at width n."""
+    perm = sources(np.arange(1 << n), kind, qubits)
     perm.flags.writeable = False  # shared by every later call
     return perm
-
-
-def _sources(labels, kind, qubits):
-    """Source label of each of ``labels`` under a permutation gate; every
-    such gate is its own inverse, so this is also its image."""
-    if kind is GateKind.SWAP:
-        a, b = qubits
-        differ = ((labels >> a) ^ (labels >> b)) & 1
-        return labels ^ (differ * ((1 << a) | (1 << b)))
-    *controls, target = qubits
-    mask = sum(1 << c for c in controls)
-    return labels ^ (((labels & mask) == mask) << target)
 
 
 def _apply_run(amps, n, run_gates, run_qubits):
@@ -425,7 +413,7 @@ def _signed_permutation(n, run):
             negative = negative ^ ((labels & mask) == mask)
         else:
             # the gate reads out[i] = before[step[i]]
-            step = _sources(labels, kind, qubits)
+            step = sources(labels, kind, qubits)
             src, negative = src[step], negative[step]
     moved = np.flatnonzero(src != labels)
     parts = moved, src[moved], np.flatnonzero(negative)
@@ -512,8 +500,7 @@ def _controlled_u(amps, n, gate):
     control, *targets = gate.qubits
     half = _block(amps, n, (control,), (1,))
     inner = [q - (q > control) for q in targets]
-    up = np.linalg.matrix_power(gate.matrix, gate.power)
-    half[...] = apply_matrix(half.reshape(-1), n - 1, up,
+    half[...] = apply_matrix(half.reshape(-1), n - 1, controlled_power(gate),
                              inner).reshape(half.shape)
 
 
@@ -596,7 +583,10 @@ class PauliObservable:
                                                 for c in string):
                 raise ValueError(
                     f"pauli string {string!r} invalid for width {self.width}")
-            cleaned.append((float(coeff), string))
+            coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff!r} must be finite")
+            cleaned.append((coeff, string))
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @classmethod
@@ -782,13 +772,8 @@ def int_option(key, value, lo, hi=None):
 def real_option(key, value, positive):
     """``value`` as a finite float, > 0 when ``positive`` and >= 0
     otherwise; bools are refused."""
-    number = math.nan
-    if isinstance(value, Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not math.isfinite(number):
+    number = finite_real(value)
+    if number is None:
         raise QsafError(f"option {key!r} must be a finite number, "
                         f"got {value!r}")
     bound = "> 0" if positive else ">= 0"

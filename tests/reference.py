@@ -114,6 +114,21 @@ def cnot_ref():
     return m
 
 
+def swap_ref():
+    # |q1 q0> -> |q0 q1>: indices 1 (only q0 set) and 2 (only q1) trade
+    m = np.eye(4, dtype=complex)
+    m[[1, 2]] = m[[2, 1]]
+    return m
+
+
+def toffoli_ref():
+    # controls are bits 0 and 1 of the matrix index, the target bit 2:
+    # with both controls set, indices 3 and 7 trade
+    m = np.eye(8, dtype=complex)
+    m[[3, 7]] = m[[7, 3]]
+    return m
+
+
 def dft_matrix(n):
     dim = 2 ** n
     omega = np.exp(2j * np.pi / dim)

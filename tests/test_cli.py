@@ -11,6 +11,8 @@ import pytest
 from qsaf.cli import main
 from qsaf.simulate import NonDecreasingEnergyWarning
 
+from reference import VQE_MANIFEST
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 RATINGS = "2,1\n2,1\n1,2\n"
@@ -412,8 +414,57 @@ def test_validate_and_run_reject_malformed_optimizer_params(
     assert captured.err == ""
     assert main(["run", path]) == 2
     captured = capsys.readouterr()
-    assert captured.err == \
-        "error: graph has blocking diagnostics: bad_params\n"
+    assert captured.err == ("error: graph has blocking diagnostics: "
+                            f"[bad_params] opt: option {message}\n")
+    assert captured.out == ""
+
+
+NON_FINITE_STATE = """\
+name non_finite_state
+version 1
+level 5
+
+component s = ArbitraryStates(theta=1e999, phi=0.5)
+component meas = Measurement(n=1)
+
+wire s.out -> meas.in
+
+run simulate shots=10 seed=1
+"""
+
+
+@pytest.mark.parametrize("text,message", [
+    (NON_FINITE_STATE,
+     "primitive 3: 'theta' must be a finite number, got inf"),
+    (VQE_MANIFEST.replace("thetas=[0.1,", "thetas=[1e999,"),
+     "primitive 25: 'thetas' must contain finite numbers, got inf"),
+], ids=["ArbitraryStates", "HardwareEfficientAnsatz"])
+def test_validate_and_run_reject_non_finite_params(tmp_path, capsys, text,
+                                                   message):
+    # 1e999 parses to inf; a run used to fail with "math domain error"
+    path = tmp_path / "non_finite.qsaf"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"error [bad_params] {message}" in out
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("observable", ["1e999*Z0", "nan*Z0", "inf"])
+def test_run_rejects_a_non_finite_observable_factor(
+        tmp_path, capsys, vqe_manifest_text, observable):
+    path = tmp_path / "observable.qsaf"
+    path.write_text(vqe_manifest_text.replace("Z0*Z1 + 0.5*X0", observable))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way out
+        assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: coefficient ")
+    assert "must be finite" in captured.err
     assert captured.out == ""
 
 

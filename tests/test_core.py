@@ -1,14 +1,18 @@
 """Vocabulary types: enums, interface templates, profile validation."""
 
+import numpy as np
 import pytest
 
-from qsaf.analyze import DEFAULT_DEMO_PARAMS, _default_sizes, _size_params
+from qsaf.analyze import (DEFAULT_DEMO_PARAMS, _default_sizes, _size_params,
+                          nfr_profile)
 from qsaf.catalog import CountMetric, all_primitives
 from qsaf.core import (AncillaPolicy, FunctionalCategory, Granularity,
                        InformationFlow, NfrProfile, ParameterKind,
                        ReusePattern, UnitaryKind, UsageLevel,
                        category_template, summarize_parameter_kinds)
-from qsaf.lowering import port_spec
+from qsaf.errors import BadParamsError
+from qsaf.gates import UNITARY_WIDTH_CAP, unitary_of
+from qsaf.lowering import _Params, lower, port_spec, realize
 
 
 def test_usage_levels_are_ordered():
@@ -91,6 +95,43 @@ def test_lowered_primitives_measure_only_where_allowed():
         may_measure = (desc.category is FunctionalCategory.PHASE_ESTIMATION
                        or desc.id == 33)  # Measurement
         assert may_measure or not spec.measures, where
+
+
+def test_builders_read_only_declared_params(monkeypatch):
+    read = set()
+    fetch = _Params._fetch
+
+    def spy(self, key, default):
+        read.add(key)
+        return fetch(self, key, default)
+
+    monkeypatch.setattr(_Params, "_fetch", spy)
+    for desc, params in _conformance_cases():
+        read.clear()
+        realize(desc.id, params)
+        declared = {param.name for param in desc.params}
+        assert read <= declared, f"{desc.manifest_name}({params})"
+
+
+def test_realize_rejects_a_key_its_builder_did_not_read():
+    for desc in all_primitives():
+        if desc.lowerable:
+            with pytest.raises(BadParamsError, match="'bogus'"):
+                realize(desc.id, {**DEFAULT_DEMO_PARAMS[desc.id], "bogus": 1})
+
+
+def test_demo_realizations_are_unitary_exactly_where_profiled_so():
+    for desc in all_primitives():
+        unitary = False
+        if desc.lowerable:
+            circuit = lower(desc.id, DEFAULT_DEMO_PARAMS[desc.id])
+            if (not circuit.has_measurement
+                    and circuit.width <= UNITARY_WIDTH_CAP):
+                u = unitary_of(circuit)
+                assert np.abs(u @ u.conj().T - np.eye(len(u))).max() \
+                    <= 1e-10, desc.manifest_name
+                unitary = True
+        assert nfr_profile(desc.id).unitary is unitary, desc.manifest_name
 
 
 def test_profile_rejects_irreversible_unitary():

@@ -12,7 +12,8 @@ from qsaf.errors import (DuplicateQubitError, GateArityError,
 from qsaf.gates import (Gate, GateCircuit, GateKind, apply_matrix, dagger,
                         depth, gate_counts, gate_matrix, unitary_of)
 
-from reference import H2, X2, Y2, Z2, apply_ref, op_on, rx_ref, ry_ref, rz_ref
+from reference import (H2, X2, Y2, Z2, apply_ref, cnot_ref, cz_ref, op_on,
+                       rx_ref, ry_ref, rz_ref, swap_ref, toffoli_ref)
 
 
 def test_constructors_record_kind_and_qubits():
@@ -51,8 +52,9 @@ def test_controlled_u_validation():
 
 @pytest.mark.parametrize("gate,reference", [
     (g.h(0), H2), (g.x(0), X2), (g.y(0), Y2), (g.z(0), Z2),
-    (g.s(0), np.diag([1, 1j])),
+    (g.s(0), np.diag([1, 1j])), (g.sdg(0), np.diag([1, -1j])),
     (g.t(0), np.diag([1, np.exp(1j * math.pi / 4)])),
+    (g.tdg(0), np.diag([1, np.exp(-1j * math.pi / 4)])),
     (g.rx(0.7, 0), rx_ref(0.7)),
     (g.ry(-1.3, 0), ry_ref(-1.3)),
     (g.rz(2.1, 0), rz_ref(2.1)),
@@ -76,6 +78,18 @@ def test_two_qubit_matrices_little_endian():
     assert np.allclose(np.diag(cphase), [1, 1, 1, 1j], atol=1e-12)
     swap = gate_matrix(g.swap(0, 1))
     assert swap[1, 2] == 1 and swap[2, 1] == 1
+
+
+@pytest.mark.parametrize("gate,reference", [
+    (g.cnot(0, 1), cnot_ref()), (g.cnot(2, 0), cnot_ref()),
+    (g.cz(0, 1), cz_ref()),
+    (g.cphase(0.7, 1, 0), np.diag([1, 1, 1, np.exp(0.7j)])),
+    (g.swap(0, 1), swap_ref()),
+    (g.toffoli(0, 1, 2), toffoli_ref()), (g.toffoli(4, 2, 3), toffoli_ref()),
+])
+def test_multi_qubit_matrices(gate, reference):
+    # over the gate's own qubits, whatever their circuit labels
+    assert np.allclose(gate_matrix(gate), reference, atol=1e-12)
 
 
 def test_controlled_u_matrix_applies_power():

@@ -109,7 +109,8 @@ def test_observable_parsing():
     assert obs.terms == ((-0.15, "IY"),)
     obs = PauliObservable.parse("2*Z0*X1*0.5", 2)
     assert obs.terms == ((1.0, "ZX"),)
-    for bad in ("", "Z0 +", "Z5", "Z0*Z0", "Q0", "Z0**X1"):
+    for bad in ("", "Z0 +", "Z5", "Z0*Z0", "Q0", "Z0**X1", "1e999*Z0",
+                "nan*Z0", "inf", "1e200*X1*1e200"):
         with pytest.raises(ValueError):
             PauliObservable.parse(bad, 2)
 
@@ -119,6 +120,8 @@ def test_observable_construction_checks():
         PauliObservable(2, ((1.0, "ZZZ"),))
     with pytest.raises(ValueError):
         PauliObservable(2, ((1.0 + 1j, "ZZ"),))
+    with pytest.raises(ValueError):
+        PauliObservable(2, ((float("nan"), "ZZ"),))
 
 
 def test_expectation_matches_dense_matrix():
