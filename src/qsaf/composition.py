@@ -24,8 +24,8 @@ from .errors import (BadParamsError, CompositionError, FanOutError,
                      MeasuredQubitReuseError, QsafError, UnknownPortError,
                      ValidationFailedError, WidthMismatchError)
 from .gates import Gate, GateCircuit, GateKind
-from .lowering import realize
-from .simulate import OptimizerConfig
+from .lowering import ANSATZ_IDS, realize
+from .simulate import OptimizerConfig, PauliObservable
 
 OPTIMIZER_NAME = "Optimizer"
 
@@ -263,22 +263,36 @@ class ArchitectureGraph:
         """Every rule violation in the graph, as Diagnostic records."""
         out = []
         ports = {}
+        failed = set()  # instances whose params do not realize
         for inst_id, inst in self.components.items():
             out.extend(self._level_problems(inst))
             try:
                 ports[inst_id] = _instance_ports(inst)
             except BadParamsError as exc:
                 ports[inst_id] = None
-                out.append(Diagnostic("bad_params", str(exc), (inst_id,)))
-            if inst.is_optimizer:
-                try:
-                    OptimizerConfig.from_options(inst.params)
-                except QsafError as exc:
-                    out.append(Diagnostic("bad_params", f"{inst_id}: {exc}",
-                                          (inst_id,)))
+                failed.add(inst_id)
+                detail = str(exc).removeprefix(
+                    f"primitive {inst.primitive_id}: ")
+                out.append(Diagnostic("bad_params", f"{inst_id}: {detail}",
+                                      (inst_id,)))
+        for inst_id, inst in self.components.items():
+            if not inst.is_optimizer:
+                continue
+            try:
+                OptimizerConfig.from_options(inst.params)
+                if self.driven_ansatz(inst_id).instance_id not in failed:
+                    self.minimize_target(inst_id)
+            except QsafError as exc:
+                out.append(Diagnostic("bad_params", f"{inst_id}: {exc}",
+                                      (inst_id,)))
 
-        good_wires = []
+        # a wire to an instance that failed to realize has no ports to
+        # judge; that instance's bad_params is the finding
+        good_wires, held = [], []
         for w in self.wires:
+            if not failed.isdisjoint((w.src_instance, w.dst_instance)):
+                held.append(w)
+                continue
             problem = self._wire_problem(w, ports)
             if problem is None:
                 good_wires.append(w)
@@ -287,10 +301,43 @@ class ArchitectureGraph:
 
         self._check_fanning(good_wires, ports, out)
         self._check_cycles(good_wires, ports, out)
-        self._check_unwired_inputs(good_wires, ports, out)
+        self._check_unwired_inputs(good_wires + held, ports, out)
         self._check_ancilla_ledger(ports, out)
         self._check_contracts(out, strict_contracts)
         return out
+
+    def driven_ansatz(self, optimizer_id: str) -> ComponentInstance:
+        """The variational component an optimizer drives: the one its
+        out port is wired into, else the graph's only ansatz."""
+        driven = [w.dst_instance for w in self.wires
+                  if w.src_instance == optimizer_id and w.dst_port == "params"
+                  and w.dst_instance in self.components]
+        if len(driven) != 1:
+            driven = [inst.instance_id for inst in self.components.values()
+                      if not inst.is_optimizer
+                      and inst.primitive_id in ANSATZ_IDS]
+        if len(driven) != 1:
+            raise QsafError(
+                "cannot decide which component the optimizer drives; wire "
+                "its out port into exactly one params port")
+        inst = self.components[driven[0]]
+        if inst.is_optimizer or inst.primitive_id not in ANSATZ_IDS:
+            raise QsafError(
+                f"{inst.instance_id} is not a variational component")
+        return inst
+
+    def minimize_target(self, optimizer_id: str):
+        """(ansatz, observable): the component an optimizer drives and its
+        ``observable`` param parsed at that ansatz's width, its ``n``
+        (every ansatz takes its width as ``n``). Raises QsafError."""
+        ansatz = self.driven_ansatz(optimizer_id)
+        text = self.components[optimizer_id].params.get("observable")
+        if not isinstance(text, str) or not text:
+            raise QsafError("needs an 'observable' string")
+        try:
+            return ansatz, PauliObservable.parse(text, ansatz.params["n"])
+        except ValueError as exc:
+            raise QsafError(str(exc)) from None
 
     def _level_problems(self, inst: ComponentInstance):
         """Components sit strictly below their graph; an optimizer loop

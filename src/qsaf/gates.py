@@ -17,6 +17,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,10 @@ class GateKind(enum.Enum):
     TOFFOLI = "toffoli"
     CONTROLLED_U = "controlled_u"
     MEASURE = "measure"
+
+    # members are singletons compared by identity, so the identity hash is
+    # consistent with equality, and it runs in C where Enum's calls Python
+    __hash__ = object.__hash__
 
 
 class KindRow(NamedTuple):
@@ -157,6 +162,12 @@ class Gate:
     @property
     def arity(self) -> int:
         return len(self.qubits)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """``one_qubit_entries`` of this gate, computed at the first read:
+        a gate is immutable, and runs that share it read them again."""
+        return one_qubit_entries(self)
 
 
 # constructors

@@ -36,13 +36,17 @@ SHOT_CAP = 10 ** 7
 ITERATION_CAP = 10 ** 5
 EIGEN_ATOL = 1e-8
 
-# From WIDE_WIDTH qubits on, a flush applies every pending one-qubit run,
-# up to GROUP_QUBITS contiguous qubits per block update, permutation gates
-# swap blocks, and runs of CNOT, CZ, SWAP and Toffoli gates are held.
-# Narrower states take the runs one by one and gather permutations through
-# a cached index array of at most 4 KB.
+# From WIDE_WIDTH qubits on, ``run`` goes gate by gate: a flush applies
+# every pending one-qubit run, up to GROUP_QUBITS contiguous qubits per
+# block update, permutation gates swap blocks, and runs of CNOT, CZ, SWAP
+# and Toffoli gates are held. Narrower states run a plan compiled once per
+# circuit structure (see ``_plan``), whose layers are blocks of at most
+# LAYER_QUBITS qubits; PLAN_CACHE plans are kept, least recently used
+# dropped first.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
+LAYER_QUBITS = 3
+PLAN_CACHE = 256
 # a group with at most this many amplitudes at and below it (float64s,
 # for a real block) is folded into rows of the flat state, so its update
 # is one matmul, not many tiny ones
@@ -52,6 +56,9 @@ _FOLD_SPAN = 32
 # eight runs at 16 qubits, each three arrays of 2**16 int64 labels
 RUN_WINDOW = 64
 RUN_BYTES = 12 * 2 ** 20
+# an observable's plan keeps its X and Y terms stacked, PAULI_BYTES at most
+# (see ``PauliObservable._plan``): ten terms at 16 qubits
+PAULI_BYTES = 16 * 2 ** 20
 
 
 def default_seed():
@@ -139,17 +146,16 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     generator, built at the first measurement; their outcomes land in
     ``bits`` by classical bit index (None for bits never written).
 
-    Consecutive one-qubit gates on a qubit are held as one pending 2x2 and
-    applied when another gate or a measurement touches that qubit, or at
-    the end. A lone gate keeps its own kernel; a longer run is one dense
-    update with the product matrix. From WIDE_WIDTH qubits on, such a
-    flush applies every pending run, in groups of contiguous qubits.
+    Consecutive one-qubit gates on a qubit are held as one pending 2x2.
+    When another gate or a measurement touches a pending qubit, or at the
+    end, every pending run is applied, in blocks of contiguous qubits.
 
-    From WIDE_WIDTH qubits on, consecutive CNOT, CZ, SWAP and Toffoli
-    gates are held as one run too, applied before any later gate that
-    touches their qubits, any other multi-qubit gate, a measurement, or
-    the end; a run that recurs is one cached signed permutation (see
-    ``_apply_run``).
+    Consecutive CNOT, CZ, SWAP and Toffoli gates are held as one run too,
+    applied before any later gate that touches their qubits, any other
+    multi-qubit gate, a measurement, or the end. Below WIDE_WIDTH qubits
+    every run is one signed permutation, composed when the circuit's plan
+    is; from WIDE_WIDTH on, a run that recurs is one cached signed
+    permutation (see ``_apply_run``).
     """
     n = circuit.width
     if n > SIM_WIDTH_CAP:
@@ -179,8 +185,115 @@ def _evolve(amps, n, ops, bits=(), seed=None):
     measurement collapses them) and return the final amplitudes.
 
     Measurement outcomes land in ``bits``; the seeded generator is built at
-    the first measurement. Pending one-qubit runs and the held run of
-    _RUN_KINDS gates are applied at the end.
+    the first measurement. Below WIDE_WIDTH qubits the plan of the gates'
+    structure runs, reading their angles and matrices from ``ops``; from
+    WIDE_WIDTH on, ``_evolve_wide`` goes gate by gate.
+    """
+    if n >= WIDE_WIDTH:
+        return _evolve_wide(amps, n, ops, bits, seed)
+    rng = None
+    # a list, not a generator: one generator per run let the process's
+    # resident memory creep up between full garbage collections
+    for step, args in _plan(n, tuple([(gate.kind, gate.qubits)
+                                      for gate in ops])):
+        if step is not None:
+            step(amps, ops, *args)
+            continue
+        qubit, pos = args  # a measurement
+        if rng is None:
+            rng = _rng(seed)
+        amps, bits[ops[pos].cbit] = _collapse(amps, n, qubit, rng)
+    return amps
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(n, structure):
+    """The steps that apply gates of ``structure``, ((kind, qubits), ...),
+    at width n < WIDE_WIDTH, in the order ``_evolve_wide`` would.
+
+    A step is (function, args), called as function(amps, ops, *args); a
+    measurement is (None, (qubit, position)). A layer step applies every
+    pending one-qubit run (see ``_apply_layer``), a held run is one signed
+    permutation, and CPHASE and CONTROLLED_U keep their kernels. Steps
+    refer to gates by position, so one plan serves any angles.
+    """
+    steps, pending = [], {}  # qubit -> positions of its pending run
+    run, run_qubits = [], set()  # the held run and the qubits it acts on
+
+    def flush():
+        if pending:
+            steps.append((_apply_layer, (_layer_blocks(n, pending),)))
+            pending.clear()
+
+    def release():
+        if run:
+            steps.append((_signed_gather, _signed_permutation(n, tuple(run))))
+            run.clear()
+            run_qubits.clear()
+
+    for pos, (kind, qubits) in enumerate(structure):
+        measure = kind is GateKind.MEASURE
+        if len(qubits) == 1 and not measure:
+            if qubits[0] in run_qubits:
+                release()
+            pending.setdefault(qubits[0], []).append(pos)
+            continue
+        if not pending.keys().isdisjoint(qubits):
+            flush()
+        if kind in _RUN_KINDS:
+            run.append((kind, qubits))
+            run_qubits.update(qubits)
+            continue
+        release()
+        steps.append((None, (qubits[0], pos)) if measure
+                     else (_apply_gate, (_KERNELS[kind], n, pos)))
+    release()
+    flush()
+    return tuple(steps)
+
+
+def _layer_blocks(n, pending):
+    """((view shape, positions of each qubit's run), ...) of a layer: one
+    block per group of at most LAYER_QUBITS contiguous pending qubits, its
+    (high, 2**k, low) view shape, and its runs highest qubit first."""
+    blocks = []
+    for group in _groups(pending, LAYER_QUBITS):
+        k, q0 = len(group), group[0]
+        blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0),
+                       tuple(tuple(pending[q]) for q in reversed(group))))
+    return tuple(blocks)
+
+
+def _apply_layer(amps, ops, blocks):
+    """Each block of a layer as one matmul with the Kronecker product of
+    its qubits' run products."""
+    for shape, runs in blocks:
+        mats = []
+        for positions in runs:
+            entries = ops[positions[0]].entries
+            for pos in positions[1:]:
+                entries = _product(ops[pos].entries, entries)
+            mats.append(entries)
+        mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
+        view = amps.reshape(shape)
+        view[...] = reduce(_kron, mats) @ view
+
+
+def _apply_gate(amps, ops, kernel, n, pos):
+    kernel(amps, n, ops[pos])
+
+
+def _signed_gather(amps, ops, moved, src, negated):
+    """out[i] = s[i] * in[src[i]] (see ``_signed_permutation``); ``ops``
+    is not read."""
+    if moved.size:
+        amps[moved] = amps[src]
+    if negated.size:
+        amps[negated] *= -1
+
+
+def _evolve_wide(amps, n, ops, bits, seed):
+    """``_evolve`` gate by gate, for n >= WIDE_WIDTH.
 
     No pending qubit is ever a qubit of the held run: a run gate flushes
     the pending runs it touches before it joins, and a one-qubit gate on
@@ -190,9 +303,6 @@ def _evolve(amps, n, ops, bits=(), seed=None):
     rng = None
     pending = {}  # qubit -> [first gate, product entries once fused]
     run_gates, run_qubits = [], set()  # the held run and the qubits it acts on
-    # a narrower state gathers each permutation about as fast as a run
-    hold = n >= WIDE_WIDTH
-    flush = _flush_wide if hold else _flush
     for gate in ops:
         qubits = gate.qubits
         measure = gate.kind is GateKind.MEASURE
@@ -205,10 +315,9 @@ def _evolve(amps, n, ops, bits=(), seed=None):
             else:
                 held[1] = _product(one_qubit_entries(gate), _entries(held))
             continue
-        touched = [q for q in qubits if q in pending]
-        if touched:
-            flush(amps, n, pending, touched)
-        if hold and gate.kind in _RUN_KINDS:
+        if any(q in pending for q in qubits):
+            _flush_wide(amps, n, pending)
+        if gate.kind in _RUN_KINDS:
             run_gates.append(gate)
             run_qubits.update(qubits)
             continue
@@ -223,7 +332,7 @@ def _evolve(amps, n, ops, bits=(), seed=None):
             _KERNELS[gate.kind](amps, n, gate)
     if run_gates:
         _apply_run(amps, n, run_gates, run_qubits)
-    flush(amps, n, pending, list(pending))
+    _flush_wide(amps, n, pending)
     return amps
 
 
@@ -235,20 +344,8 @@ def _product(b, a):
             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
 
 
-def _flush(amps, n, pending, qubits):
-    """Apply and drop the pending one-qubit runs of ``qubits``: a lone
-    gate with its own kernel, a longer run as one dense 2x2 update."""
-    for q in qubits:
-        gate, entries = pending.pop(q)
-        if entries is None:
-            _KERNELS[gate.kind](amps, n, gate)
-        else:
-            _update_1q(amps, q, entries)
-
-
-def _flush_wide(amps, n, pending, qubits):
-    """Apply and drop every pending one-qubit run, whichever ``qubits``
-    forced the flush.
+def _flush_wide(amps, n, pending):
+    """Apply and drop every pending one-qubit run.
 
     Runs on different qubits commute, so they are applied in groups (see
     ``_groups``) and a group of two or more is one block update. A lone
@@ -256,7 +353,6 @@ def _flush_wide(amps, n, pending, qubits):
     other lone run is one dense 2x2 update, of the float64 view when its
     entries are real (see ``_update_group``).
     """
-    del qubits  # every pending run is flushed
     for group in _groups(pending):
         if len(group) > 1:
             _update_group(amps, group[0],
@@ -280,9 +376,9 @@ def _entries(held):
     return entries or one_qubit_entries(gate)
 
 
-def _groups(qubits):
+def _groups(qubits, most=GROUP_QUBITS):
     """Split each stretch of consecutive qubits into the fewest groups of
-    at most GROUP_QUBITS, their sizes differing by at most one."""
+    at most ``most``, their sizes differing by at most one."""
     stretches = []
     for q in sorted(qubits):
         if stretches and stretches[-1][-1] == q - 1:
@@ -290,7 +386,7 @@ def _groups(qubits):
         else:
             stretches.append([q])
     for stretch in stretches:
-        size, count = len(stretch), -(-len(stretch) // GROUP_QUBITS)
+        size, count = len(stretch), -(-len(stretch) // most)
         for j in range(count):
             yield stretch[j * size // count:(j + 1) * size // count]
 
@@ -313,23 +409,6 @@ def _phase_block(amps, n, gate):
         diagonal_phase(gate)
 
 
-def _permute(amps, n, gate):
-    """Permutation gates: one gather through a cached index array at
-    narrow widths, a block swap at wide ones."""
-    if n < WIDE_WIDTH:
-        amps[...] = amps[_permutation(n, gate.kind, gate.qubits)]
-    else:
-        _block_swap(amps, n, gate)
-
-
-@lru_cache(maxsize=256)
-def _permutation(n, kind, qubits):
-    """Read-only ``gates.sources`` of every basis label at width n."""
-    perm = sources(np.arange(1 << n), kind, qubits)
-    perm.flags.writeable = False  # shared by every later call
-    return perm
-
-
 def _apply_run(amps, n, run_gates, run_qubits):
     """Apply and drop the held run. A run of two or more gates that
     recurs (see ``_RunCache``) is at most one gather and one in-place
@@ -342,11 +421,7 @@ def _apply_run(amps, n, run_gates, run_qubits):
         for gate in run_gates:
             _KERNELS[gate.kind](amps, n, gate)
     else:
-        moved, sources, negated = parts
-        if moved.size:
-            amps[moved] = amps[sources]
-        if negated.size:
-            amps[negated] *= -1
+        _signed_gather(amps, run_gates, *parts)
     run_gates.clear()
     run_qubits.clear()
 
@@ -490,11 +565,6 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
 
 
-def _dense_1q(amps, n, gate):
-    """Dense one-qubit gates."""
-    _update_1q(amps, gate.qubits[0], one_qubit_entries(gate))
-
-
 def _controlled_u(amps, n, gate):
     """Apply matrix**power to the control=1 half only."""
     control, *targets = gate.qubits
@@ -505,14 +575,16 @@ def _controlled_u(amps, n, gate):
 
 
 # the ``structure`` column of gates.KINDS -> kernel applying one unitary
-# gate to ``amps`` in place
-_STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _permute,
-                      "dense": _dense_1q, "controlled": _controlled_u}
+# gate to ``amps`` in place; dense gates are only ever applied as pending
+# runs, so they have none
+_STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _block_swap,
+                      "controlled": _controlled_u}
 _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
-            for kind, row in KINDS.items() if row.structure is not None}
+            for kind, row in KINDS.items()
+            if row.structure in _STRUCTURE_KERNELS}
 # the unangled multi-qubit permutations and phases (CNOT, CZ, SWAP,
-# Toffoli; CZ's phase is -1): _evolve holds each run of them, and a run
-# that recurs is applied as one signed permutation
+# Toffoli; CZ's phase is -1): _evolve holds each run of them and applies
+# it as one signed permutation (from WIDE_WIDTH on, once it recurs)
 _RUN_KINDS = frozenset(
     kind for kind, row in KINDS.items()
     if (row.arity or 0) >= 2 and not row.angled
@@ -625,12 +697,15 @@ class PauliObservable:
 
     @cached_property
     def _plan(self):
-        """(labels, diagonal, rest), derived once from the terms.
+        """(labels, diagonal, chunks), derived once from the terms.
 
         Every term without X or Y is folded into ``diagonal``, one real
-        weight per basis label (None when there is no such term). ``rest``
-        keeps (coeff * i**#Y, flip, zy) for the other terms, where
-        P|k> = i**#Y (-1)**parity(k & zy) |k ^ flip>.
+        weight per basis label (None when there is no such term). The
+        other terms are (coeff * i**#Y, flip, zy), where
+        P|k> = i**#Y (-1)**parity(k & zy) |k ^ flip>, split into
+        ``chunks`` of (terms, their ``_stack``). Chunks hold at most a
+        quarter of PAULI_BYTES each, and past PAULI_BYTES in all a chunk
+        keeps None, to be stacked by each ``expectation``.
         """
         labels = np.arange(2 ** self.width)
         diagonal, rest = None, []
@@ -649,8 +724,26 @@ class PauliObservable:
                 continue
             if diagonal is None:
                 diagonal = np.zeros(labels.size)
-            diagonal += coeff * _signs(labels, zy)
-        return (labels if rest else None), diagonal, tuple(rest)
+            diagonal += coeff * _signs(labels, zy, self.width)
+        # a stacked term holds an index and a complex weight per label
+        term_bytes = labels.size * (labels.itemsize + 16)
+        size = max(1, PAULI_BYTES // 4 // term_bytes)
+        chunks, held = [], 0
+        for start in range(0, len(rest), size):
+            terms = rest[start:start + size]
+            held += len(terms) * term_bytes
+            chunks.append((terms, _stack(labels, terms, self.width)
+                           if held <= PAULI_BYTES else None))
+        return labels, diagonal, tuple(chunks)
+
+
+def _stack(labels, terms, width):
+    """(index, weight), each terms x labels, with index[t, k] = k ^ flip
+    and weight[t, k] = coeff * i**#Y * (-1)**parity(k & zy) of term t: so
+    <P_t> = sum_k conj(amps[index[t, k]]) * weight[t, k] * amps[k]."""
+    weights, flips, zys = (np.array(column) for column in zip(*terms))
+    return (labels ^ flips[:, None],
+            weights[:, None] * _signs(labels, zys[:, None], width))
 
 
 def _split_terms(text: str):
@@ -697,20 +790,21 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
         raise WidthMismatchError(
             f"observable width {observable.width} != state width "
             f"{state.width}")
-    labels, diagonal, rest = observable._plan
+    labels, diagonal, chunks = observable._plan
     amps = state.amplitudes
     total = 0.0
     if diagonal is not None:
         total += float(diagonal @ (amps.real ** 2 + amps.imag ** 2))
-    for weight, flip, zy in rest:
-        signed = amps * _signs(labels, zy) if zy else amps
-        total += float((weight * np.vdot(amps[labels ^ flip], signed)).real)
+    for terms, stacked in chunks:
+        index, weight = stacked or _stack(labels, terms, state.width)
+        total += float(np.vdot(amps[index], weight * amps).real)
     return total
 
 
-def _signs(labels, mask: int):
-    """(-1)**parity(label & mask) for each label."""
-    return 1 - 2 * _parity(labels & mask, mask.bit_length())
+def _signs(labels, masks, bits: int):
+    """(-1)**parity(label & mask) for each label and mask, masks below
+    2**bits."""
+    return 1 - 2 * _parity(labels & masks, bits)
 
 
 def _parity(words, bits: int):

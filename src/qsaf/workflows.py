@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from .composition import ArchitectureGraph
 from .errors import BadParamsError, QsafError, ValidationFailedError
 from .gates import GateCircuit, GateKind
-from .lowering import ANSATZ_IDS, initial_thetas, realize_ansatz
+from .lowering import initial_thetas
 from .manifest import Manifest, RunDirective
 from .simulate import (OPTIMIZER_KEYS, SHOT_CAP, OptimizerConfig,
-                       PauliObservable, VariationalResult, int_option, run,
-                       sample, variational_minimize)
+                       VariationalResult, int_option, run, sample,
+                       variational_minimize)
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,14 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
         raise QsafError("minimize needs exactly one Optimizer component, "
                         f"found {len(optimizers)}")
     opt = optimizers[0]
-    ansatz = _driven_ansatz(graph, opt.instance_id)
+    # validate has parsed the observable at the ansatz's width
+    ansatz, observable = graph.minimize_target(opt.instance_id)
     pid = ansatz.primitive_id
     structure = dict(ansatz.params)
     try:
         init = initial_thetas(pid, structure)
     except BadParamsError as exc:
         raise QsafError(f"{ansatz.instance_id} {exc}") from None
-
-    observable_text = opt.params.get("observable")
-    if not isinstance(observable_text, str) or not observable_text:
-        raise QsafError(f"{opt.instance_id} needs an 'observable' string")
-    width = realize_ansatz(pid, structure, init).spec.width
-    observable = PauliObservable.parse(observable_text, width)
 
     for key in options:
         if key not in OPTIMIZER_KEYS and key != "seed":
@@ -122,27 +117,8 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
     config = OptimizerConfig.from_options({**opt.params, **options})
 
     result = variational_minimize(pid, init, observable, config, structure)
-    return MinimizationOutcome(ansatz.instance_id, observable_text, result)
-
-
-def _driven_ansatz(graph: ArchitectureGraph, optimizer_id: str):
-    driven = [w.dst_instance for w in graph.wires
-              if w.src_instance == optimizer_id and w.dst_port == "params"]
-    if len(driven) == 1:
-        inst = graph.components[driven[0]]
-    else:
-        variational = [
-            inst for inst in graph.components.values()
-            if not inst.is_optimizer and inst.primitive_id in ANSATZ_IDS]
-        if len(variational) != 1:
-            raise QsafError(
-                "cannot decide which component the optimizer drives; wire "
-                "its out port into exactly one params port")
-        inst = variational[0]
-    if inst.is_optimizer or inst.primitive_id not in ANSATZ_IDS:
-        raise QsafError(
-            f"{inst.instance_id} is not a variational component")
-    return inst
+    return MinimizationOutcome(ansatz.instance_id, opt.params["observable"],
+                               result)
 
 
 # rendering for reports and the command line

@@ -435,9 +435,9 @@ run simulate shots=10 seed=1
 
 @pytest.mark.parametrize("text,message", [
     (NON_FINITE_STATE,
-     "primitive 3: 'theta' must be a finite number, got inf"),
+     "s: 'theta' must be a finite number, got inf"),
     (VQE_MANIFEST.replace("thetas=[0.1,", "thetas=[1e999,"),
-     "primitive 25: 'thetas' must contain finite numbers, got inf"),
+     "ansatz: 'thetas' must contain finite numbers, got inf"),
 ], ids=["ArbitraryStates", "HardwareEfficientAnsatz"])
 def test_validate_and_run_reject_non_finite_params(tmp_path, capsys, text,
                                                    message):
@@ -463,9 +463,46 @@ def test_run_rejects_a_non_finite_observable_factor(
         assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: coefficient ")
+    assert captured.err.startswith(
+        "error: graph has blocking diagnostics: [bad_params] opt: "
+        "coefficient ")
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("observable,message", [
+    ("Q9 + Z0", "cannot parse factor 'Q9'"),
+    ("1e999*Z0", "coefficient inf must be finite"),
+    ("Z0*Z2", "qubit 2 outside width 2 in 'Z0*Z2'"),
+])
+def test_validate_and_run_agree_on_the_observable(
+        tmp_path, capsys, vqe_manifest_text, observable, message):
+    # read at the width of the ansatz the optimizer drives
+    path = tmp_path / "observable.qsaf"
+    path.write_text(vqe_manifest_text.replace("Z0*Z1 + 0.5*X0", observable))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"error [bad_params] opt: {message}", "1 finding(s), 1 blocking"]
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: graph has blocking diagnostics: "
+                            f"[bad_params] opt: {message}\n")
+    assert captured.out == ""
+
+
+def test_a_component_that_fails_to_realize_reports_only_bad_params(
+        tmp_path, capsys):
+    # its wires and the Measurement's input are not judged without ports
+    path = tmp_path / "non_finite.qsaf"
+    path.write_text(NON_FINITE_STATE)
+    message = "s: 'theta' must be a finite number, got inf"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error [bad_params] {message}", "1 finding(s), 1 blocking"]
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: graph has blocking diagnostics: [bad_params] {message}\n")
 
 
 def test_validate_leaves_run_options_to_run(tmp_path, capsys,

@@ -1,11 +1,14 @@
 """Gate IR: construction rules, matrices, circuit invariants."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import qsaf.gates as g
+import qsaf.simulate as simulate
 from qsaf.errors import (DuplicateQubitError, GateArityError,
                          IndexOutOfRangeError, MeasuredQubitReuseError,
                          NonReversibleError, TooWideError)
@@ -22,6 +25,20 @@ def test_constructors_record_kind_and_qubits():
     assert g.toffoli(1, 2, 0).qubits == (1, 2, 0)
     assert g.rx(0.5, 1).theta == 0.5
     assert g.measure(4, 2).cbit == 2
+
+
+def test_kinds_key_their_tables_after_copy_and_pickle():
+    # kinds hash by identity: each copy must come back as the member
+    # itself, or it would miss in every table keyed by kind
+    assert set(g.KINDS) == set(GateKind)
+    for kind in GateKind:
+        for clone in (copy.copy(kind), copy.deepcopy(kind),
+                      pickle.loads(pickle.dumps(kind))):
+            assert clone is kind and hash(clone) == hash(kind)
+            assert g.KINDS[clone] is g.KINDS[kind]
+            assert simulate._KERNELS.get(clone) is simulate._KERNELS.get(kind)
+    assert {kind.value: kind for kind in GateKind}["cnot"] in \
+        simulate._RUN_KINDS
 
 
 def test_gate_validation_rejects_bad_shapes():

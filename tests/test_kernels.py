@@ -1,9 +1,10 @@
 """Property checks of the statevector fast paths against slow references.
 
-Every gate kernel in ``run``, the fusion of one-qubit runs and their
-grouped flushes at wide widths (real blocks through the float64 view,
-complex ones on the amplitudes), the held runs of CNOT, CZ, SWAP and
-Toffoli gates, the planned Pauli ``expectation``, both ways of
+Every gate kernel in ``run``, the compiled plans below WIDE_WIDTH, the
+fusion of one-qubit runs and their grouped flushes at wide widths (real
+blocks through the float64 view, complex ones on the amplitudes), the
+held runs of CNOT, CZ, SWAP and Toffoli gates, the planned and stacked
+Pauli ``expectation``, both ways of
 ``sample`` and the prefix-sharing parameter-shift gradient are compared
 with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
 bincount sampler or full replays, over random gates, qubit orders, widths
@@ -11,6 +12,7 @@ and states.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,23 +175,27 @@ def test_measure_after_a_fused_run_sees_the_whole_run():
         assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
 
 
-def test_lone_gates_keep_their_kernels_and_runs_fuse(monkeypatch):
-    calls = []
-    for kind, kernel in list(simulate._KERNELS.items()):
-        monkeypatch.setitem(simulate._KERNELS, kind,
-                            lambda a, n, g, k=kernel: (calls.append(g.kind),
-                                                       k(a, n, g)))
-    update = simulate._update_1q
-    monkeypatch.setattr(simulate, "_update_1q",
-                        lambda a, q, e: (calls.append(("fused", q)),
-                                         update(a, q, e)))
+def test_a_plan_is_layers_runs_and_kernels():
     ops = [Gate(GateKind.Z, (0,)), Gate(GateKind.X, (1,)),
            Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (2,), 0.3),
-           Gate(GateKind.RZ, (2,), -1.2), Gate(GateKind.PHASE, (0,), 0.5)]
+           Gate(GateKind.RZ, (2,), -1.2), Gate(GateKind.PHASE, (0,), 0.5),
+           Gate(GateKind.CPHASE, (1, 2), 0.9)]
+    plan = simulate._plan(3, tuple((g.kind, g.qubits) for g in ops))
+    # the CNOT flushes the layer of Z and X as one block, qubit 1 first;
+    # the PHASE on its qubit releases it as a signed permutation; the
+    # CPHASE flushes PHASE and the fused RY-RZ run as two lone blocks and
+    # keeps its kernel
+    assert [step for step, _ in plan] == [
+        simulate._apply_layer, simulate._signed_gather,
+        simulate._apply_layer, simulate._apply_gate]
+    assert plan[0][1] == ((((2, 4, 1), ((1,), (0,))),),)
+    assert plan[2][1] == ((((4, 2, 1), ((5,),)), ((1, 2, 4), ((3, 4),))),)
+    assert plan[3][1] == (simulate._phase_block, 3, 6)
+    moved, sources, negated = plan[1][1]
+    assert list(moved) == [1, 3, 5, 7] and list(sources) == [3, 1, 7, 5]
+    assert negated.size == 0
     amps = _random_state(np.random.default_rng(4), 3)
     got = run(GateCircuit(3, ops), initial=StateVector(3, amps))
-    assert calls == [GateKind.Z, GateKind.X, GateKind.CNOT, ("fused", 2),
-                     GateKind.PHASE]
     assert np.allclose(got.state.amplitudes, _reference_run(ops, 3, amps),
                        rtol=0, atol=ATOL)
 
@@ -562,6 +568,84 @@ def test_a_run_waits_for_a_later_gate_on_its_qubits():
         assert np.allclose(got.state.amplitudes, want, rtol=0, atol=ATOL)
 
 
+# compiled plans below WIDE_WIDTH, gate by gate from WIDE_WIDTH on
+
+
+@st.composite
+def circuit_structures(draw, width):
+    """((kind, qubits), ...) at ``width``: layers of one or two one-qubit
+    gates on each qubit of a stretch of up to five, lone one-qubit gates
+    of every kind, runs of one to four CNOT, CZ, SWAP and Toffoli gates,
+    CPHASE, CONTROLLED_U on one or two targets, and measurements."""
+    choices = ["layer", "one", "measure"]
+    if width > 1:
+        choices += ["run", "run", "cphase", "controlled_u"]
+    run_kinds = [k for k in RUN_KINDS if _ARITY[k] <= width]
+
+    def qubits(arity):
+        return tuple(draw(st.permutations(range(width)))[:arity])
+
+    structure = []
+    for choice in draw(st.lists(st.sampled_from(choices), min_size=3,
+                                max_size=6)):
+        if choice == "layer":
+            q0 = draw(st.integers(0, width - 1))
+            for q in range(q0, draw(st.integers(q0 + 1, min(width, q0 + 5)))):
+                structure += [(kind, (q,)) for kind in draw(st.lists(
+                    st.sampled_from(ONE_QUBIT_KINDS), min_size=1,
+                    max_size=2))]
+        elif choice == "one":
+            structure.append((draw(st.sampled_from(ONE_QUBIT_KINDS)),
+                              qubits(1)))
+        elif choice == "run":
+            for _ in range(draw(st.integers(1, 4))):
+                kind = draw(st.sampled_from(run_kinds))
+                structure.append((kind, qubits(_ARITY[kind])))
+        elif choice == "measure":
+            structure.append((GateKind.MEASURE, qubits(1)))
+        elif choice == "cphase":
+            structure.append((GateKind.CPHASE, qubits(2)))
+        else:
+            structure.append((GateKind.CONTROLLED_U,
+                              qubits(draw(st.integers(2, min(3, width))))))
+    return tuple(structure)
+
+
+def _circuit_of(width, structure, rng):
+    """A circuit of ``structure`` with random angles, matrices and
+    powers."""
+    circuit = GateCircuit(width, allow_mid_measure=True)
+    for kind, qubits in structure:
+        theta = float(rng.uniform(-2 * math.pi, 2 * math.pi)) \
+            if kind in PARAMETRIC_KINDS else None
+        matrix = _random_unitary(rng, 2 ** (len(qubits) - 1)) \
+            if kind is GateKind.CONTROLLED_U else None
+        cbit = circuit.classical_bits if kind is GateKind.MEASURE else None
+        circuit.append(Gate(kind, qubits, theta, matrix,
+                            int(rng.integers(1, 4)), cbit))
+    return circuit
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+@settings(deadline=None, max_examples=6)
+@given(data=st.data())
+def test_plans_match_gate_by_gate_reference_with_any_angles(width, data):
+    structure = data.draw(circuit_structures(width))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    amps = _random_state(rng, width)
+    # a narrow plan is compiled at the first run and reused by the second,
+    # which has new angles, matrices and powers
+    for attempt in range(1 if width >= WIDE else 2):
+        circuit = _circuit_of(width, structure, rng)
+        hits = simulate._plan.cache_info().hits
+        got = run(circuit, initial=StateVector(width, amps), seed=seed)
+        want = _reference_with_measurements(circuit, amps, got.bits, seed)
+        assert np.allclose(got.state.amplitudes, want, rtol=0, atol=1e-10)
+        if attempt:
+            assert simulate._plan.cache_info().hits == hits + 1
+
+
 GROVER16 = """\
 component sup = Superposition(n=9)
 component search = GroverOperator(n=9, marked=[300], iterations=17)
@@ -577,11 +661,13 @@ def test_the_grover_ladders_are_one_signed_permutation(monkeypatch):
         g for g in circuit.ops if g.kind is not GateKind.MEASURE])
     assert unitary.width == simulate.SIM_WIDTH_CAP
     swaps, runs, composed = [], [], []
-    block_swap, apply_run = simulate._block_swap, simulate._apply_run
+    apply_run = simulate._apply_run
     compose = simulate._signed_permutation
-    monkeypatch.setattr(simulate, "_block_swap",
-                        lambda a, n, g: (swaps.append(g),
-                                         block_swap(a, n, g)))
+    for kind, kernel in list(simulate._KERNELS.items()):
+        if kernel is simulate._block_swap:
+            monkeypatch.setitem(simulate._KERNELS, kind,
+                                lambda a, n, g, k=kernel: (swaps.append(g),
+                                                           k(a, n, g)))
     monkeypatch.setattr(simulate, "_apply_run", lambda a, n, gates, qubits: (
         runs.append(tuple((g.kind, g.qubits) for g in gates)),
         apply_run(a, n, gates, qubits)))
@@ -733,6 +819,30 @@ def test_equal_terms_at_different_widths_get_their_own_plans():
 def test_expectation_of_special_observables(text):
     observable = PauliObservable.parse(text, 3)
     state = StateVector(3, _random_state(np.random.default_rng(6), 3))
+    assert abs(expectation(state, observable)
+               - _per_letter_expectation(state, observable)) <= ATOL
+
+
+@settings(max_examples=40)
+@given(st.integers(1, MAX_WIDTH), st.data())
+def test_stacked_expectation_spans_chunks(width, data):
+    # a budget of eight X/Y terms in chunks of two: an observable with
+    # more such terms is stacked partly in the plan, partly per call
+    strings = st.text("IXYZ", min_size=width, max_size=width)
+    terms = data.draw(st.lists(st.tuples(st.floats(-3.0, 3.0), strings),
+                               min_size=1, max_size=14))
+    observable = PauliObservable(width, tuple(terms))
+    budget = 8 * 2 ** width * (np.dtype(np.intp).itemsize + 16)
+    with mock.patch.object(simulate, "PAULI_BYTES", budget):
+        _, _, chunks = observable._plan
+    flips = sum(coeff != 0.0 and set(string) & set("XY") != set()
+                for coeff, string in observable.terms)
+    assert [len(terms) for terms, _ in chunks] == \
+        [2] * (flips // 2) + [1] * (flips % 2)
+    assert [stacked is None for _, stacked in chunks] == \
+        [j >= 4 for j in range(len(chunks))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    state = StateVector(width, _random_state(rng, width))
     assert abs(expectation(state, observable)
                - _per_letter_expectation(state, observable)) <= ATOL
 

@@ -292,6 +292,9 @@ def test_ansatz_theta_counts_match_realizations():
         low = realize_ansatz(pid, structure, flat)
         assert low.spec.theta_count == count
         assert len(low.sites) == count
+        # an optimizer's observable is read at this width (see
+        # ArchitectureGraph.minimize_target)
+        assert low.spec.width == structure["n"]
 
 
 def test_ansatz_sites_locate_the_parameterized_gates():

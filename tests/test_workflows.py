@@ -1,13 +1,18 @@
 """Run directives: simulation outcomes, minimization, error paths."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import qsaf.lowering as lowering
+import qsaf.simulate as simulate
 from qsaf.composition import ArchitectureGraph, ComponentInstance, optimizer
 from qsaf.errors import QsafError, ValidationFailedError
 from qsaf.lowering import lower
 from qsaf.manifest import RunDirective, parse_manifest
-from qsaf.simulate import PauliObservable, expectation, run, sample
+from qsaf.simulate import (OptimizerConfig, PauliObservable, expectation,
+                           run, sample, variational_minimize)
 from qsaf.workflows import (MinimizationOutcome, SimulationOutcome, execute,
                             execute_directive, render_minimization,
                             render_simulation, simulate_graph)
@@ -183,6 +188,34 @@ def test_minimize_needs_initial_thetas():
     with pytest.raises(QsafError) as info:
         execute(manifest)
     assert str(info.value) == "h needs initial 'thetas'"
+
+
+def test_minimize_realizes_the_ansatz_only_inside_the_descent(monkeypatch):
+    # validate parses the observable at the ansatz's width, so the run
+    # realizes no ansatz of its own
+    calls = []
+    realize_ansatz = lowering.realize_ansatz
+
+    def spy(*args):
+        calls.append(args)
+        return realize_ansatz(*args)
+
+    # every qsaf module that binds the function by name
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qsaf") and \
+                getattr(module, "realize_ansatz", None) is realize_ansatz:
+            monkeypatch.setattr(module, "realize_ansatz", spy)
+    assert simulate.realize_ansatz is spy
+    (outcome,) = execute(parse_manifest(_vqe_like(
+        'component opt = Optimizer(observable="Z0*Z1 + 0.5*X0", '
+        "max_iters=4)")))
+    in_execute, calls[:] = len(calls), []
+    structure = {"n": 2, "layers": 1, "thetas": [0.1, 0.2, 0.3, 0.4]}
+    direct = variational_minimize(
+        25, [0.1, 0.2, 0.3, 0.4], PauliObservable.parse("Z0*Z1 + 0.5*X0", 2),
+        OptimizerConfig(max_iters=4), structure)
+    assert outcome.result.iterations == direct.iterations == 4
+    assert in_execute == len(calls) >= 1 + 4
 
 
 def test_minimize_descends_on_a_problem_inspired_ansatz():
