@@ -33,8 +33,8 @@ from .errors import (BadParamsError, CompositionError,
                      NotLowerableError, QsafError, UnclassifiableError,
                      UnexportableError, UnknownPrimitiveError,
                      ValidationFailedError, WidthMismatchError)
-from .gates import (Gate, GateCircuit, GateCounts, GateKind, dagger, depth,
-                    gate_counts, unitary_of)
+from .gates import (Gate, GateCircuit, GateCounts, GateKind, dagger,
+                    decompose, depth, gate_counts, unitary_of)
 from .lowering import (ansatz_theta_count, lower, modular_multiply_matrix,
                        phase_unitary, port_spec, realize, realize_ansatz)
 from .manifest import (Manifest, RunDirective, parse_manifest,
@@ -70,7 +70,8 @@ __all__ = [
     "ValidationFailedError", "VariationalResult", "Wire",
     "WidthMismatchError", "all_primitives", "ansatz_theta_count",
     "category_template", "check_mece", "classify", "compare",
-    "complexity_check", "dagger", "default_ansatz_options", "depth",
+    "complexity_check", "dagger", "decompose", "default_ansatz_options",
+    "depth",
     "entanglement_sets", "execute", "execute_directive", "expectation",
     "export_gates", "find_order", "find_primitive", "fleiss_kappa",
     "gate_counts", "get_primitive", "iterative_phase_estimate",

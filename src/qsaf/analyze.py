@@ -17,7 +17,7 @@ from .core import (AlgorithmScope, ComplexitySummary, FunctionalCategory,
                    ParameterKind, ReusePattern, ReuseTier, UsageLevel,
                    category_template, summarize_parameter_kinds)
 from .errors import QsafError
-from .gates import GateCircuit, depth, gate_counts
+from .gates import GateCircuit, decompose, depth, gate_counts
 from .lowering import realize
 
 DEFAULT_NISQ_GATE_BUDGET = 200
@@ -147,10 +147,13 @@ def nfr_profile(subject, context: AnalysisContext | None = None) -> NfrProfile:
 
     if desc.lowerable:
         low = realize(pid, params)
+        # the ladders' scratch qubits count as qubits and as ancillas
+        circuit = decompose(low.circuit)
         summary = _complexity_of(
-            low.circuit,
-            qubit_count=low.spec.width,
-            ancilla_count=len(low.spec.anc_qubits),
+            circuit,
+            qubit_count=circuit.width,
+            ancilla_count=len(low.spec.anc_qubits) + circuit.width
+            - low.circuit.width,
             preprocessing=_PREPROCESSING.get(desc.category, "none"))
         reversible = not low.circuit.has_measurement
     else:
@@ -179,6 +182,7 @@ def nfr_profile(subject, context: AnalysisContext | None = None) -> NfrProfile:
 
 
 def _circuit_profile(circuit: GateCircuit, ctx: AnalysisContext):
+    circuit = decompose(circuit)
     counts = gate_counts(circuit)
     summary = _complexity_of(circuit, circuit.width, 0, "none")
     reversible = not circuit.has_measurement

@@ -48,6 +48,8 @@ class GateKind(enum.Enum):
     CPHASE = "cphase"
     SWAP = "swap"
     TOFFOLI = "toffoli"
+    MCZ = "mcz"
+    MCX = "mcx"
     CONTROLLED_U = "controlled_u"
     MEASURE = "measure"
 
@@ -60,7 +62,7 @@ class KindRow(NamedTuple):
     """What a gate kind is; validation, ``dagger``, the simulator's kernels
     and QASM export all read these columns."""
 
-    arity: int | None  # None: the matrix sets it (CONTROLLED_U)
+    arity: int | None  # None: two or more (CONTROLLED_U: the matrix sets it)
     angled: bool  # takes a rotation angle
     inverse: GateKind | None  # an angled kind's inverse negates the angle
     structure: str | None  # picks the kernel in simulate._KERNELS
@@ -86,6 +88,9 @@ KINDS = {
     _K.CPHASE: KindRow(2, True, _K.CPHASE, "diagonal", "cp"),
     _K.SWAP: KindRow(2, False, _K.SWAP, "permutation", "swap"),
     _K.TOFFOLI: KindRow(3, False, _K.TOFFOLI, "permutation", "ccx"),
+    # multi-controlled Z and X; export spells them out (see ``decompose``)
+    _K.MCZ: KindRow(None, False, _K.MCZ, "diagonal", None),
+    _K.MCX: KindRow(None, False, _K.MCX, "permutation", None),
     _K.CONTROLLED_U: KindRow(None, False, _K.CONTROLLED_U, "controlled",
                              None),
     _K.MEASURE: KindRow(1, False, None, None, None),
@@ -101,7 +106,8 @@ class Gate:
     ``qubits`` are circuit-level indices, first listed = least significant
     bit of the gate matrix. CONTROLLED_U gates carry an explicit unitary
     ``matrix`` over the non-control qubits plus an integer ``power``; their
-    qubit list is (control, *targets).
+    qubit list is (control, *targets). MCZ and MCX take two or more
+    qubits; MCX lists its controls first and its target last.
     """
 
     kind: GateKind
@@ -115,7 +121,7 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise DuplicateQubitError(f"repeated qubit in {self.qubits}")
         row = KINDS[self.kind]
-        if row.arity is None:  # CONTROLLED_U: the matrix sets the arity
+        if self.kind is GateKind.CONTROLLED_U:  # the matrix sets the arity
             if self.matrix is None:
                 raise GateArityError("controlled_u needs a matrix")
             dim = self.matrix.shape[0]
@@ -136,6 +142,11 @@ class Gate:
             if err > 1e-8:
                 raise GateArityError(
                     f"controlled_u matrix is not unitary (deviation {err:.2e})")
+        elif row.arity is None:
+            if len(self.qubits) < 2:
+                raise GateArityError(
+                    f"{self.kind.value} takes at least 2 qubits, got "
+                    f"{len(self.qubits)}")
         elif len(self.qubits) != row.arity:
             raise GateArityError(
                 f"{self.kind.value} takes {row.arity} qubit(s), got "
@@ -200,6 +211,14 @@ def toffoli(c1, c2, target):
     return Gate(GateKind.TOFFOLI, (c1, c2, target))
 
 
+def mcz(*qubits): return Gate(GateKind.MCZ, qubits)
+
+
+def mcx(*qubits):
+    """Flip the last listed qubit when every other one is one."""
+    return Gate(GateKind.MCX, qubits)
+
+
 def controlled_u(matrix, control, targets, power=1):
     matrix = np.asarray(matrix, dtype=complex)
     return Gate(GateKind.CONTROLLED_U, (control, *targets), matrix=matrix,
@@ -223,6 +242,7 @@ _PHASES = {
     GateKind.T: cmath.exp(0.25j * math.pi),
     GateKind.TDG: cmath.exp(-0.25j * math.pi),
     GateKind.CZ: -1,
+    GateKind.MCZ: -1,
 }
 
 
@@ -270,8 +290,8 @@ def one_qubit_entries(gate: Gate) -> tuple:
 def sources(labels, kind: GateKind, qubits):
     """Source label of each of ``labels`` under a permutation gate, so the
     gate maps amplitudes as out[i] = in[sources(i)]. Every permutation
-    kind (X, CNOT, Toffoli: controls first, target last; SWAP) is its own
-    inverse, so this is also the image of each label."""
+    kind (X, CNOT, Toffoli, MCX: controls first, target last; SWAP) is
+    its own inverse, so this is also the image of each label."""
     if kind is GateKind.SWAP:
         a, b = qubits
         differ = ((labels >> a) ^ (labels >> b)) & 1
@@ -371,6 +391,19 @@ class GateCircuit:
         self.ops.append(gate)
         return self
 
+    @classmethod
+    def trusted(cls, width, ops, classical_bits=0,
+                allow_mid_measure=False) -> "GateCircuit":
+        """A circuit of ``ops`` taken as they are: for gates that already
+        passed ``append`` in a circuit with these qubits, classical bits
+        and measurement rule, or that are built to."""
+        circuit = cls(width, classical_bits=classical_bits,
+                      allow_mid_measure=allow_mid_measure)
+        circuit.ops = list(ops)
+        circuit._measured = {gate.qubits[0] for gate in circuit.ops
+                             if gate.kind is GateKind.MEASURE}
+        return circuit
+
     def extend(self, gates) -> "GateCircuit":
         for gate in gates:
             self.append(gate)
@@ -410,7 +443,9 @@ class GateCounts:
 
 
 def gate_counts(circuit: GateCircuit) -> GateCounts:
-    """Exact gate tallies by arity."""
+    """Exact gate tallies by arity, of the circuit ``decompose`` spells
+    out."""
+    circuit = decompose(circuit)
     one = two = three = wider = meas = 0
     for g in circuit.ops:
         if g.kind is GateKind.MEASURE:
@@ -427,7 +462,9 @@ def gate_counts(circuit: GateCircuit) -> GateCounts:
 
 
 def depth(circuit: GateCircuit) -> int:
-    """Longest chain of gates sharing qubits (measurements included)."""
+    """Longest chain of gates sharing qubits (measurements included), in
+    the circuit ``decompose`` spells out."""
+    circuit = decompose(circuit)
     level = [0] * circuit.width
     out = 0
     for g in circuit.ops:
@@ -455,6 +492,56 @@ def dagger(circuit: GateCircuit) -> GateCircuit:
         inverted.append(g)  # a self-inverse gate is reused as it is
     return GateCircuit(circuit.width, inverted,
                        allow_mid_measure=circuit.allow_mid_measure)
+
+
+def ladder_scratch(gate: Gate) -> int:
+    """Scratch qubits that ``spell_out`` needs for an MCZ or MCX: from
+    three controls on it is a ladder over arity - 2 of them, below that
+    it needs none."""
+    return gate.arity - 2 if gate.arity >= 4 else 0
+
+
+def spell_out(gate: Gate, scratch: int) -> list:
+    """An MCZ or MCX as gates that OPENQASM 2.0 names (Barenco et al.
+    1995, arXiv:quant-ph/9503016). Its last qubit is the target and the
+    others its controls. One or two controls take CZ, H-Toffoli-H, CNOT
+    or Toffoli. From three on, a Toffoli ladder computes the AND of the
+    controls into clean scratch qubits ``scratch``, ``scratch`` + 1, ...
+    (see ``ladder_scratch``), applies CZ or CNOT from the last of them
+    to the target, and uncomputes, so the scratch ends at |0>."""
+    *controls, target = gate.qubits
+    last = cz if gate.kind is GateKind.MCZ else cnot
+    if len(controls) == 1:
+        return [last(*gate.qubits)]
+    if len(controls) == 2:
+        flip = toffoli(*gate.qubits)
+        return [h(target), flip, h(target)] if last is cz else [flip]
+    anc = range(scratch, scratch + ladder_scratch(gate))
+    forward = [toffoli(controls[0], controls[1], anc[0])]
+    forward += [toffoli(controls[i], anc[i - 2], anc[i - 1])
+                for i in range(2, len(controls))]
+    return [*forward, last(anc[-1], target), *reversed(forward)]
+
+
+def decompose(circuit: GateCircuit) -> GateCircuit:
+    """The circuit with each MCZ and MCX spelled out (see ``spell_out``);
+    gate counts, depth and QASM export read this form. Every ladder
+    starts its scratch at qubit ``circuit.width`` and leaves it at |0>,
+    so the ladders share it and the result is as wide as the widest one
+    needs. A circuit without MCZ or MCX is returned as it is."""
+    ops, scratch, native = [], 0, False
+    for gate in circuit.ops:
+        if gate.kind is GateKind.MCZ or gate.kind is GateKind.MCX:
+            ops += spell_out(gate, circuit.width)
+            scratch = max(scratch, ladder_scratch(gate))
+            native = True
+        else:
+            ops.append(gate)
+    if not native:
+        return circuit
+    return GateCircuit.trusted(circuit.width + scratch, ops,
+                               circuit.classical_bits,
+                               circuit.allow_mid_measure)
 
 
 def unitary_of(circuit: GateCircuit) -> np.ndarray:

@@ -7,10 +7,10 @@ register layout. ``realize`` rejects every parameter key that the
 builder's path did not read, so no builder restates that rule. Builders
 only place gates: what each gate does is defined once, in ``gates``.
 
-Multi-controlled phase/NOT gates over c >= 3 controls use a Toffoli ladder
-with c-1 clean scratch qubits (compute the AND chain, apply, uncompute), so
-oracle and diffusion gate counts stay linear in the register size. Scratch
-qubits are allocated above the main register and returned to |0>.
+Multi-controlled phase/NOT gates over c >= 3 controls are one native MCZ
+or MCX gate, so the register needs no scratch qubits; ``gates.decompose``
+spells each out as a Toffoli ladder over c-1 clean scratch qubits for gate
+counts, depth and export, so those stay linear in the register size.
 """
 
 from __future__ import annotations
@@ -172,7 +172,9 @@ class PortSpec:
     """Register layout of a lowered primitive.
 
     ``in_qubits``/``out_qubits`` are the quantum ports; ``anc_qubits`` are
-    scratch qubits allocated and returned internally; ``classical_out`` is
+    the other qubits, used internally (phase estimation's counting
+    register; a ladder's scratch is added by ``gates.decompose``, not
+    listed here); ``classical_out`` is
     the number of classical bits produced. ``out_measured`` marks an output
     register that has been collapsed by measurement, so feeding it onward
     is a coherence error.
@@ -202,55 +204,27 @@ class Lowered:
 # multi-controlled helpers
 
 
-def _and_ladder(circ: GateCircuit, controls, target: int, scratch_base: int,
-                two_qubit):
-    """Compute the AND of three or more ``controls`` into scratch, apply
-    ``two_qubit(last scratch qubit, target)``, and uncompute."""
-    c = len(controls)
-    anc = [scratch_base + i for i in range(c - 1)]
-    forward = [g.toffoli(controls[0], controls[1], anc[0])]
-    for i in range(2, c):
-        forward.append(g.toffoli(controls[i], anc[i - 2], anc[i - 1]))
-    circ.extend(forward)
-    circ.append(two_qubit(anc[c - 2], target))
-    circ.extend(reversed(forward))
+def _append_multi(circ: GateCircuit, gate):
+    """An MCZ or MCX as one native gate where ``gates.spell_out`` would
+    build a Toffoli ladder (three controls or more), else as its exact
+    small form: CZ, H-Toffoli-H, CNOT or Toffoli."""
+    circ.extend([gate] if g.ladder_scratch(gate)
+                else g.spell_out(gate, circ.width))
 
 
-def _append_mcz(circ: GateCircuit, qubits, scratch_base: int):
+def _append_mcz(circ: GateCircuit, qubits):
     """Phase-flip the all-ones state of ``qubits``."""
-    qs = list(qubits)
-    m = len(qs)
-    if m == 1:
+    qs = tuple(qubits)
+    if len(qs) == 1:
         circ.append(g.z(qs[0]))
-        return
-    if m == 2:
-        circ.append(g.cz(qs[0], qs[1]))
-        return
-    if m == 3:
-        circ.append(g.h(qs[2]))
-        circ.append(g.toffoli(qs[0], qs[1], qs[2]))
-        circ.append(g.h(qs[2]))
-        return
-    _and_ladder(circ, qs[:-1], qs[-1], scratch_base, g.cz)
+    else:
+        _append_multi(circ, g.mcz(*qs))
 
 
-def _append_mcx(circ: GateCircuit, controls, target: int, scratch_base: int):
+def _append_mcx(circ: GateCircuit, controls, target: int):
     """Flip ``target`` when every control is one; callers pass at least
     one control."""
-    cs = list(controls)
-    c = len(cs)
-    if c == 1:
-        circ.append(g.cnot(cs[0], target))
-        return
-    if c == 2:
-        circ.append(g.toffoli(cs[0], cs[1], target))
-        return
-    _and_ladder(circ, cs, target, scratch_base, g.cnot)
-
-
-def _ladder_scratch(control_count: int) -> int:
-    # the ladder over c >= 3 controls needs c-1 scratch qubits
-    return control_count - 1 if control_count >= 3 else 0
+    _append_multi(circ, g.mcx(*controls, target))
 
 
 def _append_cry(circ: GateCircuit, theta: float, control: int, target: int):
@@ -333,12 +307,11 @@ def _unitary_from_params(p: _Params):
 # builders
 
 
-def _simple(circ, n, measures=False, classical=0, theta_count=0, sites=None):
-    """Record of a circuit whose qubits below ``n`` are its ports and whose
-    qubits from ``n`` up are scratch."""
-    main = tuple(range(n))
+def _simple(circ, measures=False, classical=0, theta_count=0, sites=None):
+    """Record of a circuit whose every qubit is both an in and an out
+    port."""
+    main = tuple(range(circ.width))
     spec = PortSpec(width=circ.width, in_qubits=main, out_qubits=main,
-                    anc_qubits=tuple(range(n, circ.width)),
                     classical_out=classical,
                     measures=measures, out_measured=measures,
                     theta_count=theta_count)
@@ -352,7 +325,7 @@ def _basis_states(p):
     for q in range(n):
         if (value >> q) & 1:
             circ.append(g.x(q))
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _superposition(p):
@@ -360,7 +333,7 @@ def _superposition(p):
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.h(q))
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _arbitrary_state(p):
@@ -371,7 +344,7 @@ def _arbitrary_state(p):
     circ.append(g.rz(lam, 0))
     circ.append(g.ry(theta, 0))
     circ.append(g.rz(phi, 0))
-    return _simple(circ, 1)
+    return _simple(circ)
 
 
 _BELL_DRESSING = {
@@ -386,7 +359,7 @@ def _bell(p):
     circ.append(g.h(0))
     circ.append(g.cnot(0, 1))
     circ.extend(_BELL_DRESSING[variant])
-    return _simple(circ, 2)
+    return _simple(circ)
 
 
 def _ghz(p):
@@ -395,7 +368,7 @@ def _ghz(p):
     circ.append(g.h(0))
     for q in range(n - 1):
         circ.append(g.cnot(q, q + 1))
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _cluster(p):
@@ -406,7 +379,7 @@ def _cluster(p):
         circ.append(g.h(q))
     for a, b in edges:
         circ.append(g.cz(a, b))
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _w_state(p):
@@ -418,7 +391,7 @@ def _w_state(p):
         theta = 2.0 * math.acos(math.sqrt(1.0 / (n - k)))
         _append_cry(circ, theta, k, k + 1)
         circ.append(g.cnot(k + 1, k))
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _on_value(circ, n, value, append, *args):
@@ -432,9 +405,8 @@ def _on_value(circ, n, value, append, *args):
 
 
 def _phase_mark(circ, n, value):
-    """Phase-flip basis state ``value`` of the qubits below ``n``; the
-    ladder's scratch starts at qubit ``n``."""
-    _on_value(circ, n, value, _append_mcz, range(n), n)
+    """Phase-flip basis state ``value`` of the qubits below ``n``."""
+    _on_value(circ, n, value, _append_mcz, range(n))
 
 
 def _phase_oracle_parts(p, lo=1):
@@ -447,10 +419,10 @@ def _phase_oracle_parts(p, lo=1):
 
 def _phase_oracle(p):
     n, marked = _phase_oracle_parts(p)
-    circ = GateCircuit(n + _ladder_scratch(n - 1))
+    circ = GateCircuit(n)
     for value in marked:
         _phase_mark(circ, n, value)
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _diffusion_ops(circ, n):
@@ -464,17 +436,17 @@ def _diffusion_ops(circ, n):
 
 def _diffusion(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    circ = GateCircuit(n + _ladder_scratch(n - 1))
+    circ = GateCircuit(n)
     _diffusion_ops(circ, n)
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _reflection(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
     state = p.int("state", lo=0, hi=2 ** n - 1)
-    circ = GateCircuit(n + _ladder_scratch(n - 1))
+    circ = GateCircuit(n)
     _phase_mark(circ, n, state)
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _grover_operator(p):
@@ -482,37 +454,37 @@ def _grover_operator(p):
     # at n=24 each iteration is about 1 ms of gate building, so the cap
     # keeps one realization within a second
     iterations = p.int("iterations", 1, lo=1, hi=512)
-    circ = GateCircuit(n + _ladder_scratch(n - 1))
+    circ = GateCircuit(n)
     for _ in range(iterations):
         for value in marked:
             _phase_mark(circ, n, value)
         _diffusion_ops(circ, n)
-    return _simple(circ, n)
+    return _simple(circ)
 
 
 def _qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _simple(GateCircuit(n, _qft_ops(range(n))), n)
+    return _simple(GateCircuit(n, _qft_ops(range(n))))
 
 
 def _inverse_qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _simple(GateCircuit(n, _inverse_ops(_qft_ops(range(n)))), n)
+    return _simple(GateCircuit(n, _inverse_ops(_qft_ops(range(n)))))
 
 
 def _approx_qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
     cutoff = p.int("cutoff", lo=1)
-    return _simple(GateCircuit(n, _qft_ops(range(n), cutoff)), n)
+    return _simple(GateCircuit(n, _qft_ops(range(n), cutoff)))
 
 
 def _bitflip_from_marked(n, marked):
     """Flip result qubit ``n`` on each marked state of the qubits below
-    it; the ladder's scratch starts at qubit n + 1."""
-    circ = GateCircuit(n + 1 + _ladder_scratch(n))
+    it."""
+    circ = GateCircuit(n + 1)
     for value in marked:
-        _on_value(circ, n, value, _append_mcx, range(n), n, n + 1)
-    return _simple(circ, n + 1)
+        _on_value(circ, n, value, _append_mcx, range(n), n)
+    return _simple(circ)
 
 
 def _bitflip_oracle(p):
@@ -527,7 +499,7 @@ def _arithmetic_oracle(p):
     mat = modular_multiply_matrix(a, modulus)
     m = int(math.log2(mat.shape[0]))
     gate = g.controlled_u(mat, 0, list(range(1, 1 + m)), power=power)
-    return _simple(GateCircuit(1 + m, [gate]), 1 + m)
+    return _simple(GateCircuit(1 + m, [gate]))
 
 
 def _boolean_oracle(p):
@@ -626,7 +598,7 @@ def _problem_inspired(p):
         for q in range(n):
             sites[layers + layer].append((len(circ.ops), 2.0))
             circ.append(g.rx(2.0 * betas[layer], q))
-    return _simple(circ, n, theta_count=2 * layers, sites=sites)
+    return _simple(circ, theta_count=2 * layers, sites=sites)
 
 
 _DEFAULT_BLOCKS_4Q = (
@@ -704,7 +676,7 @@ def _uccsd(p):
     sites = [[] for _ in thetas]
     for string, idx, coeff in blocks:
         _pauli_block(circ, sites, string, coeff, thetas[idx], idx)
-    return _simple(circ, n, theta_count=len(thetas), sites=sites)
+    return _simple(circ, theta_count=len(thetas), sites=sites)
 
 
 _ROTATION_BUILDERS = {"rx": g.rx, "ry": g.ry, "rz": g.rz}
@@ -738,7 +710,7 @@ def _build_heuristic(n, layers, rotations, entangler, thetas):
             circ.append(g.cnot(q, q + 1))
         if entangler == "ring" and n > 2:
             circ.append(g.cnot(n - 1, 0))
-    return _simple(circ, n, theta_count=len(thetas), sites=sites)
+    return _simple(circ, theta_count=len(thetas), sites=sites)
 
 
 def _hamiltonian(p):
@@ -756,7 +728,7 @@ def _hamiltonian(p):
     fixed = [2.0 * coupling * dt, 2.0 * field_ * dt] * steps
     # fixed angles are not variational, so the record keeps no sites
     return _simple(
-        _build_hamiltonian_variational(n, periodic, steps, fixed).circuit, n)
+        _build_hamiltonian_variational(n, periodic, steps, fixed).circuit)
 
 
 def _build_hamiltonian_variational(n, periodic, steps, thetas):
@@ -775,7 +747,7 @@ def _build_hamiltonian_variational(n, periodic, steps, thetas):
         for q in range(n):
             sites[x_idx].append((len(circ.ops), 1.0))
             circ.append(g.rx(thetas[x_idx], q))
-    return _simple(circ, n, theta_count=len(thetas), sites=sites)
+    return _simple(circ, theta_count=len(thetas), sites=sites)
 
 
 def _one_gate(p, keys, make, *args):
@@ -787,7 +759,7 @@ def _one_gate(p, keys, make, *args):
         p._err(f"{', '.join(map(repr, keys))} must be distinct")
     hi = max(qubits) + 1
     n = p.int("n", hi, lo=hi)
-    return _simple(GateCircuit(n, [make(*args, *qubits)]), n)
+    return _simple(GateCircuit(n, [make(*args, *qubits)]))
 
 
 def _swap_gate(p):
@@ -818,7 +790,7 @@ def _measurement(p):
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.measure(q, q))
-    return _simple(circ, n, measures=True, classical=n)
+    return _simple(circ, measures=True, classical=n)
 
 
 def _ancilla_management(p):

@@ -1,15 +1,16 @@
 """Gate-level export in a small OPENQASM 2.0 subset.
 
 Emitted programs use qelib1 names plus ``u1`` for the bare phase gate and
-``cp`` for the controlled phase. Angles are printed with 17 significant
-digits so re-exported circuits are byte stable. Matrix-defined controlled
+``cp`` for the controlled phase; MCZ and MCX gates are spelled out first
+(see ``gates.decompose``). Angles are printed with 17 significant digits
+so re-exported circuits are byte stable. Matrix-defined controlled
 unitaries have no textual form and are rejected.
 """
 
 from __future__ import annotations
 
 from .errors import UnexportableError
-from .gates import KINDS, GateCircuit, GateKind
+from .gates import KINDS, GateCircuit, GateKind, decompose
 
 
 def _angle(theta: float) -> str:
@@ -17,7 +18,9 @@ def _angle(theta: float) -> str:
 
 
 def export_gates(circuit: GateCircuit) -> str:
-    """Render a circuit as OPENQASM 2.0 text."""
+    """Render a circuit, its MCZ and MCX gates decomposed, as OPENQASM
+    2.0 text."""
+    circuit = decompose(circuit)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";',
              f"qreg q[{circuit.width}];"]
     if circuit.classical_bits:
@@ -33,6 +36,5 @@ def export_gates(circuit: GateCircuit) -> str:
             lines.append(f"{name}{angle} {regs};")
         else:
             raise UnexportableError(
-                f"{gate.kind.value} has no OPENQASM 2.0 form; decompose "
-                f"it before exporting")
+                f"{gate.kind.value} has no OPENQASM 2.0 form")
     return "\n".join(lines) + "\n"

@@ -483,7 +483,7 @@ def _signed_permutation(n, run):
     src, negative = labels, np.zeros(1 << n, dtype=bool)
     for kind, qubits in run:
         if KINDS[kind].structure == "diagonal":
-            # CZ: -1 on the labels where every listed qubit is 1
+            # CZ, MCZ: -1 on the labels where every listed qubit is 1
             mask = sum(1 << q for q in qubits)
             negative = negative ^ ((labels & mask) == mask)
         else:
@@ -583,11 +583,12 @@ _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             for kind, row in KINDS.items()
             if row.structure in _STRUCTURE_KERNELS}
 # the unangled multi-qubit permutations and phases (CNOT, CZ, SWAP,
-# Toffoli; CZ's phase is -1): _evolve holds each run of them and applies
-# it as one signed permutation (from WIDE_WIDTH on, once it recurs)
+# Toffoli, MCZ and MCX at any arity; a phase is -1): _evolve holds each
+# run of them and applies it as one signed permutation (from WIDE_WIDTH
+# on, once it recurs)
 _RUN_KINDS = frozenset(
     kind for kind, row in KINDS.items()
-    if (row.arity or 0) >= 2 and not row.angled
+    if (row.arity is None or row.arity >= 2) and not row.angled
     and row.structure in ("permutation", "diagonal"))
 
 

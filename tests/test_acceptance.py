@@ -18,6 +18,7 @@ from qsaf import (AnalysisContext, ComponentInstance, DegenerateMarginalsError,
                   Growth, PauliObservable, UsageLevel)
 from qsaf.analyze import complexity_check, compare
 from qsaf.classify import ATTRIBUTE_NAMES, check_mece, fleiss_kappa
+from qsaf.simulate import _evolve_wide
 
 from reference import H2, X2, Z2, cz_ref, dft_matrix, op_on
 from reference import GROVER_MANIFEST, VQE_MANIFEST
@@ -364,7 +365,8 @@ def test_c11_round_trip_byte_stable_export_and_seeded_counts():
 
 
 # seeded runs at the 16-qubit cap, whose counts every engine must reproduce
-# bit for bit: Grover n=9 with 7 scratch qubits, and QPE order finding
+# bit for bit: Grover n=9, whose ladders take 7 scratch qubits once
+# decomposed, and QPE order finding
 WIDE_MANIFESTS = {
     "grover9_w16_counts.json": """\
 name grover_wide
@@ -388,6 +390,26 @@ run simulate shots=2000 seed=4321
 @pytest.mark.parametrize("golden", list(WIDE_MANIFESTS))
 def test_c11_seeded_counts_at_the_width_cap(golden):
     manifest = qsaf.parse_manifest(WIDE_MANIFESTS[golden])
-    assert manifest.graph.flatten().width == 16
+    flat = manifest.graph.flatten()
+    wide = qsaf.decompose(flat)
+    assert wide.width == 16
+    want = json.loads((GOLDEN / golden).read_text())
     (outcome,) = qsaf.execute(manifest)
-    assert outcome.counts == json.loads((GOLDEN / golden).read_text())
+    assert outcome.counts == want
+    # the decomposed circuit, scratch included, runs gate by gate through
+    # the wide engine and reproduces the same counts
+    unitary = [g for g in wide.ops if g.kind is not qsaf.GateKind.MEASURE]
+    amps = np.zeros(2 ** wide.width, dtype=complex)
+    amps[0] = 1.0
+    amps = _evolve_wide(amps, wide.width, unitary, (), None)
+    (directive,) = manifest.directives
+    counts = qsaf.sample(qsaf.StateVector(wide.width, amps),
+                         directive.options["shots"],
+                         directive.options["seed"])
+    measured = sorted((g.cbit, g.qubits[0]) for g in wide.ops
+                      if g.kind is qsaf.GateKind.MEASURE)
+    projected = {}
+    for key, hits in counts.items():
+        bits = "".join(key[wide.width - 1 - q] for _, q in reversed(measured))
+        projected[bits] = projected.get(bits, 0) + hits
+    assert projected == want

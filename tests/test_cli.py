@@ -190,6 +190,38 @@ def test_run_minimize(vqe_file, capsys):
     assert "converged = true" in out
 
 
+def test_grover_runs_on_ten_qubits_and_exports_its_ladders(tmp_path,
+                                                          capsys):
+    # native MCZ gates need no scratch: 10 qubits, not the ladders' 18
+    path = tmp_path / "grover10.qsaf"
+    path.write_text("component sup = Superposition(n=10)\n"
+                    "component search = GroverOperator(n=10, marked=[1])\n"
+                    "component meas = Measurement(n=10)\n"
+                    "wire sup.out -> search.in\n"
+                    "wire search.out -> meas.in\n"
+                    "run simulate shots=4096 seed=3\n")
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    counts = {}
+    for line in captured.out.splitlines():
+        if line.startswith("counts["):
+            key, hits = line[len("counts["):].split("] = ")
+            counts[key] = int(hits)
+    assert sum(counts.values()) == 4096
+    # one iteration lifts the marked state to about 9 times any other
+    # (37 shots here; no other outcome gets more than 13)
+    marked = counts.pop("0000000001")
+    assert marked > 2 * max(counts.values())
+    assert main(["export", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "qreg q[18];" in lines
+    # each of the two phase flips is 8 Toffolis, a CZ and 8 Toffolis
+    assert sum(line.startswith("ccx ") for line in lines) == 2 * 16
+    assert "cz q[17],q[9];" in lines
+
+
 def test_run_without_directives(tmp_path, capsys):
     path = tmp_path / "quiet.qsaf"
     path.write_text("component bell = BellStates()\n")

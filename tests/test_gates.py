@@ -13,7 +13,8 @@ from qsaf.errors import (DuplicateQubitError, GateArityError,
                          IndexOutOfRangeError, MeasuredQubitReuseError,
                          NonReversibleError, TooWideError)
 from qsaf.gates import (Gate, GateCircuit, GateKind, apply_matrix, dagger,
-                        depth, gate_counts, gate_matrix, unitary_of)
+                        decompose, depth, gate_counts, gate_matrix,
+                        unitary_of)
 
 from reference import (H2, X2, Y2, Z2, apply_ref, cnot_ref, cz_ref, op_on,
                        rx_ref, ry_ref, rz_ref, swap_ref, toffoli_ref)
@@ -107,6 +108,56 @@ def test_two_qubit_matrices_little_endian():
 def test_multi_qubit_matrices(gate, reference):
     # over the gate's own qubits, whatever their circuit labels
     assert np.allclose(gate_matrix(gate), reference, atol=1e-12)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+def test_multi_controlled_matrices(arity):
+    dim = 2 ** arity
+    phase = np.eye(dim)
+    phase[-1, -1] = -1
+    assert np.array_equal(gate_matrix(g.mcz(*range(arity))), phase)
+    # controls are the low bits: the target bit flips on the labels
+    # whose low arity - 1 bits are all one
+    flip = np.eye(dim)
+    ones = (1 << (arity - 1)) - 1
+    flip[[ones, dim - 1]] = flip[[dim - 1, ones]]
+    assert np.array_equal(gate_matrix(g.mcx(*range(arity))), flip)
+    if arity == 3:
+        assert np.array_equal(flip, toffoli_ref())
+
+
+def test_multi_controlled_gates_take_two_qubits_or_more():
+    for kind in (GateKind.MCZ, GateKind.MCX):
+        with pytest.raises(GateArityError, match="at least 2"):
+            Gate(kind, (0,))
+        with pytest.raises(GateArityError):
+            Gate(kind, (0, 1), theta=0.5)
+        gate = Gate(kind, (3, 0, 5, 1))
+        assert dagger(GateCircuit(6, [gate])).ops == [gate]
+
+
+def test_decompose_spells_out_each_native_gate_once_and_shares_scratch():
+    circ = GateCircuit(6, [g.mcz(0, 1, 2, 3, 4), g.h(5),
+                           g.mcx(1, 2, 3, 5), g.mcz(0, 1), g.mcz(0, 1, 2),
+                           g.mcx(4, 5), g.mcx(0, 2, 3), g.measure(5, 0)])
+    wide = decompose(circ)
+    # the widest ladder, three controls of four, needs 3 scratch qubits
+    assert wide.width == 9 and wide.classical_bits == 1
+    t = g.toffoli
+    assert wide.ops == [
+        t(0, 1, 6), t(2, 6, 7), t(3, 7, 8), g.cz(8, 4),
+        t(3, 7, 8), t(2, 6, 7), t(0, 1, 6),
+        g.h(5),
+        t(1, 2, 6), t(3, 6, 7), g.cnot(7, 5), t(3, 6, 7), t(1, 2, 6),
+        g.cz(0, 1), g.h(2), t(0, 1, 2), g.h(2),
+        g.cnot(4, 5), t(0, 2, 3), g.measure(5, 0)]
+    with pytest.raises(MeasuredQubitReuseError):
+        wide.append(g.h(5))
+    plain = GateCircuit(2, [g.h(0), g.cnot(0, 1)])
+    assert decompose(plain) is plain
+    # counts and depth read the decomposed circuit
+    assert gate_counts(circ) == gate_counts(wide)
+    assert depth(circ) == depth(wide) == 16
 
 
 def test_controlled_u_matrix_applies_power():

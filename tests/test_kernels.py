@@ -3,7 +3,8 @@
 Every gate kernel in ``run``, the compiled plans below WIDE_WIDTH, the
 fusion of one-qubit runs and their grouped flushes at wide widths (real
 blocks through the float64 view, complex ones on the amplitudes), the
-held runs of CNOT, CZ, SWAP and Toffoli gates, the planned and stacked
+held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX gates, the native
+multi-controlled gates against their decomposition, the planned and stacked
 Pauli ``expectation``, both ways of
 ``sample`` and the prefix-sharing parameter-shift gradient are compared
 with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import qsaf.simulate as simulate
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
-                        gate_matrix)
+                        decompose, gate_matrix)
 from qsaf.manifest import parse_manifest
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            format_outcome, parameter_shift_gradient, run,
@@ -36,7 +37,21 @@ ATOL = 1e-12
 
 _ARITY = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.CPHASE: 2,
           GateKind.SWAP: 2, GateKind.TOFFOLI: 3}
+# the multi-controlled kinds take two qubits or more; drawn up to six
+MULTI_KINDS = (GateKind.MCZ, GateKind.MCX)
+MULTI_MAX = 6
 UNITARY_KINDS = [k for k in GateKind if k is not GateKind.MEASURE]
+
+
+def _least_arity(kind):
+    return 2 if kind in MULTI_KINDS else _ARITY[kind]
+
+
+def _draw_arity(draw, kind, width):
+    """A fixed kind's arity, or one from 2 to min(MULTI_MAX, width)."""
+    if kind in MULTI_KINDS:
+        return draw(st.integers(2, min(MULTI_MAX, width)))
+    return _ARITY[kind]
 
 
 def _random_state(rng, width):
@@ -59,6 +74,9 @@ def gates_on_states(draw, kind):
         arity = 1 + targets
         matrix = _random_unitary(rng, 2 ** targets)
         power = draw(st.integers(1, 5))
+    elif kind in MULTI_KINDS:
+        arity = draw(st.integers(2, MULTI_MAX))
+        matrix, power = None, 1
     else:
         arity = _ARITY.get(kind, 1)
         matrix, power = None, 1
@@ -90,7 +108,7 @@ def test_kernel_at_width_equal_to_arity(kind):
     if kind is GateKind.CONTROLLED_U:
         gate = Gate(kind, (1, 0), matrix=_random_unitary(rng, 2), power=3)
     else:
-        arity = _ARITY.get(kind, 1)
+        arity = 4 if kind in MULTI_KINDS else _ARITY.get(kind, 1)
         qubits = tuple(range(arity))[::-1]
         gate = Gate(kind, qubits, theta=0.7 if kind in PARAMETRIC_KINDS else None)
     _check_kernel(gate, gate.arity, _random_state(rng, gate.arity))
@@ -108,7 +126,8 @@ def test_run_leaves_the_initial_state_untouched(seed, width):
 
 
 ONE_QUBIT_KINDS = [k for k in UNITARY_KINDS
-                   if k is not GateKind.CONTROLLED_U and k not in _ARITY]
+                   if k is not GateKind.CONTROLLED_U and k not in _ARITY
+                   and k not in MULTI_KINDS]
 
 
 def _reference_run(ops, width, amps):
@@ -435,7 +454,7 @@ def _spy_dtypes(monkeypatch):
 
 
 def test_grover_flushes_take_the_float_view(monkeypatch):
-    circuit = parse_manifest(GROVER16).graph.flatten()
+    circuit = decompose(parse_manifest(GROVER16).graph.flatten())
     unitary = GateCircuit(circuit.width, [
         g for g in circuit.ops if g.kind is not GateKind.MEASURE])
     dtypes = _spy_dtypes(monkeypatch)
@@ -455,9 +474,10 @@ def test_a_complex_group_keeps_the_complex_state(monkeypatch):
                        rtol=0, atol=ATOL)
 
 
-# held runs of CNOT, CZ, SWAP and Toffoli gates
+# held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX gates
 
-RUN_KINDS = [GateKind.CNOT, GateKind.CZ, GateKind.SWAP, GateKind.TOFFOLI]
+RUN_KINDS = [GateKind.CNOT, GateKind.CZ, GateKind.SWAP, GateKind.TOFFOLI,
+             *MULTI_KINDS]
 
 
 def test_run_kinds_come_from_the_kind_table():
@@ -466,7 +486,8 @@ def test_run_kinds_come_from_the_kind_table():
 
 @st.composite
 def held_run_circuits(draw):
-    """6 to 16 gates: CNOT, CZ, SWAP and Toffoli gates, one-qubit gates
+    """6 to 16 gates: CNOT, CZ, SWAP, Toffoli, MCZ and MCX gates (the
+    last two on 2 to 6 qubits), one-qubit gates
     (half of them on a qubit of the preceding run gates), CPHASE,
     CONTROLLED_U and mid-circuit measurements, at widths on both sides of
     WIDE_WIDTH, where runs are held."""
@@ -476,7 +497,7 @@ def held_run_circuits(draw):
     choices = ["one"] * 3 + ["measure"]
     if width > 1:
         choices += ["run"] * 6 + ["cphase", "controlled_u"]
-    run_kinds = [k for k in RUN_KINDS if _ARITY[k] <= width]
+    run_kinds = [k for k in RUN_KINDS if _least_arity(k) <= width]
     # three in four gates act only on three qubits, so that they overlap
     hot = draw(st.permutations(range(width)))[:3]
 
@@ -491,7 +512,7 @@ def held_run_circuits(draw):
                                 max_size=16)):
         if choice == "run":
             kind = draw(st.sampled_from(run_kinds))
-            qubits = pick(_ARITY[kind])
+            qubits = pick(_draw_arity(draw, kind, width))
             circuit.append(Gate(kind, qubits))
             recent += qubits
             continue
@@ -575,12 +596,13 @@ def test_a_run_waits_for_a_later_gate_on_its_qubits():
 def circuit_structures(draw, width):
     """((kind, qubits), ...) at ``width``: layers of one or two one-qubit
     gates on each qubit of a stretch of up to five, lone one-qubit gates
-    of every kind, runs of one to four CNOT, CZ, SWAP and Toffoli gates,
-    CPHASE, CONTROLLED_U on one or two targets, and measurements."""
+    of every kind, runs of one to four CNOT, CZ, SWAP, Toffoli, MCZ and
+    MCX gates (the last two on 2 to 6 qubits), CPHASE, CONTROLLED_U on
+    one or two targets, and measurements."""
     choices = ["layer", "one", "measure"]
     if width > 1:
         choices += ["run", "run", "cphase", "controlled_u"]
-    run_kinds = [k for k in RUN_KINDS if _ARITY[k] <= width]
+    run_kinds = [k for k in RUN_KINDS if _least_arity(k) <= width]
 
     def qubits(arity):
         return tuple(draw(st.permutations(range(width)))[:arity])
@@ -600,7 +622,8 @@ def circuit_structures(draw, width):
         elif choice == "run":
             for _ in range(draw(st.integers(1, 4))):
                 kind = draw(st.sampled_from(run_kinds))
-                structure.append((kind, qubits(_ARITY[kind])))
+                structure.append((kind,
+                                  qubits(_draw_arity(draw, kind, width))))
         elif choice == "measure":
             structure.append((GateKind.MEASURE, qubits(1)))
         elif choice == "cphase":
@@ -646,6 +669,46 @@ def test_plans_match_gate_by_gate_reference_with_any_angles(width, data):
             assert simulate._plan.cache_info().hits == hits + 1
 
 
+@st.composite
+def native_circuits(draw):
+    """3 to 10 gates on 2 to 8 qubits: MCZ and MCX on 2 up to every
+    qubit, in any order, between one-qubit gates, CNOTs and CZs."""
+    width = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = [*MULTI_KINDS, *MULTI_KINDS, GateKind.CNOT, GateKind.CZ,
+             *ONE_QUBIT_KINDS]
+    circuit = GateCircuit(width)
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=3,
+                              max_size=10)):
+        arity = 1 if kind in ONE_QUBIT_KINDS else (
+            draw(st.integers(2, width)) if kind in MULTI_KINDS else 2)
+        theta = float(rng.uniform(-2 * math.pi, 2 * math.pi)) \
+            if kind in PARAMETRIC_KINDS else None
+        circuit.append(Gate(kind, tuple(draw(st.permutations(
+            range(width)))[:arity]), theta))
+    return circuit, _random_state(rng, width)
+
+
+@settings(deadline=None, max_examples=40)
+@given(native_circuits())
+def test_native_and_decomposed_circuits_agree_on_the_register(case):
+    circuit, amps = case
+    wide = decompose(circuit)
+    assert not {GateKind.MCZ, GateKind.MCX} & {g.kind for g in wide.ops}
+    assert wide.width == circuit.width + max(
+        [g.arity - 2 for g in circuit.ops
+         if g.kind in MULTI_KINDS and g.arity >= 4], default=0)
+    native = run(circuit, initial=StateVector(circuit.width, amps))
+    # the scratch qubits sit above the register and start at |0>
+    padded = np.zeros(2 ** wide.width, dtype=complex)
+    padded[:amps.size] = amps
+    spelled = run(wide, initial=StateVector(wide.width, padded))
+    got = spelled.state.amplitudes
+    assert np.allclose(got[:amps.size], native.state.amplitudes, rtol=0,
+                       atol=1e-10)
+    assert np.abs(got[amps.size:]).max(initial=0.0) <= 1e-10
+
+
 GROVER16 = """\
 component sup = Superposition(n=9)
 component search = GroverOperator(n=9, marked=[300], iterations=17)
@@ -656,7 +719,7 @@ wire search.out -> meas.in
 
 
 def test_the_grover_ladders_are_one_signed_permutation(monkeypatch):
-    circuit = parse_manifest(GROVER16).graph.flatten()
+    circuit = decompose(parse_manifest(GROVER16).graph.flatten())
     unitary = GateCircuit(circuit.width, [
         g for g in circuit.ops if g.kind is not GateKind.MEASURE])
     assert unitary.width == simulate.SIM_WIDTH_CAP

@@ -10,7 +10,8 @@ from qsaf.analyze import DEFAULT_DEMO_PARAMS
 from qsaf.catalog import get_primitive
 from qsaf.core import ParameterKind
 from qsaf.errors import BadParamsError, NotLowerableError
-from qsaf.gates import GateCircuit, GateKind, gate_counts, unitary_of
+from qsaf.gates import (GateCircuit, GateKind, decompose, gate_counts,
+                        unitary_of)
 from qsaf.lowering import (ANSATZ_IDS, ansatz_theta_count, initial_thetas,
                            lower, modular_multiply_matrix, phase_unitary,
                            port_spec, qpe_circuit, qpe_round, realize,
@@ -92,21 +93,27 @@ def test_phase_oracle_flips_marked_signs():
 
 def test_phase_oracle_with_scratch_restores_ancillas():
     low = realize(18, {"n": 5, "marked": [31]})
-    assert low.spec.anc_qubits == (5, 6, 7)
+    assert low.spec.anc_qubits == () and low.circuit.width == 5
+    circuit = decompose(low.circuit)
+    assert circuit.width == 8  # the ladder's scratch is qubits 5, 6, 7
     for value in (0, 7, 30, 31):
-        amps = _final(low.circuit, value).amplitudes
+        amps = _final(circuit, value).amplitudes
         want = -1.0 if value == 31 else 1.0
         # scratch qubits end in |0>, so the amplitude stays at ``value``
         assert abs(amps[value] - want) <= 1e-10
 
 
 def _on_clean_scratch(low):
-    """Unitary of a lowering restricted to inputs with every ancilla at 0."""
-    u = unitary_of(low.circuit)
+    """Unitary of a lowering, which its decomposed circuit must match on
+    inputs with every scratch qubit at 0."""
+    native = unitary_of(low.circuit)
+    u = unitary_of(decompose(low.circuit))
     dim = 2 ** len(low.spec.in_qubits)
+    assert len(native) == dim
     # scratch returns to |0>
     assert np.abs(u[dim:, :dim]).max(initial=0.0) <= 1e-10
-    return u[:dim, :dim]
+    assert np.abs(u[:dim, :dim] - native).max() <= 1e-10
+    return native
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -149,7 +156,7 @@ def test_grover_operator_amplifies_the_marked_state():
     p = _final(circ).probability(13)
     theta = math.asin(math.sqrt(1 / 16))
     assert abs(p - math.sin(7 * theta) ** 2) <= 1e-10
-    assert sup.width == 4  # the operator carries its own scratch
+    assert sup.width == grover.width == 4  # its MCZ needs no scratch
 
 
 def test_qft_gate_count_formula():

@@ -52,6 +52,17 @@ def test_every_exportable_gate_has_its_spelling():
     ]
 
 
+def test_native_gates_export_as_their_ladders():
+    circuit = GateCircuit(4, [g.mcz(0, 1, 2, 3), g.mcx(3, 1, 2, 0)])
+    assert export_gates(circuit).splitlines()[2:] == [
+        "qreg q[6];",
+        "ccx q[0],q[1],q[4];", "ccx q[2],q[4],q[5];", "cz q[5],q[3];",
+        "ccx q[2],q[4],q[5];", "ccx q[0],q[1],q[4];",
+        "ccx q[3],q[1],q[4];", "ccx q[2],q[4],q[5];", "cx q[5],q[0];",
+        "ccx q[2],q[4],q[5];", "ccx q[3],q[1],q[4];",
+    ]
+
+
 def test_measurement_emits_a_classical_register():
     circuit = GateCircuit(2, [g.h(0), g.measure(0, 0), g.measure(1, 1)])
     text = export_gates(circuit)

@@ -8,6 +8,7 @@ import pytest
 import qsaf.lowering as lowering
 import qsaf.simulate as simulate
 from qsaf.composition import ArchitectureGraph, ComponentInstance, optimizer
+from qsaf.gates import GateCircuit
 from qsaf.errors import QsafError, ValidationFailedError
 from qsaf.lowering import lower
 from qsaf.manifest import RunDirective, parse_manifest
@@ -84,6 +85,27 @@ def test_an_explicit_seed_overrides_the_directive():
     manifest = parse_manifest(COIN)
     outcome, = execute(manifest, seed=123)
     assert outcome.counts == sample(state, 64, 123)
+
+
+def test_simulate_appends_no_gate_past_the_flattening(monkeypatch):
+    manifest = parse_manifest(
+        "component sup = Superposition(n=5)\n"
+        "component search = GroverOperator(n=5, marked=[9], "
+        "iterations=4)\n"
+        "component meas = Measurement(n=5)\n"
+        "wire sup.out -> search.in\n"
+        "wire search.out -> meas.in\n"
+        "run simulate shots=64 seed=5\n")
+    appended = []
+    append = GateCircuit.append
+    monkeypatch.setattr(GateCircuit, "append", lambda self, gate: (
+        appended.append(gate), append(self, gate))[1])
+    manifest.graph.flatten()
+    flattening = len(appended)
+    appended.clear()
+    (outcome,) = execute(manifest)
+    assert len(appended) == flattening
+    assert outcome.counts["01001"] > 32
 
 
 def test_execute_preserves_directive_order(vqe_manifest_text):
