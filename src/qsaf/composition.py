@@ -507,6 +507,10 @@ class ArchitectureGraph:
         circuit_ops = []
         next_qubit = 0
         next_cbit = 0
+        classical_bits = 0
+        measured = set()  # global qubits that a measurement touched
+        recheck = False  # append the flat circuit gate by gate, checking
+        measure = GateKind.MEASURE  # a local: member lookups are slow
         feeders = {(w.dst_instance, w.dst_port): w for w in self.wires}
         for inst_id in order:
             inst = self.components[inst_id]
@@ -528,18 +532,41 @@ class ArchitectureGraph:
                     next_qubit += 1
             cbit_offset[inst_id] = offset = next_cbit
             next_cbit += spec.classical_out
+            # only a measured qubit met again, or a component that allows
+            # mid-circuit measurement, can make the flat circuit invalid
+            recheck = (recheck or low.circuit.allow_mid_measure
+                       or not measured.isdisjoint(mapping.values()))
+            identity = all(local == q for local, q in mapping.items())
+            moved = {}  # id of a source gate -> its relabelled copy
             for gate in low.circuit.ops:
-                # Gate(...) directly: dataclasses.replace costs twice as much
                 cbit = gate.cbit
-                circuit_ops.append(Gate(
-                    gate.kind, tuple(mapping[q] for q in gate.qubits),
-                    gate.theta, gate.matrix, gate.power,
-                    cbit if cbit is None else cbit + offset))
+                if identity and (cbit is None or not offset):
+                    flat_gate = gate  # immutable, so shared as it is
+                else:
+                    # the component's circuit holds its gates alive, so
+                    # their ids stay distinct while ``moved`` lives
+                    flat_gate = moved.get(id(gate))
+                    if flat_gate is None:
+                        # Gate(...) directly: replace costs twice as much
+                        flat_gate = moved[id(gate)] = Gate(
+                            gate.kind, tuple(mapping[q] for q in gate.qubits),
+                            gate.theta, gate.matrix, gate.power,
+                            cbit if cbit is None else cbit + offset)
+                circuit_ops.append(flat_gate)
+                if flat_gate.kind is measure:
+                    measured.add(flat_gate.qubits[0])
+                    classical_bits = max(classical_bits, flat_gate.cbit + 1)
             out_globals[(inst_id, "out")] = tuple(
                 mapping[q] for q in spec.out_qubits)
             layout[inst_id] = mapping
         width = max(next_qubit, 1)
-        flat = GateCircuit(width, circuit_ops, classical_bits=next_cbit)
+        if recheck:  # raises where the checks always raised
+            flat = GateCircuit(width, circuit_ops, classical_bits=next_cbit)
+        else:
+            # the relabel is injective and within ``width``, and every
+            # source gate passed its own circuit's checks
+            flat = GateCircuit.trusted(width, circuit_ops,
+                                       max(next_cbit, classical_bits))
         return flat, FlattenLayout(order=tuple(order),
                                    qubit_map=layout,
                                    cbit_offsets=cbit_offset)

@@ -358,6 +358,11 @@ class GateCircuit:
     further gate may touch it unless the circuit was created with
     ``allow_mid_measure=True``. Classical bits grow on demand as measure
     gates are appended.
+
+    A ``Gate`` is immutable, so one gate object may stand at several
+    positions (a repeated Grover iteration holds each of its gates once
+    per iteration). State that belongs to a position is keyed by the
+    position, never by the gate object.
     """
 
     width: int
@@ -400,8 +405,11 @@ class GateCircuit:
         circuit = cls(width, classical_bits=classical_bits,
                       allow_mid_measure=allow_mid_measure)
         circuit.ops = list(ops)
+        # bound once: EnumType's __getattr__ hook makes every member
+        # lookup several times slower than reading a local
+        measure = GateKind.MEASURE
         circuit._measured = {gate.qubits[0] for gate in circuit.ops
-                             if gate.kind is GateKind.MEASURE}
+                             if gate.kind is measure}
         return circuit
 
     def extend(self, gates) -> "GateCircuit":
@@ -490,8 +498,9 @@ def dagger(circuit: GateCircuit) -> GateCircuit:
         elif row.inverse is not g.kind:
             g = replace(g, kind=row.inverse)
         inverted.append(g)  # a self-inverse gate is reused as it is
-    return GateCircuit(circuit.width, inverted,
-                       allow_mid_measure=circuit.allow_mid_measure)
+    # the same qubits as the checked input, and no measurement
+    return GateCircuit.trusted(circuit.width, inverted,
+                               allow_mid_measure=circuit.allow_mid_measure)
 
 
 def ladder_scratch(gate: Gate) -> int:

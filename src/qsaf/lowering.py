@@ -254,8 +254,9 @@ def _qft_ops(qubits, cutoff=None):
 
 
 def _inverse_ops(ops):
-    inv = GateCircuit(max(max(op.qubits) for op in ops) + 1, list(ops))
-    return list(g.dagger(inv).ops)
+    # the width covers every listed qubit, so the gates need no check
+    inv = GateCircuit.trusted(max(max(op.qubits) for op in ops) + 1, ops)
+    return g.dagger(inv).ops
 
 
 def modular_multiply_matrix(a: int, modulus: int) -> np.ndarray:
@@ -451,15 +452,16 @@ def _reflection(p):
 
 def _grover_operator(p):
     n, marked = _phase_oracle_parts(p, lo=2)
-    # at n=24 each iteration is about 1 ms of gate building, so the cap
-    # keeps one realization within a second
+    # one iteration is built and checked once (at n=24, 512 iterations
+    # realize in about 5 ms); the cap bounds the op list that flatten,
+    # decompose and run walk
     iterations = p.int("iterations", 1, lo=1, hi=512)
-    circ = GateCircuit(n)
-    for _ in range(iterations):
-        for value in marked:
-            _phase_mark(circ, n, value)
-        _diffusion_ops(circ, n)
-    return _simple(circ)
+    one = GateCircuit(n)
+    for value in marked:
+        _phase_mark(one, n, value)
+    _diffusion_ops(one, n)
+    # the iterations share one iteration's immutable gates
+    return _simple(GateCircuit.trusted(n, one.ops * iterations))
 
 
 def _qft(p):
@@ -717,7 +719,8 @@ def _hamiltonian(p):
     n = p.int("n", lo=2, hi=WIDTH_CAP)
     periodic = p.bool("periodic", False)
     # the variational path is bounded by its thetas; a fixed-angle step is
-    # about 0.5 ms of gate building at n=24, so 1024 stay within a second
+    # built once (at n=24, 1024 periodic steps realize in about 2.5 ms),
+    # and the cap bounds the op list that flatten, decompose and run walk
     steps = p.int("steps", 1, lo=1, hi=None if p.has("thetas") else 1024)
     if p.has("thetas"):
         thetas = p.float_list("thetas", length=2 * steps)
@@ -725,10 +728,11 @@ def _hamiltonian(p):
     coupling = p.float("coupling", 1.0)
     field_ = p.float("field", 1.0)
     dt = p.float("dt")
-    fixed = [2.0 * coupling * dt, 2.0 * field_ * dt] * steps
-    # fixed angles are not variational, so the record keeps no sites
-    return _simple(
-        _build_hamiltonian_variational(n, periodic, steps, fixed).circuit)
+    one = _build_hamiltonian_variational(
+        n, periodic, 1, [2.0 * coupling * dt, 2.0 * field_ * dt]).circuit
+    # every step shares one step's immutable gates; fixed angles are not
+    # variational, so the record keeps no sites
+    return _simple(GateCircuit.trusted(n, one.ops * steps))
 
 
 def _build_hamiltonian_variational(n, periodic, steps, thetas):

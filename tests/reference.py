@@ -1,13 +1,16 @@
 """Independent dense-algebra references, the full-replay shift gradient,
-the bincount sampler, and manifest texts shared by the test modules;
-fixtures live in conftest.py."""
+the bincount sampler, the gate-by-gate flatten and Grover builds, and
+manifest texts shared by the test modules; fixtures live in
+conftest.py."""
 
 from dataclasses import replace
 
 import numpy as np
 
-from qsaf.gates import GateCircuit
-from qsaf.lowering import realize_ansatz
+import qsaf.gates as g
+from qsaf.composition import FlattenLayout
+from qsaf.gates import Gate, GateCircuit
+from qsaf.lowering import realize, realize_ansatz
 from qsaf.simulate import expectation, format_outcome, run
 
 # reference single- and two-qubit matrices, written out by hand
@@ -101,6 +104,69 @@ def sample_ref(state, shots, seed):
     hits = np.bincount(outcomes, minlength=probs.size)
     return {format_outcome(label, state.width): int(hits[label])
             for label in np.flatnonzero(hits).tolist()}
+
+
+def flatten_ref(graph):
+    """(circuit, layout) of ``graph`` as flatten built them with no gate
+    shared: every component's gates relabelled into new ``Gate`` objects
+    under its qubit mapping and classical-bit offset, and the flat
+    circuit appended gate by gate through ``GateCircuit``'s checks."""
+    out_globals, layout, cbit_offsets, ops = {}, {}, {}, []
+    next_qubit = next_cbit = 0
+    feeders = {(w.dst_instance, w.dst_port): w for w in graph.wires}
+    order = graph._topo_order()
+    for inst_id in order:
+        inst = graph.components[inst_id]
+        if inst.is_optimizer:
+            continue
+        low = realize(inst.primitive_id, inst.params)
+        mapping = {}
+        feeder = feeders.get((inst_id, "in"))
+        if feeder is not None:
+            upstream = out_globals.get((feeder.src_instance,
+                                        feeder.src_port), ())
+            mapping.update(zip(low.spec.in_qubits, upstream))
+        for local in range(low.spec.width):
+            if local not in mapping:
+                mapping[local] = next_qubit
+                next_qubit += 1
+        offset = cbit_offsets[inst_id] = next_cbit
+        next_cbit += low.spec.classical_out
+        for gate in low.circuit.ops:
+            cbit = None if gate.cbit is None else gate.cbit + offset
+            ops.append(Gate(gate.kind, tuple(mapping[q] for q in gate.qubits),
+                            gate.theta, gate.matrix, gate.power, cbit))
+        out_globals[(inst_id, "out")] = tuple(
+            mapping[q] for q in low.spec.out_qubits)
+        layout[inst_id] = mapping
+    flat = GateCircuit(max(next_qubit, 1), ops, classical_bits=next_cbit)
+    return flat, FlattenLayout(tuple(order), layout, cbit_offsets)
+
+
+def grover_ref(n, marked, iterations):
+    """GroverOperator's gates with every iteration built afresh: per
+    marked value, X on its zero bits around a phase flip of the all-ones
+    state, then H and X on every qubit around a phase flip of it. The
+    flip is CZ on 2 qubits, H-Toffoli-H on 3 and a native MCZ from 4."""
+    qubits = range(n)
+
+    def flip():
+        if n == 2:
+            return [g.cz(0, 1)]
+        if n == 3:
+            return [g.h(2), g.toffoli(0, 1, 2), g.h(2)]
+        return [g.mcz(*qubits)]
+
+    circ = GateCircuit(n)
+    for _ in range(iterations):
+        for value in [*marked, None]:
+            if value is None:  # the diffusion's flip of |0...0>
+                value = 0
+                circ.extend(g.h(q) for q in qubits)
+            dress = [g.x(q) for q in qubits if not (value >> q) & 1]
+            circ.extend([*dress, *flip(), *dress])
+        circ.extend(g.h(q) for q in qubits)
+    return circ
 
 
 def cz_ref():

@@ -1,13 +1,15 @@
 """Architecture graphs: wiring rules, validation, flattening."""
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsaf.gates as g
+import qsaf.lowering as lowering
 from qsaf.composition import (AbstractionLevel, ArchitectureGraph,
                               ComponentInstance, Wire, entanglement_sets,
                               optimizer)
@@ -16,11 +18,11 @@ from qsaf.errors import (CompositionError, FanOutError, KindMismatchError,
                          UnknownPortError, ValidationFailedError,
                          WidthMismatchError)
 from qsaf.gates import GateCircuit
-from qsaf.lowering import lower, realize
+from qsaf.lowering import lower
 from qsaf.manifest import parse_manifest
 from qsaf.simulate import run
 
-from reference import GROVER_MANIFEST, VQE_MANIFEST
+from reference import GROVER_MANIFEST, VQE_MANIFEST, flatten_ref
 from test_acceptance import WIDE_MANIFESTS
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -346,27 +348,6 @@ def test_entanglement_sets_accept_a_graph():
     assert entanglement_sets(graph) == {frozenset({0, 1, 2})}
 
 
-def _flatten_ref(graph):
-    """The flat circuit rebuilt from its layout: each component's realized
-    gates relabeled with ``dataclasses.replace``."""
-    flat, layout = graph.flatten_with_layout()
-    ops = []
-    for inst_id in layout.order:
-        inst = graph.components[inst_id]
-        if inst.is_optimizer:
-            continue
-        mapping = layout.qubit_map[inst_id]
-        for gate in realize(inst.primitive_id, inst.params).circuit.ops:
-            moved = tuple(mapping[q] for q in gate.qubits)
-            if gate.cbit is None:
-                ops.append(replace(gate, qubits=moved))
-            else:
-                ops.append(replace(
-                    gate, qubits=moved,
-                    cbit=gate.cbit + layout.cbit_offsets[inst_id]))
-    return GateCircuit(flat.width, ops, classical_bits=flat.classical_bits)
-
-
 def _compose_mix_texts(seed):
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
@@ -385,16 +366,129 @@ wire a.out -> ma.in
 wire b.out -> mb.in
 """
 
+# mb flattens first, so ma keeps the identity qubit mapping while its
+# classical bits move up by one
+INTERLEAVED_READOUTS = """\
+component a = Superposition(n=2)
+component b = Superposition(n=1)
+component mb = Measurement(n=1)
+component ma = Measurement(n=2)
+wire a.out -> ma.in
+wire b.out -> mb.in
+"""
+
+
+def _assert_flattens_as_reference(graph):
+    flat, layout = graph.flatten_with_layout()
+    ref, ref_layout = flatten_ref(graph)
+    assert flat.ops == ref.ops
+    assert (flat.width, flat.classical_bits) == (ref.width,
+                                                 ref.classical_bits)
+    assert flat._measured == ref._measured
+    assert layout == ref_layout
+    return flat, layout
+
 
 def test_flatten_relabels_every_gate_as_replace_would():
     texts = [GROVER_MANIFEST, VQE_MANIFEST, TWO_READOUTS,
-             *WIDE_MANIFESTS.values(), *_compose_mix_texts(1)]
+             INTERLEAVED_READOUTS, *WIDE_MANIFESTS.values(),
+             *_compose_mix_texts(1)]
     flattened = 0
     for text in texts:
         graph = parse_manifest(text).graph
         if any(d.blocking for d in graph.validate()):
             continue  # an injected fault
-        assert graph.flatten() == _flatten_ref(graph)
+        _assert_flattens_as_reference(graph)
         flattened += 1
     # one compose_mix chain in four carries a fault
-    assert flattened == 5 + 144 * 3 // 4
+    assert flattened == 6 + 144 * 3 // 4
+
+
+def test_interleaved_readout_keeps_its_qubits_and_moves_its_bits():
+    graph = parse_manifest(INTERLEAVED_READOUTS).graph
+    flat, layout = _assert_flattens_as_reference(graph)
+    assert layout.qubit_map["ma"] == {0: 0, 1: 1}
+    assert layout.cbit_offsets["ma"] == 1
+    assert [gate.cbit for gate in flat.ops[-2:]] == [1, 2]
+
+
+@st.composite
+def _chains(draw):
+    """Manifest text of one to three independent chains in a shuffled
+    declaration order: a head, up to two width-keeping components and an
+    optional readout, or a phase estimation with its counting readout.
+    Later chains sit at qubit and classical-bit offsets."""
+    parts, wires = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        first = len(parts)
+        if draw(st.booleans()) and draw(st.booleans()):
+            parts.append("BasisStates(n=1, value=1)")
+            t = draw(st.integers(1, 3))
+            parts.append(f"StandardQPE(t={t}, phase=0.25)")
+            width = 1
+        else:
+            width = draw(st.integers(1, 4))
+            heads = [f"Superposition(n={width})",
+                     f"BasisStates(n={width}, value={2 ** width - 1})"]
+            middles = [f"StandardQFT(n={width})"]
+            if width >= 2:
+                heads.append(f"GHZStates(n={width})")
+                values = st.lists(st.integers(0, 2 ** width - 1),
+                                  min_size=1, max_size=3, unique=True)
+                marked = sorted(draw(values))
+                middles += [
+                    f"GroverOperator(n={width}, marked={marked}, "
+                    f"iterations={draw(st.integers(1, 3))})",
+                    f"HamiltonianAnsatz(n={width}, dt=0.1, "
+                    f"steps={draw(st.integers(1, 3))}, periodic=true)"]
+            parts.append(draw(st.sampled_from(heads)))
+            for _ in range(draw(st.integers(0, 2))):
+                parts.append(draw(st.sampled_from(middles)))
+        if draw(st.booleans()):
+            parts.append(f"Measurement(n={width})")
+        wires += [(i, i + 1) for i in range(first, len(parts) - 1)]
+    order = draw(st.permutations(range(len(parts))))
+    lines = [f"component c{i} = {parts[i]}" for i in order]
+    lines += [f"wire c{a}.out -> c{b}.in" for a, b in wires]
+    for _ in range(draw(st.integers(0, 2))):
+        pair = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2,
+                             unique=True))
+        lines.append("contract {" + ", ".join(map(str, pair)) + "}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chains())
+def test_flatten_matches_the_gate_by_gate_reference(text):
+    graph = parse_manifest(text).graph
+    assert not any(d.blocking for d in graph.validate())
+    _assert_flattens_as_reference(graph)
+
+
+def test_measured_qubit_met_again_raises_as_the_reference_does():
+    graph = _graph(ComponentInstance("sup", 2, {"n": 2}),
+                   ComponentInstance("m", 33, {"n": 2}),
+                   ComponentInstance("again", 12, {"n": 2}))
+    graph.wire("sup.out", "m.in")
+    graph.record_wire("m.out", "again.in")  # validate refuses this wire
+    with pytest.raises(MeasuredQubitReuseError) as ref:
+        flatten_ref(graph)
+    with pytest.raises(MeasuredQubitReuseError) as got:
+        graph._flatten_checked()
+    assert str(got.value) == str(ref.value) == "qubit(s) [0] already measured"
+
+
+def test_mid_measuring_component_raises_as_the_reference_does(monkeypatch):
+    def measure_then_flip(p):
+        n = p.int("n")
+        circ = GateCircuit(n, [g.h(0), g.measure(0, 0), g.x(0)],
+                           allow_mid_measure=True)
+        return lowering._simple(circ, measures=True, classical=1)
+
+    monkeypatch.setitem(lowering._BUILDERS, 2, measure_then_flip)
+    graph = _graph(ComponentInstance("odd", 2, {"n": 2}))
+    with pytest.raises(MeasuredQubitReuseError) as ref:
+        flatten_ref(graph)
+    with pytest.raises(MeasuredQubitReuseError) as got:
+        graph.flatten_with_layout()
+    assert str(got.value) == str(ref.value) == "qubit(s) [0] already measured"

@@ -1,6 +1,7 @@
 """Gate-level realizations: semantics, layouts, parameter validation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qsaf.lowering import (ANSATZ_IDS, ansatz_theta_count, initial_thetas,
                            port_spec, qpe_circuit, qpe_round, realize,
                            realize_ansatz)
 from qsaf.simulate import StateVector, run
+from reference import grover_ref
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -157,6 +159,20 @@ def test_grover_operator_amplifies_the_marked_state():
     theta = math.asin(math.sqrt(1 / 16))
     assert abs(p - math.sin(7 * theta) ** 2) <= 1e-10
     assert sup.width == grover.width == 4  # its MCZ needs no scratch
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_grover_iterations_share_the_gates_of_a_fresh_build(n):
+    rng = random.Random(n)
+    for iterations in range(1, 6):
+        for count in range(1, 4):
+            marked = sorted(rng.sample(range(2 ** n), count))
+            circuit = lower(11, {"n": n, "marked": marked,
+                                 "iterations": iterations})
+            assert circuit.ops == grover_ref(n, marked, iterations).ops
+            per = len(circuit.ops) // iterations
+            assert all(gate is circuit.ops[i % per]
+                       for i, gate in enumerate(circuit.ops))
 
 
 def test_qft_gate_count_formula():
@@ -381,6 +397,24 @@ def test_hamiltonian_evolution_needs_a_time_step():
     assert gate_counts(fixed).total == 2 * 3 + 3  # rzz per bond, rx per site
     periodic = lower(29, {"n": 3, "dt": 0.1, "periodic": True})
     assert gate_counts(periodic).total == 3 * 3 + 3
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_fixed_angle_hamiltonian_repeats_one_step(periodic):
+    # the variational path builds every step afresh from its own thetas
+    for n in range(2, 6):
+        for steps in range(1, 5):
+            params = {"n": n, "periodic": periodic, "steps": steps,
+                      "coupling": 0.7, "field": -1.3, "dt": 0.05}
+            fixed = realize(29, params)
+            angles = [2 * 0.7 * 0.05, 2 * -1.3 * 0.05] * steps
+            fresh = realize(29, {"n": n, "periodic": periodic,
+                                 "steps": steps, "thetas": angles})
+            assert fixed.circuit.ops == fresh.circuit.ops
+            assert fixed.sites == [] and fixed.spec.theta_count == 0
+            per = len(fixed.circuit.ops) // steps
+            assert all(gate is fixed.circuit.ops[i % per]
+                       for i, gate in enumerate(fixed.circuit.ops))
 
 
 def test_swap_controlled_and_toffoli_wrappers():

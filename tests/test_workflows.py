@@ -8,7 +8,7 @@ import pytest
 import qsaf.lowering as lowering
 import qsaf.simulate as simulate
 from qsaf.composition import ArchitectureGraph, ComponentInstance, optimizer
-from qsaf.gates import GateCircuit
+from qsaf.gates import Gate, GateCircuit
 from qsaf.errors import QsafError, ValidationFailedError
 from qsaf.lowering import lower
 from qsaf.manifest import RunDirective, parse_manifest
@@ -24,6 +24,37 @@ COIN = ("name coin\n"
         "component meas = Measurement(n=1)\n"
         "wire sup.out -> meas.in\n"
         "run simulate shots=64 seed=5\n")
+
+
+# the shape of the benchmark's grover16 op: 9 qubits, 17 iterations
+GROVER9 = ("component sup = Superposition(n=9)\n"
+           "component search = GroverOperator(n=9, marked=[15], "
+           "iterations=17)\n"
+           "component meas = Measurement(n=9)\n"
+           "wire sup.out -> search.in\n"
+           "wire search.out -> meas.in\n"
+           "run simulate shots=100 seed=1\n")
+
+
+def test_grover_execute_builds_each_gate_of_one_iteration_once(monkeypatch):
+    manifest = parse_manifest(GROVER9)
+    built = []
+    check = Gate.__post_init__
+
+    def counting(gate):
+        built.append(gate.kind)
+        check(gate)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    (outcome,) = execute(manifest)
+    assert outcome.counts == {"000001111": 100}
+    # validate and flatten each realize the three components once: 9 H,
+    # one iteration and 9 measures. The iteration builds 5 X and an MCZ
+    # for the mark, and 9 H, 9 X and an MCZ for the diffusion: each X or H
+    # layer is one list of gates placed on both sides of its flip. The 17
+    # iterations share those gates, and flatten maps every component onto
+    # its own qubits and bits, so it builds none.
+    assert len(built) == 2 * (9 + (5 + 1) + (9 + 9 + 1) + 9) == 86
 
 
 def _vqe_like(optimizer_line, extra=""):
