@@ -551,7 +551,8 @@ class ArchitectureGraph:
                         flat_gate = moved[id(gate)] = Gate(
                             gate.kind, tuple(mapping[q] for q in gate.qubits),
                             gate.theta, gate.matrix, gate.power,
-                            cbit if cbit is None else cbit + offset)
+                            cbit if cbit is None else cbit + offset,
+                            gate.multiplier, gate.modulus)
                 circuit_ops.append(flat_gate)
                 if flat_gate.kind is measure:
                     measured.add(flat_gate.qubits[0])

@@ -50,6 +50,7 @@ class GateKind(enum.Enum):
     TOFFOLI = "toffoli"
     MCZ = "mcz"
     MCX = "mcx"
+    CMODMUL = "cmodmul"
     CONTROLLED_U = "controlled_u"
     MEASURE = "measure"
 
@@ -62,7 +63,9 @@ class KindRow(NamedTuple):
     """What a gate kind is; validation, ``dagger``, the simulator's kernels
     and QASM export all read these columns."""
 
-    arity: int | None  # None: two or more (CONTROLLED_U: the matrix sets it)
+    # None: two or more; the modulus sets CMODMUL's, the matrix
+    # CONTROLLED_U's
+    arity: int | None
     angled: bool  # takes a rotation angle
     inverse: GateKind | None  # an angled kind's inverse negates the angle
     structure: str | None  # picks the kernel in simulate._KERNELS
@@ -91,12 +94,20 @@ KINDS = {
     # multi-controlled Z and X; export spells them out (see ``decompose``)
     _K.MCZ: KindRow(None, False, _K.MCZ, "diagonal", None),
     _K.MCX: KindRow(None, False, _K.MCX, "permutation", None),
+    # a controlled multiply modulo N, carried as integers; its inverse
+    # multiplies by the inverse of ``multiplier`` (see ``dagger``)
+    _K.CMODMUL: KindRow(None, False, _K.CMODMUL, "modular", None),
     _K.CONTROLLED_U: KindRow(None, False, _K.CONTROLLED_U, "controlled",
                              None),
     _K.MEASURE: KindRow(1, False, None, None, None),
 }
 
 PARAMETRIC_KINDS = frozenset(k for k, row in KINDS.items() if row.angled)
+# per-gate code reads these names: EnumType's __getattr__ hook makes every
+# member lookup several times slower than reading a global
+_MEASURE = GateKind.MEASURE
+_CMODMUL = GateKind.CMODMUL
+_CONTROLLED_U = GateKind.CONTROLLED_U
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +117,12 @@ class Gate:
     ``qubits`` are circuit-level indices, first listed = least significant
     bit of the gate matrix. CONTROLLED_U gates carry an explicit unitary
     ``matrix`` over the non-control qubits plus an integer ``power``; their
-    qubit list is (control, *targets). MCZ and MCX take two or more
-    qubits; MCX lists its controls first and its target last.
+    qubit list is (control, *targets). A CMODMUL gate multiplies its work
+    register by ``multiplier**power`` modulo ``modulus`` when its control
+    is one (see ``modular_sources``); its qubit list is (control, *work),
+    the work register ``modular_width(modulus)`` qubits, least significant
+    first. MCZ and MCX take two or more qubits; MCX lists its controls
+    first and its target last.
     """
 
     kind: GateKind
@@ -116,12 +131,14 @@ class Gate:
     matrix: np.ndarray | None = None
     power: int = 1
     cbit: int | None = None
+    multiplier: int | None = None
+    modulus: int | None = None
 
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits):
             raise DuplicateQubitError(f"repeated qubit in {self.qubits}")
         row = KINDS[self.kind]
-        if self.kind is GateKind.CONTROLLED_U:  # the matrix sets the arity
+        if self.kind is _CONTROLLED_U:  # the matrix sets the arity
             if self.matrix is None:
                 raise GateArityError("controlled_u needs a matrix")
             dim = self.matrix.shape[0]
@@ -135,13 +152,23 @@ class Gate:
                 raise GateArityError(
                     f"controlled_u over a {dim}x{dim} matrix takes {want} "
                     f"qubits, got {len(self.qubits)}")
-            if self.power < 1:
-                raise GateArityError(f"power must be >= 1, got {self.power}")
             err = np.abs(self.matrix @ self.matrix.conj().T
                          - np.eye(dim)).max()
             if err > 1e-8:
                 raise GateArityError(
                     f"controlled_u matrix is not unitary (deviation {err:.2e})")
+        elif self.kind is _CMODMUL:  # the modulus sets the arity
+            a, modulus = self.multiplier, self.modulus
+            if not (isinstance(a, int) and isinstance(modulus, int)
+                    and modulus >= 2 and a >= 1 and math.gcd(a, modulus) == 1):
+                raise GateArityError(
+                    f"cmodmul needs a modulus >= 2 and a multiplier >= 1 "
+                    f"coprime to it, got {a!r} mod {modulus!r}")
+            want = 1 + modular_width(modulus)
+            if len(self.qubits) != want:
+                raise GateArityError(
+                    f"cmodmul modulo {modulus} takes {want} qubits, got "
+                    f"{len(self.qubits)}")
         elif row.arity is None:
             if len(self.qubits) < 2:
                 raise GateArityError(
@@ -155,15 +182,18 @@ class Gate:
             raise GateArityError(f"{self.kind.value} needs an angle")
         if not row.angled and self.theta is not None:
             raise GateArityError(f"{self.kind.value} takes no angle")
-        if self.kind is GateKind.MEASURE and self.cbit is None:
+        if self.kind is _MEASURE and self.cbit is None:
             raise GateArityError("measure needs a classical bit index")
+        if self.power < 1:
+            raise GateArityError(f"power must be >= 1, got {self.power}")
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
             return NotImplemented
-        if (self.kind, self.qubits, self.theta, self.power, self.cbit) != \
+        if (self.kind, self.qubits, self.theta, self.power, self.cbit,
+                self.multiplier, self.modulus) != \
                 (other.kind, other.qubits, other.theta, other.power,
-                 other.cbit):
+                 other.cbit, other.multiplier, other.modulus):
             return False
         if (self.matrix is None) != (other.matrix is None):
             return False
@@ -223,6 +253,14 @@ def controlled_u(matrix, control, targets, power=1):
     matrix = np.asarray(matrix, dtype=complex)
     return Gate(GateKind.CONTROLLED_U, (control, *targets), matrix=matrix,
                 power=int(power))
+
+
+def cmodmul(multiplier, modulus, control, work, power=1):
+    """Multiply ``work`` by multiplier**power modulo ``modulus`` when
+    ``control`` is one; ``work`` lists ``modular_width(modulus)`` qubits,
+    least significant first."""
+    return Gate(GateKind.CMODMUL, (control, *work), power=int(power),
+                multiplier=int(multiplier), modulus=int(modulus))
 
 
 def measure(q, cbit):
@@ -301,6 +339,23 @@ def sources(labels, kind: GateKind, qubits):
     return labels ^ (((labels & mask) == mask) << target)
 
 
+def modular_width(modulus: int) -> int:
+    """Qubits of a work register that holds every residue modulo
+    ``modulus``."""
+    return max(1, (modulus - 1).bit_length())
+
+
+def modular_sources(values, gate: Gate):
+    """Source of each work-register value under a CMODMUL gate whose
+    control is one, so the gate maps amplitudes as out[x] =
+    in[modular_sources(x)]: a**-p * x mod N below N, and x itself from N
+    up. The values below N are permuted because a is a unit mod N, and
+    their products stay within int64 for any register below 32 qubits."""
+    inverse = pow(gate.multiplier, -gate.power, gate.modulus)
+    return np.where(values < gate.modulus, values * inverse % gate.modulus,
+                    values)
+
+
 def controlled_power(gate: Gate) -> np.ndarray:
     """What a CONTROLLED_U gate applies to its targets when the control is
     one: its matrix raised to its power."""
@@ -323,6 +378,11 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if structure == "diagonal":
         return np.diag([1] * (dim - 1)
                        + [diagonal_phase(gate)]).astype(complex)
+    if structure == "modular":
+        # control is the first listed qubit, hence the low index bit
+        src = np.arange(dim)
+        src[1::2] = 1 | modular_sources(src[1::2] >> 1, gate) << 1
+        return np.eye(dim, dtype=complex)[src]
     up = controlled_power(gate)
     big = np.eye(2 * len(up), dtype=complex)
     # control is the first listed qubit, hence the low index bit
@@ -388,7 +448,7 @@ class GateCircuit:
             if touched:
                 raise MeasuredQubitReuseError(
                     f"qubit(s) {sorted(touched)} already measured")
-        if gate.kind is GateKind.MEASURE:
+        if gate.kind is _MEASURE:
             if gate.cbit < 0:
                 raise IndexOutOfRangeError(f"classical bit {gate.cbit} < 0")
             self.classical_bits = max(self.classical_bits, gate.cbit + 1)
@@ -405,11 +465,8 @@ class GateCircuit:
         circuit = cls(width, classical_bits=classical_bits,
                       allow_mid_measure=allow_mid_measure)
         circuit.ops = list(ops)
-        # bound once: EnumType's __getattr__ hook makes every member
-        # lookup several times slower than reading a local
-        measure = GateKind.MEASURE
         circuit._measured = {gate.qubits[0] for gate in circuit.ops
-                             if gate.kind is measure}
+                             if gate.kind is _MEASURE}
         return circuit
 
     def extend(self, gates) -> "GateCircuit":
@@ -432,7 +489,7 @@ class GateCircuit:
 
     @property
     def has_measurement(self) -> bool:
-        return any(g.kind is GateKind.MEASURE for g in self.ops)
+        return any(g.kind is _MEASURE for g in self.ops)
 
 
 @dataclass(frozen=True)
@@ -490,9 +547,11 @@ def dagger(circuit: GateCircuit) -> GateCircuit:
     inverted = []
     for g in reversed(circuit.ops):
         row = KINDS[g.kind]
-        if g.kind is GateKind.CONTROLLED_U:
-            g = Gate(GateKind.CONTROLLED_U, g.qubits,
+        if g.kind is _CONTROLLED_U:
+            g = Gate(_CONTROLLED_U, g.qubits,
                      matrix=controlled_power(g).conj().T)
+        elif g.kind is _CMODMUL:
+            g = replace(g, multiplier=pow(g.multiplier, -1, g.modulus))
         elif row.angled:
             g = replace(g, theta=-g.theta)
         elif row.inverse is not g.kind:
@@ -539,8 +598,9 @@ def decompose(circuit: GateCircuit) -> GateCircuit:
     so the ladders share it and the result is as wide as the widest one
     needs. A circuit without MCZ or MCX is returned as it is."""
     ops, scratch, native = [], 0, False
+    mcz_, mcx_ = GateKind.MCZ, GateKind.MCX  # member lookups are slow
     for gate in circuit.ops:
-        if gate.kind is GateKind.MCZ or gate.kind is GateKind.MCX:
+        if gate.kind is mcz_ or gate.kind is mcx_:
             ops += spell_out(gate, circuit.width)
             scratch = max(scratch, ladder_scratch(gate))
             native = True

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -264,11 +265,12 @@ def modular_multiply_matrix(a: int, modulus: int) -> np.ndarray:
 
     Basis states >= N are left fixed. Requires gcd(a, N) = 1 so the map
     permutes the residues, and N <= 2**UNITARY_WIDTH_CAP so the dense
-    matrix stays small.
+    matrix stays small. The circuits apply the CMODMUL gate instead; this
+    matrix is the reference it is checked against.
     """
     if modulus < 2:
         raise BadParamsError(f"modulus must be >= 2, got {modulus}")
-    m = max(1, (modulus - 1).bit_length())
+    m = g.modular_width(modulus)
     if m > g.UNITARY_WIDTH_CAP:
         raise BadParamsError(
             f"modulus {modulus} needs {m} work qubits; the dense cap is "
@@ -289,19 +291,67 @@ def phase_unitary(phase: float) -> np.ndarray:
     return np.diag([1.0, np.exp(2j * np.pi * phase)]).astype(complex)
 
 
-def _unitary_from_params(p: _Params):
-    """Shared unitary selection for the phase-estimation primitives."""
+class ControlledPowers(NamedTuple):
+    """A unitary as phase estimation controls it: the width of the work
+    register it acts on, and ``gate(control, work, power)``, the one gate
+    that applies its ``power``-th power to ``work`` when ``control`` is
+    one."""
+
+    width: int
+    gate: Callable
+
+    @classmethod
+    def dense(cls, mat) -> "ControlledPowers":
+        """A matrix a caller supplies: CONTROLLED_U, raised to the power
+        by ``gates.controlled_power``."""
+        mat = np.asarray(mat, dtype=complex)
+        return cls(mat.shape[0].bit_length() - 1,
+                   lambda control, work, power:
+                   g.controlled_u(mat, control, work, power))
+
+    @classmethod
+    def phase(cls, phase: float) -> "ControlledPowers":
+        """``phase_unitary(phase)``: a CPHASE by 2 pi times the fractional
+        part of phase * power, taken exactly for a power of two (and
+        reduced first, so a large power cannot overflow it)."""
+        turn = math.fmod(phase, 1.0)
+        return cls(1, lambda control, work, power: g.cphase(
+            2 * math.pi * math.fmod(turn * power, 1.0), control, work[0]))
+
+    @classmethod
+    def modular(cls, a: int, modulus: int) -> "ControlledPowers":
+        """``modular_multiply_matrix(a, modulus)``: a CMODMUL gate, no
+        matrix."""
+        return cls(g.modular_width(modulus),
+                   lambda control, work, power:
+                   g.cmodmul(a, modulus, control, work, power))
+
+
+def _modular_from_params(p: _Params, controls: int) -> ControlledPowers:
+    """The modular multiply by 'a' modulo 'modulus', its work register
+    beside ``controls`` control qubits within WIDTH_CAP."""
+    a = p.int("a", lo=1)
+    modulus = p.int("modulus", lo=2)
+    m = g.modular_width(modulus)
+    if controls + m > WIDTH_CAP:
+        p._err(f"modulus {modulus} needs {m} work qubits; with {controls} "
+               f"control qubit(s) that exceeds the width cap {WIDTH_CAP}")
+    if math.gcd(a, modulus) != 1:
+        p._err(f"multiplier {a} shares a factor with modulus {modulus}")
+    return ControlledPowers.modular(a, modulus)
+
+
+def _unitary_from_params(p: _Params, controls: int) -> ControlledPowers:
+    """Shared unitary selection for the phase-estimation primitives, whose
+    work register sits beside ``controls`` control qubits."""
     has_phase = p.has("phase")
     has_mod = p.has("a") or p.has("modulus")
     if has_phase and has_mod:
         p._err("give either 'phase' or 'a'+'modulus', not both")
     if has_phase:
-        return phase_unitary(p.float("phase")), 1
+        return ControlledPowers.phase(p.float("phase"))
     if has_mod:
-        a = p.int("a", lo=1)
-        modulus = p.int("modulus", lo=2)
-        mat = modular_multiply_matrix(a, modulus)
-        return mat, int(math.log2(mat.shape[0]))
+        return _modular_from_params(p, controls)
     p._err("needs 'phase' or 'a'+'modulus' to define the unitary")
 
 
@@ -495,13 +545,11 @@ def _bitflip_oracle(p):
 
 
 def _arithmetic_oracle(p):
-    a = p.int("a", lo=1)
-    modulus = p.int("modulus", lo=2)
+    unitary = _modular_from_params(p, 1)
     power = p.int("power", 1, lo=1)
-    mat = modular_multiply_matrix(a, modulus)
-    m = int(math.log2(mat.shape[0]))
-    gate = g.controlled_u(mat, 0, list(range(1, 1 + m)), power=power)
-    return _simple(GateCircuit(1 + m, [gate]))
+    m = unitary.width
+    return _simple(GateCircuit(1 + m, [unitary.gate(0, range(1, 1 + m),
+                                                    power)]))
 
 
 def _boolean_oracle(p):
@@ -513,34 +561,35 @@ def _boolean_oracle(p):
     return _bitflip_from_marked(n, marked)
 
 
-def qpe_circuit(mat, t_bits: int) -> GateCircuit:
-    """Standard phase estimation of ``mat`` without readout.
+def qpe_circuit(unitary: ControlledPowers, t_bits: int) -> GateCircuit:
+    """Standard phase estimation of ``unitary`` without readout.
 
     Counting qubits 0..t_bits-1 take Hadamards and control the powers
-    ``mat**(2**k)`` on the work register above them; an inverse QFT
+    ``unitary**(2**k)`` on the work register above them; an inverse QFT
     leaves the phase digits on the counting register.
     """
-    width = t_bits + int(math.log2(mat.shape[0]))
-    work = list(range(t_bits, width))
+    width = t_bits + unitary.width
+    work = range(t_bits, width)
     circ = GateCircuit(width)
     for k in range(t_bits):
         circ.append(g.h(k))
     for k in range(t_bits):
-        circ.append(g.controlled_u(mat, k, work, power=2 ** k))
+        circ.append(unitary.gate(k, work, 2 ** k))
     circ.extend(_inverse_ops(_qft_ops(range(t_bits))))
     return circ
 
 
-def qpe_round(mat, power: int, feedback: float) -> GateCircuit:
+def qpe_round(unitary: ControlledPowers, power: int,
+              feedback: float) -> GateCircuit:
     """One iterative phase-estimation round on ancilla qubit 0.
 
-    Applies ``mat**power`` controlled by the ancilla, rotates it by the
-    ``feedback`` angle from bits already found, and measures it.
+    Applies ``unitary**power`` controlled by the ancilla, rotates it by
+    the ``feedback`` angle from bits already found, and measures it.
     """
-    width = 1 + int(math.log2(mat.shape[0]))
+    width = 1 + unitary.width
     circ = GateCircuit(width)
     circ.append(g.h(0))
-    circ.append(g.controlled_u(mat, 0, list(range(1, width)), power=power))
+    circ.append(unitary.gate(0, range(1, width), power))
     if feedback != 0.0:
         circ.append(g.phase(feedback, 0))
     circ.append(g.h(0))
@@ -550,11 +599,11 @@ def qpe_round(mat, power: int, feedback: float) -> GateCircuit:
 
 def _standard_qpe(p):
     t_bits = p.int("t", lo=1, hi=20)
-    mat, m = _unitary_from_params(p)
-    circ = qpe_circuit(mat, t_bits)
+    unitary = _unitary_from_params(p, t_bits)
+    circ = qpe_circuit(unitary, t_bits)
     for k in range(t_bits):
         circ.append(g.measure(k, k))
-    work = tuple(range(t_bits, t_bits + m))
+    work = tuple(range(t_bits, circ.width))
     spec = PortSpec(width=circ.width, in_qubits=work, out_qubits=work,
                     anc_qubits=tuple(range(t_bits)), classical_out=t_bits,
                     measures=True)
@@ -564,11 +613,11 @@ def _standard_qpe(p):
 def _iterative_qpe(p):
     k = p.int("k", 0, lo=0, hi=62)
     feedback = p.float("feedback", 0.0)
-    mat, m = _unitary_from_params(p)
-    work = tuple(range(1, 1 + m))
-    spec = PortSpec(width=1 + m, in_qubits=work, out_qubits=work,
+    unitary = _unitary_from_params(p, 1)
+    work = tuple(range(1, 1 + unitary.width))
+    spec = PortSpec(width=1 + unitary.width, in_qubits=work, out_qubits=work,
                     anc_qubits=(0,), classical_out=1, measures=True)
-    return Lowered(qpe_round(mat, 2 ** k, feedback), spec, [])
+    return Lowered(qpe_round(unitary, 2 ** k, feedback), spec, [])
 
 
 def _hardware_efficient(p):

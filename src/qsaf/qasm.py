@@ -1,10 +1,12 @@
 """Gate-level export in a small OPENQASM 2.0 subset.
 
 Emitted programs use qelib1 names plus ``u1`` for the bare phase gate and
-``cp`` for the controlled phase; MCZ and MCX gates are spelled out first
-(see ``gates.decompose``). Angles are printed with 17 significant digits
-so re-exported circuits are byte stable. Matrix-defined controlled
-unitaries have no textual form and are rejected.
+``cp`` for the controlled phase, which also carries each controlled power
+of a phase estimation's ``phase``; MCZ and MCX gates are spelled out
+first (see ``gates.decompose``). Angles are printed with 17 significant
+digits so re-exported circuits are byte stable. The controlled modular
+multiply (CMODMUL) and matrix-defined controlled unitaries have no
+textual form and are rejected.
 """
 
 from __future__ import annotations

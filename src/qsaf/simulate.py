@@ -23,10 +23,10 @@ import numpy as np
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
 from .gates import (KINDS, Gate, GateCircuit, GateKind, apply_matrix,
-                    controlled_power, diagonal_phase, one_qubit_entries,
-                    sources)
-from .lowering import (finite_real, modular_multiply_matrix, qpe_circuit,
-                       qpe_round, realize_ansatz)
+                    controlled_power, diagonal_phase, modular_sources,
+                    one_qubit_entries, sources)
+from .lowering import (ControlledPowers, finite_real, qpe_circuit, qpe_round,
+                       realize_ansatz)
 
 SIM_WIDTH_CAP = 16
 # most shots one simulate directive may draw: the sampler holds one float
@@ -214,15 +214,16 @@ def _plan(n, structure):
     A step is (function, args), called as function(amps, ops, *args); a
     measurement is (None, (qubit, position)). A layer step applies every
     pending one-qubit run (see ``_apply_layer``), a held run is one signed
-    permutation, and CPHASE and CONTROLLED_U keep their kernels. Steps
-    refer to gates by position, so one plan serves any angles.
+    permutation, and CPHASE, CMODMUL and CONTROLLED_U keep their kernels.
+    Steps refer to gates by position, so one plan serves any angles.
     """
     steps, pending = [], {}  # qubit -> positions of its pending run
     run, run_qubits = [], set()  # the held run and the qubits it acts on
 
     def flush():
         if pending:
-            steps.append((_apply_layer, (_layer_blocks(n, pending),)))
+            steps.append((_apply_layer,
+                          (_layer_blocks(n, pending, structure),)))
             pending.clear()
 
     def release():
@@ -252,31 +253,53 @@ def _plan(n, structure):
     return tuple(steps)
 
 
-def _layer_blocks(n, pending):
-    """((view shape, positions of each qubit's run), ...) of a layer: one
-    block per group of at most LAYER_QUBITS contiguous pending qubits, its
-    (high, 2**k, low) view shape, and its runs highest qubit first."""
+def _layer_blocks(n, pending, structure):
+    """((view shape, matrix, positions of each qubit's run), ...) of a
+    layer: one block per group of at most LAYER_QUBITS contiguous pending
+    qubits, its (high, 2**k, low) view shape, and its runs highest qubit
+    first. A block whose gates take no angle is the same on every run, so
+    its matrix is built here; any other block's matrix is None."""
     blocks = []
     for group in _groups(pending, LAYER_QUBITS):
         k, q0 = len(group), group[0]
-        blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0),
-                       tuple(tuple(pending[q]) for q in reversed(group))))
+        runs = tuple(tuple(pending[q]) for q in reversed(group))
+        kinds = {pos: structure[pos][0] for run in runs for pos in run}
+        matrix = None
+        if all(kind in _UNANGLED for kind in kinds.values()):
+            matrix = _block_matrix(
+                {pos: _UNANGLED[kind] for pos, kind in kinds.items()}, runs)
+            matrix.flags.writeable = False  # shared by every run
+        blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0), matrix, runs))
     return tuple(blocks)
+
+
+# one gate of each one-qubit kind without an angle: its entries, all that
+# ``_block_matrix`` reads, depend on its kind alone
+_UNANGLED = {kind: Gate(kind, (0,)) for kind, row in KINDS.items()
+             if row.arity == 1 and not row.angled and row.structure}
+
+
+def _block_matrix(ops, runs):
+    """Kronecker product of the 2x2 products of ``runs``, the positions in
+    ``ops`` of each qubit's run, highest qubit first."""
+    mats = []
+    for positions in runs:
+        entries = ops[positions[0]].entries
+        for pos in positions[1:]:
+            entries = _product(ops[pos].entries, entries)
+        mats.append(entries)
+    return reduce(_kron, np.array(mats, dtype=complex).reshape(-1, 2, 2))
 
 
 def _apply_layer(amps, ops, blocks):
     """Each block of a layer as one matmul with the Kronecker product of
-    its qubits' run products."""
-    for shape, runs in blocks:
-        mats = []
-        for positions in runs:
-            entries = ops[positions[0]].entries
-            for pos in positions[1:]:
-                entries = _product(ops[pos].entries, entries)
-            mats.append(entries)
-        mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
+    its qubits' run products, built on each run only for a block with an
+    angled gate."""
+    for shape, matrix, runs in blocks:
+        if matrix is None:
+            matrix = _block_matrix(ops, runs)
         view = amps.reshape(shape)
-        view[...] = reduce(_kron, mats) @ view
+        view[...] = matrix @ view
 
 
 def _apply_gate(amps, ops, kernel, n, pos):
@@ -565,6 +588,25 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
 
 
+def _modular_gather(amps, n, gate):
+    """CMODMUL: one gather of the amplitudes whose work value moves, all
+    on the control=1 half; a power that is the identity moves none."""
+    control, *work = gate.qubits
+    values = np.arange(1 << len(work))
+    src = modular_sources(values, gate)
+    moved = np.flatnonzero(src != values)
+    if not moved.size:
+        return
+    # a view of the control=1 half ending in one axis per work bit, the
+    # highest first, so a work value is picked by one index per axis
+    half = np.moveaxis(_block(amps, n, (control,), (1,)),
+                       [n - 1 - q for q in work],
+                       [n - 1 - j for j in range(len(work))])
+    bits = range(len(work) - 1, -1, -1)
+    half[(..., *[(moved >> j) & 1 for j in bits])] = \
+        half[(..., *[(src[moved] >> j) & 1 for j in bits])]
+
+
 def _controlled_u(amps, n, gate):
     """Apply matrix**power to the control=1 half only."""
     control, *targets = gate.qubits
@@ -578,7 +620,7 @@ def _controlled_u(amps, n, gate):
 # gate to ``amps`` in place; dense gates are only ever applied as pending
 # runs, so they have none
 _STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _block_swap,
-                      "controlled": _controlled_u}
+                      "modular": _modular_gather, "controlled": _controlled_u}
 _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             for kind, row in KINDS.items()
             if row.structure in _STRUCTURE_KERNELS}
@@ -1006,15 +1048,19 @@ def _check_eigenstate(unitary, eigenstate):
     return mat, vec
 
 
-def _qpe_state(mat, vec, t: int) -> StateVector:
-    m = mat.shape[0].bit_length() - 1
-    width = t + m
+def _qpe_state(unitary: ControlledPowers, work, t: int) -> StateVector:
+    """State after phase estimation of ``unitary`` on t counting qubits,
+    started from |0> on them and ``work`` on the work register: its
+    amplitudes, or one basis label of it."""
+    width = t + unitary.width
     if width > SIM_WIDTH_CAP:
         raise TooWideError(
             f"t={t} plus work register exceeds simulator cap")
+    if isinstance(work, int):
+        return run(qpe_circuit(unitary, t), work << t).state
     amps = np.zeros(2 ** width, dtype=complex)
-    amps[np.arange(vec.size) << t] = vec  # work register holds the state
-    return run(qpe_circuit(mat, t), StateVector(width, amps)).state
+    amps[np.arange(work.size) << t] = work
+    return run(qpe_circuit(unitary, t), StateVector(width, amps)).state
 
 
 def qpe_estimate(unitary, eigenstate, t: int, shots: int = 256,
@@ -1027,7 +1073,7 @@ def qpe_estimate(unitary, eigenstate, t: int, shots: int = 256,
     if t < 1:
         raise BadParamsError(f"t must be >= 1, got {t}")
     mat, vec = _check_eigenstate(unitary, eigenstate)
-    state = _qpe_state(mat, vec, t)
+    state = _qpe_state(ControlledPowers.dense(mat), vec, t)
     counts = {}
     for label, hits in sample(state, shots, seed).items():
         readout = int(label, 2) & (2 ** t - 1)
@@ -1051,13 +1097,14 @@ def iterative_phase_estimate(unitary, eigenstate, t: int, seed=None) -> float:
     if width > SIM_WIDTH_CAP:
         raise TooWideError("work register exceeds simulator cap")
     rng = _rng(seed)
+    powers = ControlledPowers.dense(mat)
     bits = {}
     for i in range(t, 0, -1):
         feedback = -2.0 * math.pi * sum(
             bits[j] / 2 ** (j - i + 1) for j in range(i + 1, t + 1))
         amps = np.zeros(2 ** width, dtype=complex)
         amps[np.arange(vec.size) << 1] = vec
-        bits[i] = run(qpe_round(mat, 2 ** (i - 1), feedback),
+        bits[i] = run(qpe_round(powers, 2 ** (i - 1), feedback),
                       StateVector(width, amps), seed=rng).bits[0]
     return sum(bits[i] / 2 ** i for i in range(1, t + 1))
 
@@ -1076,11 +1123,7 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
     if math.gcd(a, modulus) != 1:
         raise BadParamsError(
             f"{a} shares a factor with {modulus}; order undefined")
-    mat = modular_multiply_matrix(a % modulus, modulus)
-    m = mat.shape[0].bit_length() - 1
-    vec = np.zeros(2 ** m, dtype=complex)
-    vec[1] = 1.0
-    state = _qpe_state(mat, vec, t)
+    state = _qpe_state(ControlledPowers.modular(a % modulus, modulus), 1, t)
     readouts = {}
     for label, hits in sample(state, shots, seed).items():
         readout = int(label, 2) & (2 ** t - 1)

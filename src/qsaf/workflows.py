@@ -9,6 +9,7 @@ then runs the variational loop against the optimizer's observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .composition import ArchitectureGraph
 from .errors import BadParamsError, QsafError, ValidationFailedError
@@ -70,8 +71,9 @@ def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
     circuit = graph.flatten()
     unitary_ops = []
     measured = []
+    measure = GateKind.MEASURE  # a local: member lookups are slow
     for gate in circuit.ops:
-        if gate.kind is GateKind.MEASURE:
+        if gate.kind is measure:
             measured.append((gate.qubits[0], gate.cbit))
         else:
             unitary_ops.append(gate)
@@ -81,11 +83,14 @@ def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
     counts = sample(state, shots, seed)
     if not measured:
         return SimulationOutcome(counts, shots, circuit.width, False)
-    # keep only the measured qubits, highest classical bit leftmost
-    order = [q for q, _ in sorted(measured, key=lambda qc: -qc[1])]
+    # keep only the measured qubits, highest classical bit leftmost; one
+    # measured qubit makes itemgetter return a character, which joins to
+    # itself
+    pick = itemgetter(*[circuit.width - 1 - q for q, _ in
+                        sorted(measured, key=lambda qc: -qc[1])])
     projected = {}
     for key, hits in counts.items():
-        bits = "".join(key[circuit.width - 1 - q] for q in order)
+        bits = "".join(pick(key))
         projected[bits] = projected.get(bits, 0) + hits
     return SimulationOutcome(projected, shots, len(measured), True)
 

@@ -135,7 +135,8 @@ def flatten_ref(graph):
         for gate in low.circuit.ops:
             cbit = None if gate.cbit is None else gate.cbit + offset
             ops.append(Gate(gate.kind, tuple(mapping[q] for q in gate.qubits),
-                            gate.theta, gate.matrix, gate.power, cbit))
+                            gate.theta, gate.matrix, gate.power, cbit,
+                            gate.multiplier, gate.modulus))
         out_globals[(inst_id, "out")] = tuple(
             mapping[q] for q in low.spec.out_qubits)
         layout[inst_id] = mapping

@@ -1,8 +1,10 @@
 """Command-line interface: every subcommand, exit codes, error paths."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -222,6 +224,24 @@ def test_grover_runs_on_ten_qubits_and_exports_its_ladders(tmp_path,
     assert "cz q[17],q[9];" in lines
 
 
+def test_export_writes_phase_estimation_of_a_phase(tmp_path, capsys):
+    # each controlled power of diag(1, e^{2 pi i phase}) is one CPHASE, so
+    # phase estimation exports; the work qubit comes first in the flat
+    # register, the counting qubits above it
+    path = tmp_path / "qpe.qsaf"
+    path.write_text("component w = BasisStates(n=1, value=1)\n"
+                    "component q = StandardQPE(t=3, phase=0.375)\n"
+                    "wire w.out -> q.in\n")
+    assert main(["export", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "qreg q[4];" in lines and "creg c[3];" in lines
+    for k, turns in enumerate((0.375, 0.75, 0.5)):
+        assert f"cp({2 * math.pi * turns:.17g}) q[{k + 1}],q[0];" in lines
+    assert "measure q[3] -> c[2];" in lines
+
+
 def test_run_without_directives(tmp_path, capsys):
     path = tmp_path / "quiet.qsaf"
     path.write_text("component bell = BellStates()\n")
@@ -313,21 +333,29 @@ def test_validate_reports_malformed_ansatz_structure(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("component", [
-    "ArithmeticOracles(a=7, modulus=2097153)",
+    "ArithmeticOracles(a=7, modulus=8388609)",
     "StandardQPE(t=3, a=7, modulus=2097153)",
-    "IterativeQPE(k=1, a=7, modulus=1025)",
+    "IterativeQPE(k=1, a=7, modulus=8388609)",
 ])
-def test_validate_rejects_a_modulus_past_the_dense_cap(tmp_path, capsys,
+def test_validate_rejects_a_modulus_past_the_width_cap(tmp_path, capsys,
                                                        component):
-    # the work register would be wider than gates.UNITARY_WIDTH_CAP
+    # control and work qubits together would be wider than
+    # lowering.WIDTH_CAP (24); the check comes before any gate is built,
+    # and a multiply is never a dense matrix, so nothing large is allocated
     path = tmp_path / "modulus.qsaf"
     path.write_text(f"component o = {component}\n")
-    assert main(["validate", str(path)]) == 1
+    tracemalloc.start()
+    try:
+        assert main(["validate", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert "error [bad_params]" in captured.out
-    assert "dense cap is 10" in captured.out
+    assert "exceeds the width cap 24" in captured.out
     assert "1 finding(s), 1 blocking" in captured.out
     assert captured.err == ""
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("options,message", [

@@ -4,10 +4,11 @@ Every gate kernel in ``run``, the compiled plans below WIDE_WIDTH, the
 fusion of one-qubit runs and their grouped flushes at wide widths (real
 blocks through the float64 view, complex ones on the amplitudes), the
 held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX gates, the native
-multi-controlled gates against their decomposition, the planned and stacked
-Pauli ``expectation``, both ways of
-``sample`` and the prefix-sharing parameter-shift gradient are compared
-with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
+multi-controlled gates against their decomposition, the controlled
+modular multiply against the dense power of ``modular_multiply_matrix``,
+the planned and stacked Pauli ``expectation``, both ways of ``sample``
+and the prefix-sharing parameter-shift gradient are compared with the
+index-arithmetic kernel ``apply_ref``, a per-shot loop, the
 bincount sampler or full replays, over random gates, qubit orders, widths
 and states.
 """
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 import qsaf.simulate as simulate
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
-                        decompose, gate_matrix)
+                        dagger, decompose, gate_matrix, modular_width)
+from qsaf.lowering import modular_multiply_matrix
 from qsaf.manifest import parse_manifest
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            format_outcome, parameter_shift_gradient, run,
@@ -69,11 +71,16 @@ def _random_unitary(rng, dim):
 def gates_on_states(draw, kind):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
+    extra = {}
     if kind is GateKind.CONTROLLED_U:
         targets = draw(st.integers(1, 2))
         arity = 1 + targets
         matrix = _random_unitary(rng, 2 ** targets)
         power = draw(st.integers(1, 5))
+    elif kind is GateKind.CMODMUL:
+        extra = draw(modular_params(MAX_WIDTH - 1))
+        arity = 1 + modular_width(extra["modulus"])
+        matrix, power = None, draw(st.integers(1, 2 ** 19))
     elif kind in MULTI_KINDS:
         arity = draw(st.integers(2, MULTI_MAX))
         matrix, power = None, 1
@@ -84,8 +91,20 @@ def gates_on_states(draw, kind):
     qubits = tuple(draw(st.permutations(range(width)))[:arity])
     theta = draw(st.floats(-2 * math.pi, 2 * math.pi)) \
         if kind in PARAMETRIC_KINDS else None
-    gate = Gate(kind, qubits, theta=theta, matrix=matrix, power=power)
+    gate = Gate(kind, qubits, theta=theta, matrix=matrix, power=power,
+                **extra)
     return gate, width, _random_state(rng, width)
+
+
+@st.composite
+def modular_params(draw, most_work):
+    """multiplier and modulus of a CMODMUL gate on 1 to ``most_work`` work
+    qubits: any modulus that needs them all, a power of two or not, and a
+    multiplier that is a unit modulo it."""
+    m = draw(st.integers(1, most_work))
+    modulus = draw(st.integers(2 ** (m - 1) + 1, 2 ** m))
+    units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
+    return {"multiplier": draw(st.sampled_from(units)), "modulus": modulus}
 
 
 def _check_kernel(gate, width, amps):
@@ -107,11 +126,41 @@ def test_kernel_at_width_equal_to_arity(kind):
     rng = np.random.default_rng(11)
     if kind is GateKind.CONTROLLED_U:
         gate = Gate(kind, (1, 0), matrix=_random_unitary(rng, 2), power=3)
+    elif kind is GateKind.CMODMUL:
+        gate = Gate(kind, (1, 2, 0), power=3, multiplier=2, modulus=3)
     else:
         arity = 4 if kind in MULTI_KINDS else _ARITY.get(kind, 1)
         qubits = tuple(range(arity))[::-1]
         gate = Gate(kind, qubits, theta=0.7 if kind in PARAMETRIC_KINDS else None)
     _check_kernel(gate, gate.arity, _random_state(rng, gate.arity))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_controlled_multiply_matches_the_dense_power(data):
+    """CMODMUL against modular_multiply_matrix(a, N)**p applied by
+    ``apply_ref``: any modulus that needs its 1 to 5 work qubits, p up to
+    2**19, the work register anywhere around the control and in any
+    order, at widths on both sides of WIDE_WIDTH; and its ``dagger``."""
+    params = data.draw(modular_params(5))
+    m = modular_width(params["modulus"])
+    power = data.draw(st.integers(1, 2 ** 19))
+    width = data.draw(st.integers(1 + m, min(simulate.WIDE_WIDTH, m + 5)))
+    qubits = data.draw(st.permutations(range(width)))[:1 + m]
+    gate = Gate(GateKind.CMODMUL, tuple(qubits), power=power, **params)
+    dense = np.linalg.matrix_power(
+        modular_multiply_matrix(params["multiplier"], params["modulus"]),
+        power)
+    controlled = np.eye(2 ** (1 + m), dtype=complex)
+    controlled[1::2, 1::2] = dense  # the control is the low index bit
+    amps = _random_state(np.random.default_rng(data.draw(
+        st.integers(0, 2 ** 32 - 1))), width)
+    circuit = GateCircuit(width, [gate])
+    got = run(circuit, StateVector(width, amps)).state.amplitudes
+    want = apply_ref(amps, width, controlled, qubits)
+    assert np.allclose(got, want, rtol=0, atol=ATOL)
+    back = run(dagger(circuit), StateVector(width, got)).state.amplitudes
+    assert np.allclose(back, amps, rtol=0, atol=ATOL)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, MAX_WIDTH))
@@ -126,8 +175,8 @@ def test_run_leaves_the_initial_state_untouched(seed, width):
 
 
 ONE_QUBIT_KINDS = [k for k in UNITARY_KINDS
-                   if k is not GateKind.CONTROLLED_U and k not in _ARITY
-                   and k not in MULTI_KINDS]
+                   if k not in (GateKind.CONTROLLED_U, GateKind.CMODMUL)
+                   and k not in _ARITY and k not in MULTI_KINDS]
 
 
 def _reference_run(ops, width, amps):
@@ -194,6 +243,25 @@ def test_measure_after_a_fused_run_sees_the_whole_run():
         assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
 
 
+def test_a_layer_without_angles_is_built_with_the_plan_bit_for_bit():
+    # a Grover-style layer of H, X, S and T around a phase flip: the plan
+    # holds each block's matrix, the bytes that building it from the
+    # circuit's own gates on every run would give
+    ops = ([Gate(GateKind.H, (q,)) for q in range(5)]
+           + [Gate(GateKind.X, (0,)), Gate(GateKind.X, (3,)),
+              Gate(GateKind.H, (3,)), Gate(GateKind.S, (4,)),
+              Gate(GateKind.T, (1,)), Gate(GateKind.MCZ, tuple(range(5)))]
+           + [Gate(GateKind.H, (q,)) for q in range(5)])
+    plan = simulate._plan(5, tuple((g.kind, g.qubits) for g in ops))
+    blocks = [block for step, args in plan
+              if step is simulate._apply_layer for block in args[0]]
+    assert len(blocks) == 4  # qubits 0-2 and 3-4, before and after
+    for _, matrix, runs in blocks:
+        assert matrix is not None and not matrix.flags.writeable
+        assert matrix.tobytes() == \
+            simulate._block_matrix(ops, runs).tobytes()
+
+
 def test_a_plan_is_layers_runs_and_kernels():
     ops = [Gate(GateKind.Z, (0,)), Gate(GateKind.X, (1,)),
            Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (2,), 0.3),
@@ -207,8 +275,15 @@ def test_a_plan_is_layers_runs_and_kernels():
     assert [step for step, _ in plan] == [
         simulate._apply_layer, simulate._signed_gather,
         simulate._apply_layer, simulate._apply_gate]
-    assert plan[0][1] == ((((2, 4, 1), ((1,), (0,))),),)
-    assert plan[2][1] == ((((4, 2, 1), ((5,),)), ((1, 2, 4), ((3, 4),))),)
+    (layer,) = plan[0][1]
+    assert [(shape, runs) for shape, _, runs in layer] == \
+        [((2, 4, 1), ((1,), (0,)))]
+    # Z and X take no angle, so the plan holds their block
+    assert np.array_equal(layer[0][1], np.kron(X2, Z2))
+    (layer,) = plan[2][1]
+    assert [(shape, runs) for shape, _, runs in layer] == \
+        [((4, 2, 1), ((5,),)), ((1, 2, 4), ((3, 4),))]
+    assert [matrix for _, matrix, _ in layer] == [None, None]
     assert plan[3][1] == (simulate._phase_block, 3, 6)
     moved, sources, negated = plan[1][1]
     assert list(moved) == [1, 3, 5, 7] and list(sources) == [3, 1, 7, 5]

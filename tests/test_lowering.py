@@ -13,8 +13,9 @@ from qsaf.core import ParameterKind
 from qsaf.errors import BadParamsError, NotLowerableError
 from qsaf.gates import (GateCircuit, GateKind, decompose, gate_counts,
                         unitary_of)
-from qsaf.lowering import (ANSATZ_IDS, ansatz_theta_count, initial_thetas,
-                           lower, modular_multiply_matrix, phase_unitary,
+from qsaf.lowering import (ANSATZ_IDS, ControlledPowers, ansatz_theta_count,
+                           initial_thetas, lower, modular_multiply_matrix,
+                           phase_unitary,
                            port_spec, qpe_circuit, qpe_round, realize,
                            realize_ansatz)
 from qsaf.simulate import StateVector, run
@@ -283,13 +284,47 @@ def test_iterative_qpe_round_layout():
     ({"a": 7, "modulus": 15}, modular_multiply_matrix(7, 15)),
 ])
 def test_qpe_primitives_lower_through_the_shared_builders(source, mat):
+    unitary = (ControlledPowers.phase(source["phase"]) if "phase" in source
+               else ControlledPowers.modular(source["a"], source["modulus"]))
     standard = lower(22, {"t": 3, **source})
-    assert [op for op in standard.ops if op.kind is not GateKind.MEASURE] \
-        == qpe_circuit(mat, 3).ops
+    unitary_ops = [op for op in standard.ops
+                   if op.kind is not GateKind.MEASURE]
+    assert unitary_ops == qpe_circuit(unitary, 3).ops
     assert [op.qubits for op in standard.ops
             if op.kind is GateKind.MEASURE] == [(0,), (1,), (2,)]
     one_round = lower(23, {"k": 2, "feedback": -0.5, **source})
-    assert one_round.ops == qpe_round(mat, 4, -0.5).ops
+    assert one_round.ops == qpe_round(unitary, 4, -0.5).ops
+    # the structured gates act as the dense powers of ``mat`` do
+    dense = qpe_circuit(ControlledPowers.dense(mat), 3)
+    assert np.abs(unitary_of(GateCircuit(dense.width, unitary_ops))
+                  - unitary_of(dense)).max() <= 1e-12
+
+
+def test_cphase_qpe_matches_the_phase_unitary_powers():
+    rng = random.Random(14)
+    for _ in range(12):
+        phase, t = rng.uniform(-2.0, 2.0), rng.randint(1, 6)
+        structured = qpe_circuit(ControlledPowers.phase(phase), t)
+        dense = qpe_circuit(ControlledPowers.dense(phase_unitary(phase)), t)
+        assert GateKind.CPHASE in {op.kind for op in structured.ops}
+        assert np.abs(unitary_of(structured)
+                      - unitary_of(dense)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pid, params", [
+    (20, {"a": 7, "modulus": 1021, "power": 3}),
+    (22, {"t": 4, "a": 7, "modulus": 1021}),
+    (23, {"k": 5, "a": 7, "modulus": 1021}),
+    (22, {"t": 4, "phase": 0.3}),
+])
+def test_phase_estimation_and_oracles_hold_no_matrix(pid, params):
+    # a 10-bit modulus is one CMODMUL gate per power, a phase one CPHASE:
+    # integers and an angle, no dense matrix to build or check
+    ops = realize(pid, params).circuit.ops
+    assert all(op.matrix is None for op in ops)
+    kinds = {op.kind for op in ops}
+    assert GateKind.CONTROLLED_U not in kinds
+    assert (GateKind.CMODMUL in kinds) == ("modulus" in params)
 
 
 def test_package_exports_resolve_without_duplicates():

@@ -72,8 +72,8 @@ def test_measurement_emits_a_classical_register():
 
 
 def test_matrix_defined_gates_are_rejected():
-    circuit = GateCircuit(2, [
-        g.controlled_u([[1, 0], [0, 1j]], 0, [1]),
-    ])
-    with pytest.raises(UnexportableError):
-        export_gates(circuit)
+    # a dense controlled unitary, and a controlled multiply modulo 3
+    for gate in (g.controlled_u([[1, 0], [0, 1j]], 0, [1]),
+                 g.cmodmul(2, 3, 0, [1, 2])):
+        with pytest.raises(UnexportableError):
+            export_gates(GateCircuit(3, [gate]))

@@ -199,5 +199,12 @@ def test_modular_unitaries_stop_at_the_dense_cap():
     assert modular_multiply_matrix(3, 1024).shape == (1024, 1024)
     with pytest.raises(BadParamsError, match="dense cap"):
         modular_multiply_matrix(3, 1025)
-    with pytest.raises(BadParamsError, match="dense cap"):
+
+
+def test_find_order_is_bounded_by_the_simulator_width():
+    # the multiply is a CMODMUL gate, so a modulus past the dense cap runs
+    # while the counting and work registers fit: 1024 = -1 mod 1025 has
+    # order 2, on 4 + 11 qubits
+    assert find_order(1024, 1025, t=4, seed=0) == 2
+    with pytest.raises(TooWideError, match="simulator cap"):
         find_order(7, 2097153)
