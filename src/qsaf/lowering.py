@@ -254,10 +254,17 @@ def _qft_ops(qubits, cutoff=None):
     return ops
 
 
-def _inverse_ops(ops):
-    # the width covers every listed qubit, so the gates need no check
-    inv = GateCircuit.trusted(max(max(op.qubits) for op in ops) + 1, ops)
-    return g.dagger(inv).ops
+def _inverse_qft_ops(qubits):
+    """``dagger`` of ``_qft_ops(qubits)``, built directly: the ladder in
+    reverse order with each CPHASE angle negated."""
+    qs = list(qubits)
+    n = len(qs)
+    ops = [g.swap(qs[i], qs[n - 1 - i]) for i in reversed(range(n // 2))]
+    for j in range(n):
+        for m in range(j):
+            ops.append(g.cphase(-math.pi / 2 ** (j - m), qs[m], qs[j]))
+        ops.append(g.h(qs[j]))
+    return ops
 
 
 def modular_multiply_matrix(a: int, modulus: int) -> np.ndarray:
@@ -521,7 +528,7 @@ def _qft(p):
 
 def _inverse_qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _simple(GateCircuit(n, _inverse_ops(_qft_ops(range(n)))))
+    return _simple(GateCircuit(n, _inverse_qft_ops(range(n))))
 
 
 def _approx_qft(p):
@@ -575,7 +582,7 @@ def qpe_circuit(unitary: ControlledPowers, t_bits: int) -> GateCircuit:
         circ.append(g.h(k))
     for k in range(t_bits):
         circ.append(unitary.gate(k, work, 2 ** k))
-    circ.extend(_inverse_ops(_qft_ops(range(t_bits))))
+    circ.extend(_inverse_qft_ops(range(t_bits)))
     return circ
 
 

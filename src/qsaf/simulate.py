@@ -13,7 +13,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from numbers import Integral
@@ -24,7 +24,7 @@ from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
 from .gates import (KINDS, Gate, GateCircuit, GateKind, apply_matrix,
                     controlled_power, diagonal_phase, modular_sources,
-                    one_qubit_entries, sources)
+                    sources)
 from .lowering import (ControlledPowers, finite_real, qpe_circuit, qpe_round,
                        realize_ansatz)
 
@@ -36,13 +36,13 @@ SHOT_CAP = 10 ** 7
 ITERATION_CAP = 10 ** 5
 EIGEN_ATOL = 1e-8
 
-# From WIDE_WIDTH qubits on, ``run`` goes gate by gate: a flush applies
-# every pending one-qubit run, up to GROUP_QUBITS contiguous qubits per
-# block update, permutation gates swap blocks, and runs of CNOT, CZ, SWAP
-# and Toffoli gates are held. Narrower states run a plan compiled once per
-# circuit structure (see ``_plan``), whose layers are blocks of at most
-# LAYER_QUBITS qubits; PLAN_CACHE plans are kept, least recently used
-# dropped first.
+# ``run`` executes a plan compiled once per circuit structure (see
+# ``_plan``); PLAN_CACHE plans are kept, least recently used dropped
+# first. The width picks a plan's step kinds: below WIDE_WIDTH qubits a
+# layer of one-qubit runs is complex blocks of at most LAYER_QUBITS
+# qubits and a held run is composed with the plan; from WIDE_WIDTH on a
+# layer is block updates of at most GROUP_QUBITS qubits, real ones on
+# the float64 view, and a held run is composed once it recurs.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
 LAYER_QUBITS = 3
@@ -152,10 +152,11 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
 
     Consecutive CNOT, CZ, SWAP and Toffoli gates are held as one run too,
     applied before any later gate that touches their qubits, any other
-    multi-qubit gate, a measurement, or the end. Below WIDE_WIDTH qubits
-    every run is one signed permutation, composed when the circuit's plan
-    is; from WIDE_WIDTH on, a run that recurs is one cached signed
-    permutation (see ``_apply_run``).
+    multi-qubit gate, a measurement, or the end. Both are steps of the
+    plan compiled once per circuit structure; below WIDE_WIDTH qubits
+    every run is one signed permutation, composed with the plan, and from
+    WIDE_WIDTH on a run that recurs is one cached signed permutation (see
+    ``_plan`` and ``_apply_run``).
     """
     n = circuit.width
     if n > SIM_WIDTH_CAP:
@@ -185,12 +186,9 @@ def _evolve(amps, n, ops, bits=(), seed=None):
     measurement collapses them) and return the final amplitudes.
 
     Measurement outcomes land in ``bits``; the seeded generator is built at
-    the first measurement. Below WIDE_WIDTH qubits the plan of the gates'
-    structure runs, reading their angles and matrices from ``ops``; from
-    WIDE_WIDTH on, ``_evolve_wide`` goes gate by gate.
+    the first measurement. The plan of the gates' structure runs, reading
+    their angles and matrices from ``ops``.
     """
-    if n >= WIDE_WIDTH:
-        return _evolve_wide(amps, n, ops, bits, seed)
     rng = None
     # a list, not a generator: one generator per run let the process's
     # resident memory creep up between full garbage collections
@@ -209,26 +207,36 @@ def _evolve(amps, n, ops, bits=(), seed=None):
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(n, structure):
     """The steps that apply gates of ``structure``, ((kind, qubits), ...),
-    at width n < WIDE_WIDTH, in the order ``_evolve_wide`` would.
+    at width n.
 
     A step is (function, args), called as function(amps, ops, *args); a
-    measurement is (None, (qubit, position)). A layer step applies every
-    pending one-qubit run (see ``_apply_layer``), a held run is one signed
-    permutation, and CPHASE, CMODMUL and CONTROLLED_U keep their kernels.
-    Steps refer to gates by position, so one plan serves any angles.
+    measurement is (None, (qubit, position)). Steps refer to gates by
+    position, so one plan serves any angles. A layer applies every pending
+    one-qubit run, and CPHASE, CMODMUL and CONTROLLED_U keep their
+    kernels. The width picks the other steps once, here: below WIDE_WIDTH
+    a held run is one signed permutation, and from WIDE_WIDTH on it asks
+    ``_RUN_CACHE`` (see ``_apply_run``); a layer's steps are those of
+    ``_layer_steps``.
+
+    No pending qubit is ever a qubit of the held run: a run gate flushes
+    the pending runs it touches before it joins, and a one-qubit gate on
+    a held qubit releases the run first. So a layer may be applied before
+    the held run that precedes it in ``structure``: they commute.
     """
+    wide = n >= WIDE_WIDTH
     steps, pending = [], {}  # qubit -> positions of its pending run
-    run, run_qubits = [], set()  # the held run and the qubits it acts on
+    run, run_qubits = [], set()  # positions of the held run, its qubits
 
     def flush():
         if pending:
-            steps.append((_apply_layer,
-                          (_layer_blocks(n, pending, structure),)))
+            steps.extend(_layer_steps(n, pending, structure, wide))
             pending.clear()
 
     def release():
         if run:
-            steps.append((_signed_gather, _signed_permutation(n, tuple(run))))
+            key = (n, tuple([structure[pos] for pos in run]))
+            steps.append((_apply_run, (key, tuple(run))) if wide
+                         else (_signed_gather, _signed_permutation(*key)))
             run.clear()
             run_qubits.clear()
 
@@ -242,7 +250,7 @@ def _plan(n, structure):
         if not pending.keys().isdisjoint(qubits):
             flush()
         if kind in _RUN_KINDS:
-            run.append((kind, qubits))
+            run.append(pos)
             run_qubits.update(qubits)
             continue
         release()
@@ -253,24 +261,42 @@ def _plan(n, structure):
     return tuple(steps)
 
 
-def _layer_blocks(n, pending, structure):
-    """((view shape, matrix, positions of each qubit's run), ...) of a
-    layer: one block per group of at most LAYER_QUBITS contiguous pending
-    qubits, its (high, 2**k, low) view shape, and its runs highest qubit
-    first. A block whose gates take no angle is the same on every run, so
-    its matrix is built here; any other block's matrix is None."""
-    blocks = []
-    for group in _groups(pending, LAYER_QUBITS):
+def _layer_steps(n, pending, structure, wide):
+    """The steps that apply every pending one-qubit run, in groups of
+    contiguous qubits (see ``_groups``), each group's runs highest qubit
+    first.
+
+    A narrow layer is one ``_apply_layer`` step with a block per group of
+    at most LAYER_QUBITS: its (high, 2**k, low) view shape, complex
+    matrix and runs. A wide layer is a step per group of at most
+    GROUP_QUBITS: a lone diagonal gate (Z, S, T, PHASE and their
+    inverses) keeps ``_phase_block``, which touches only the amplitudes
+    it scales, and any other group, a lone gate too, is one
+    ``_update_group`` with a matrix that is real when no entry is
+    complex. A block whose gates take no angle is the same on every run,
+    so its matrix is built here; any other block's matrix is None.
+    """
+    blocks, steps = [], []
+    for group in _groups(pending, GROUP_QUBITS if wide else LAYER_QUBITS):
         k, q0 = len(group), group[0]
         runs = tuple(tuple(pending[q]) for q in reversed(group))
         kinds = {pos: structure[pos][0] for run in runs for pos in run}
         matrix = None
         if all(kind in _UNANGLED for kind in kinds.values()):
             matrix = _block_matrix(
-                {pos: _UNANGLED[kind] for pos, kind in kinds.items()}, runs)
+                {pos: _UNANGLED[kind] for pos, kind in kinds.items()}, runs,
+                None if wide else complex)
             matrix.flags.writeable = False  # shared by every run
-        blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0), matrix, runs))
-    return tuple(blocks)
+        if not wide:
+            blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0), matrix,
+                           runs))
+            continue
+        (pos, kind), *others = kinds.items()
+        if not others and KINDS[kind].structure == "diagonal":
+            steps.append((_apply_gate, (_phase_block, n, pos)))
+        else:
+            steps.append((_apply_group, (q0, matrix, runs)))
+    return steps if wide else [(_apply_layer, (tuple(blocks),))]
 
 
 # one gate of each one-qubit kind without an angle: its entries, all that
@@ -279,16 +305,17 @@ _UNANGLED = {kind: Gate(kind, (0,)) for kind, row in KINDS.items()
              if row.arity == 1 and not row.angled and row.structure}
 
 
-def _block_matrix(ops, runs):
+def _block_matrix(ops, runs, dtype=complex):
     """Kronecker product of the 2x2 products of ``runs``, the positions in
-    ``ops`` of each qubit's run, highest qubit first."""
+    ``ops`` of each qubit's run, highest qubit first; of ``dtype``, or
+    of the entries' own type when that is None."""
     mats = []
     for positions in runs:
         entries = ops[positions[0]].entries
         for pos in positions[1:]:
             entries = _product(ops[pos].entries, entries)
         mats.append(entries)
-    return reduce(_kron, np.array(mats, dtype=complex).reshape(-1, 2, 2))
+    return reduce(_kron, np.array(mats, dtype=dtype).reshape(-1, 2, 2))
 
 
 def _apply_layer(amps, ops, blocks):
@@ -300,6 +327,14 @@ def _apply_layer(amps, ops, blocks):
             matrix = _block_matrix(ops, runs)
         view = amps.reshape(shape)
         view[...] = matrix @ view
+
+
+def _apply_group(amps, ops, q0, matrix, runs):
+    """One group of a wide layer (see ``_layer_steps``), its matrix built
+    on each run only when one of its gates takes an angle."""
+    if matrix is None:
+        matrix = _block_matrix(ops, runs, None)
+    _update_group(amps, q0, matrix)
 
 
 def _apply_gate(amps, ops, kernel, n, pos):
@@ -315,88 +350,12 @@ def _signed_gather(amps, ops, moved, src, negated):
         amps[negated] *= -1
 
 
-def _evolve_wide(amps, n, ops, bits, seed):
-    """``_evolve`` gate by gate, for n >= WIDE_WIDTH.
-
-    No pending qubit is ever a qubit of the held run: a run gate flushes
-    the pending runs it touches before it joins, and a one-qubit gate on
-    a held qubit applies the run first. So a flush may apply pending runs
-    before the held run that precedes them in ``ops``: they commute.
-    """
-    rng = None
-    pending = {}  # qubit -> [first gate, product entries once fused]
-    run_gates, run_qubits = [], set()  # the held run and the qubits it acts on
-    for gate in ops:
-        qubits = gate.qubits
-        measure = gate.kind is GateKind.MEASURE
-        if len(qubits) == 1 and not measure:
-            if qubits[0] in run_qubits:
-                _apply_run(amps, n, run_gates, run_qubits)
-            held = pending.get(qubits[0])
-            if held is None:
-                pending[qubits[0]] = [gate, None]
-            else:
-                held[1] = _product(one_qubit_entries(gate), _entries(held))
-            continue
-        if any(q in pending for q in qubits):
-            _flush_wide(amps, n, pending)
-        if gate.kind in _RUN_KINDS:
-            run_gates.append(gate)
-            run_qubits.update(qubits)
-            continue
-        if run_gates:
-            _apply_run(amps, n, run_gates, run_qubits)
-        if measure:
-            if rng is None:
-                rng = _rng(seed)
-            amps, outcome = _collapse(amps, n, qubits[0], rng)
-            bits[gate.cbit] = outcome
-        else:
-            _KERNELS[gate.kind](amps, n, gate)
-    if run_gates:
-        _apply_run(amps, n, run_gates, run_qubits)
-    _flush_wide(amps, n, pending)
-    return amps
-
-
 def _product(b, a):
     """Entries of the 2x2 product b @ a (a acts first)."""
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
     return (b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
-
-
-def _flush_wide(amps, n, pending):
-    """Apply and drop every pending one-qubit run.
-
-    Runs on different qubits commute, so they are applied in groups (see
-    ``_groups``) and a group of two or more is one block update. A lone
-    gate whose kernel is not dense (X, Z, a phase) keeps its kernel; any
-    other lone run is one dense 2x2 update, of the float64 view when its
-    entries are real (see ``_update_group``).
-    """
-    for group in _groups(pending):
-        if len(group) > 1:
-            _update_group(amps, group[0],
-                          [_entries(pending.pop(q)) for q in group])
-            continue
-        q = group[0]
-        gate, entries = pending.pop(q)
-        if entries is None:
-            if KINDS[gate.kind].structure != "dense":
-                _KERNELS[gate.kind](amps, n, gate)
-                continue
-            entries = one_qubit_entries(gate)
-        if any(isinstance(e, complex) for e in entries):
-            _update_1q(amps, q, entries)
-        else:
-            _update_1q(amps.view(np.float64), q + 1, entries)
-
-
-def _entries(held):
-    gate, entries = held
-    return entries or one_qubit_entries(gate)
 
 
 def _groups(qubits, most=GROUP_QUBITS):
@@ -432,21 +391,19 @@ def _phase_block(amps, n, gate):
         diagonal_phase(gate)
 
 
-def _apply_run(amps, n, run_gates, run_qubits):
-    """Apply and drop the held run. A run of two or more gates that
-    recurs (see ``_RunCache``) is at most one gather and one in-place
-    negation; any other run goes gate by gate through its kernels."""
-    parts = None
-    if len(run_gates) > 1:
-        parts = _RUN_CACHE.lookup(
-            (n, tuple((gate.kind, gate.qubits) for gate in run_gates)))
+def _apply_run(amps, ops, key, positions):
+    """A held run of a wide plan, ``key`` its (width, ((kind, qubits),
+    ...)) and ``positions`` its gates in ``ops``. A run of two or more
+    gates that recurs (see ``_RunCache``) is at most one gather and one
+    in-place negation; any other run goes gate by gate through its
+    kernels."""
+    parts = _RUN_CACHE.lookup(key) if len(positions) > 1 else None
     if parts is None:
-        for gate in run_gates:
-            _KERNELS[gate.kind](amps, n, gate)
+        for pos in positions:
+            gate = ops[pos]
+            _KERNELS[gate.kind](amps, key[0], gate)
     else:
-        _signed_gather(amps, run_gates, *parts)
-    run_gates.clear()
-    run_qubits.clear()
+        _signed_gather(amps, ops, *parts)
 
 
 class _RunCache:
@@ -534,32 +491,17 @@ def _block_swap(amps, n, gate):
     b[...] = saved
 
 
-def _update_1q(amps, q, entries):
-    """Dense 2x2 update of qubit ``q`` through a (high, 2, low) view;
-    ``amps`` may be the float64 view of the state, with ``q`` one higher
-    and real entries."""
-    m00, m01, m10, m11 = entries
-    view = amps.reshape(-1, 2, 1 << q)
-    zero, one = view[:, 0], view[:, 1]
-    saved = zero.copy()
-    zero *= m00
-    zero += m01 * one
-    one *= m11
-    one += m10 * saved
-
-
-def _update_group(amps, q0, entries):
-    """Dense update of qubits q0, q0 + 1, ... with the Kronecker product
-    of their 2x2s (``entries`` lowest qubit first).
+def _update_group(amps, q0, block):
+    """Dense update of qubits q0, q0 + 1, ... with ``block``, the 2**k x
+    2**k matrix of k of them (see ``_block_matrix``).
 
     The block acts on a (high, 2**k, low) view, half of it at a time, so
-    no temporary outgrows the half-state copy of ``_update_1q``. A block
-    without a complex entry (an int one for X alone) acts alike on the
-    real and imaginary parts, so it acts on the float64 view of the state
+    no temporary outgrows a half-state copy. A block without a complex
+    entry (an int one for X's alone) acts alike on the real and
+    imaginary parts, so it acts on the float64 view of the state
     instead, where they are one more low qubit: one real matmul, half
     the multiplies of a complex one.
     """
-    block = reduce(_kron, [np.reshape(e, (2, 2)) for e in entries[::-1]])
     if block.dtype.kind != "c":
         amps, q0 = amps.view(np.float64), q0 + 1
     low = 1 << q0
@@ -625,7 +567,7 @@ _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             for kind, row in KINDS.items()
             if row.structure in _STRUCTURE_KERNELS}
 # the unangled multi-qubit permutations and phases (CNOT, CZ, SWAP,
-# Toffoli, MCZ and MCX at any arity; a phase is -1): _evolve holds each
+# Toffoli, MCZ and MCX at any arity; a phase is -1): a plan holds each
 # run of them and applies it as one signed permutation (from WIDE_WIDTH
 # on, once it recurs)
 _RUN_KINDS = frozenset(
@@ -958,10 +900,8 @@ def parameter_shift_gradient(ansatz_id: int, thetas, observable,
         energies = []
         for delta in (math.pi / 2, -math.pi / 2):
             # built from validated gates, so the circuit is not revalidated
-            suffix = GateCircuit(n)
-            suffix.ops = [Gate(gate.kind, gate.qubits, gate.theta + delta,
-                               gate.matrix, gate.power, gate.cbit),
-                          *ops[pos + 1:]]
+            suffix = GateCircuit.trusted(
+                n, [replace(gate, theta=gate.theta + delta), *ops[pos + 1:]])
             energies.append(expectation(run(suffix, prefix).state,
                                         observable))
         diff[pos] = energies[0] - energies[1]

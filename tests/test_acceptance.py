@@ -18,7 +18,7 @@ from qsaf import (AnalysisContext, ComponentInstance, DegenerateMarginalsError,
                   Growth, PauliObservable, UsageLevel)
 from qsaf.analyze import complexity_check, compare
 from qsaf.classify import ATTRIBUTE_NAMES, check_mece, fleiss_kappa
-from qsaf.simulate import _evolve_wide
+from qsaf.simulate import _evolve
 
 from reference import H2, X2, Z2, cz_ref, dft_matrix, op_on
 from reference import GROVER_MANIFEST, VQE_MANIFEST
@@ -396,12 +396,12 @@ def test_c11_seeded_counts_at_the_width_cap(golden):
     want = json.loads((GOLDEN / golden).read_text())
     (outcome,) = qsaf.execute(manifest)
     assert outcome.counts == want
-    # the decomposed circuit, scratch included, runs gate by gate through
-    # the wide engine and reproduces the same counts
+    # the decomposed circuit, scratch included, runs through the wide
+    # steps of its plan and reproduces the same counts
     unitary = [g for g in wide.ops if g.kind is not qsaf.GateKind.MEASURE]
     amps = np.zeros(2 ** wide.width, dtype=complex)
     amps[0] = 1.0
-    amps = _evolve_wide(amps, wide.width, unitary, (), None)
+    amps = _evolve(amps, wide.width, unitary, (), None)
     (directive,) = manifest.directives
     counts = qsaf.sample(qsaf.StateVector(wide.width, amps),
                          directive.options["shots"],

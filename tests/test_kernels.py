@@ -1,19 +1,21 @@
 """Property checks of the statevector fast paths against slow references.
 
-Every gate kernel in ``run``, the compiled plans below WIDE_WIDTH, the
-fusion of one-qubit runs and their grouped flushes at wide widths (real
-blocks through the float64 view, complex ones on the amplitudes), the
-held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX gates, the native
-multi-controlled gates against their decomposition, the controlled
-modular multiply against the dense power of ``modular_multiply_matrix``,
-the planned and stacked Pauli ``expectation``, both ways of ``sample``
-and the prefix-sharing parameter-shift gradient are compared with the
-index-arithmetic kernel ``apply_ref``, a per-shot loop, the
-bincount sampler or full replays, over random gates, qubit orders, widths
-and states.
+Every gate kernel in ``run``, the compiled plans at every width with
+both kinds of steps (narrow layers and composed runs below WIDE_WIDTH;
+grouped block updates, real ones through the float64 view and complex
+ones on the amplitudes, and cached runs from it on), the fusion of
+one-qubit runs, the held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX
+gates, the native multi-controlled gates against their decomposition,
+the controlled modular multiply against the dense power of
+``modular_multiply_matrix``, the planned and stacked Pauli
+``expectation``, both ways of ``sample`` and the prefix-sharing
+parameter-shift gradient are compared with the index-arithmetic kernel
+``apply_ref``, a per-shot loop, the bincount sampler or full replays,
+over random gates, qubit orders, widths and states.
 """
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -294,6 +296,40 @@ def test_a_plan_is_layers_runs_and_kernels():
                        rtol=0, atol=ATOL)
 
 
+def test_a_wide_plan_is_groups_runs_and_kernels():
+    width = simulate.WIDE_WIDTH
+    ops = [Gate(GateKind.Z, (0,)), Gate(GateKind.X, (1,)),
+           Gate(GateKind.H, (5,)), Gate(GateKind.S, (7,)),
+           Gate(GateKind.RZ, (9,), 0.4), Gate(GateKind.CNOT, (0, 1)),
+           Gate(GateKind.CZ, (1, 2)), Gate(GateKind.RY, (2,), 0.3),
+           Gate(GateKind.CPHASE, (2, 3), 0.9)]
+    plan = simulate._plan(width, tuple((g.kind, g.qubits) for g in ops))
+    # the CNOT flushes the layer as a group per stretch of qubits: Z and
+    # X as one real block, a lone H as a group of its own, a lone S with
+    # its phase kernel; the RY releases the held run, and the CPHASE
+    # flushes the RY and keeps its kernel
+    assert [step for step, _ in plan] == [
+        simulate._apply_group, simulate._apply_group, simulate._apply_gate,
+        simulate._apply_group, simulate._apply_run, simulate._apply_group,
+        simulate._apply_gate]
+    assert [args[::2] for step, args in plan
+            if step is simulate._apply_group] == \
+        [(0, ((1,), (0,))), (5, ((2,),)), (9, ((4,),)), (2, ((7,),))]
+    # unangled groups hold real matrices, angled ones are built per run
+    fixed = [args[1] for step, args in plan if step is simulate._apply_group]
+    assert np.array_equal(fixed[0], np.kron(X2, Z2))
+    assert fixed[0].dtype.kind != "c" and fixed[1].dtype.kind != "c"
+    assert fixed[2:] == [None, None]
+    assert plan[2][1] == (simulate._phase_block, width, 3)
+    assert plan[4][1] == ((width, ((GateKind.CNOT, (0, 1)),
+                                   (GateKind.CZ, (1, 2)))), (5, 6))
+    assert plan[6][1] == (simulate._phase_block, width, 8)
+    amps = _random_state(np.random.default_rng(6), width)
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    assert np.allclose(got.state.amplitudes,
+                       _reference_run(ops, width, amps), rtol=0, atol=ATOL)
+
+
 def test_unitary_run_draws_nothing_from_a_given_generator():
     gen = np.random.default_rng(21)
     state = gen.bit_generator.state
@@ -318,11 +354,14 @@ def _kron_ref(mats):
 
 @st.composite
 def groups_on_states(draw):
+    """Complex 2x2s, or real ones, on a stretch of qubits."""
     width = draw(st.integers(1, 10))
     size = draw(st.integers(1, min(width, GROUP + 1)))
     q0 = draw(st.integers(0, width - size))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mats = [_random_unitary(rng, 2) for _ in range(size)]
+    if draw(st.booleans()):
+        mats = [np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in mats]
     return width, q0, mats, _random_state(rng, width)
 
 
@@ -331,7 +370,15 @@ def groups_on_states(draw):
 def test_group_kernel_matches_the_kronecker_reference(case):
     width, q0, mats, amps = case
     got = amps.copy()
-    simulate._update_group(got, q0, [tuple(m.reshape(-1)) for m in mats])
+    # runs of one gate each, highest qubit first, with the entries
+    # ``_block_matrix`` reads; a real block stays real
+    ops = [SimpleNamespace(entries=tuple(m.reshape(-1).tolist()))
+           for m in mats]
+    block = simulate._block_matrix(
+        ops, tuple((j,) for j in reversed(range(len(mats)))), None)
+    assert (block.dtype.kind == "c") == any(m.dtype.kind == "c"
+                                            for m in mats)
+    simulate._update_group(got, q0, block)
     want = apply_ref(amps, width, _kron_ref(mats),
                      tuple(range(q0, q0 + len(mats))))
     assert np.allclose(got, want, rtol=0, atol=ATOL)
@@ -416,14 +463,10 @@ def test_wide_measure_flushes_every_pending_run():
 
 
 def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
-    calls = []
-    group, update = simulate._update_group, simulate._update_1q
-    monkeypatch.setattr(simulate, "_update_group",
-                        lambda a, q0, e: (calls.append(("group", len(e))),
-                                          group(a, q0, e)))
-    monkeypatch.setattr(simulate, "_update_1q",
-                        lambda a, q, e: (calls.append(("1q", q)),
-                                         update(a, q, e)))
+    calls = []  # qubits of each group update
+    group = simulate._update_group
+    monkeypatch.setattr(simulate, "_update_group", lambda a, q0, block: (
+        calls.append(len(block).bit_length() - 1), group(a, q0, block)))
     width = simulate.SIM_WIDTH_CAP
     ops = [Gate(GateKind.H, (q,)) for q in range(9)]
     ops += [Gate(GateKind.X, (q,)) for q in range(9)]
@@ -431,9 +474,9 @@ def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
     ops.append(Gate(GateKind.TOFFOLI, (9, 10, 4)))
     amps = _random_state(np.random.default_rng(5), width)
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
-    assert calls and all(kind == "group" for kind, _ in calls)
+    # every layer qubit goes through a group update, none alone
     assert len(calls) <= -(-9 // GROUP)
-    assert sum(size for _, size in calls) == 9
+    assert sum(calls) == 9
     # one circuit per gate: every gate takes its own kernel
     want = StateVector(width, amps)
     for gate in ops:
@@ -517,14 +560,12 @@ def test_groups_on_both_sides_of_the_fold(layer, q0, k):
 
 
 def _spy_dtypes(monkeypatch):
-    """Record the dtype of each view a group update or a dense 2x2
-    update writes to."""
+    """Record the dtype of each view a group update writes to, a lone
+    run's too."""
     dtypes = []
-    halves, update = simulate._halves, simulate._update_1q
+    halves = simulate._halves
     monkeypatch.setattr(simulate, "_halves", lambda view, axis: (
         dtypes.append(view.dtype), halves(view, axis))[1])
-    monkeypatch.setattr(simulate, "_update_1q", lambda a, q, e: (
-        dtypes.append(a.dtype), update(a, q, e)))
     return dtypes
 
 
@@ -664,7 +705,7 @@ def test_a_run_waits_for_a_later_gate_on_its_qubits():
         assert np.allclose(got.state.amplitudes, want, rtol=0, atol=ATOL)
 
 
-# compiled plans below WIDE_WIDTH, gate by gate from WIDE_WIDTH on
+# compiled plans at every width
 
 
 @st.composite
@@ -732,9 +773,9 @@ def test_plans_match_gate_by_gate_reference_with_any_angles(width, data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     amps = _random_state(rng, width)
-    # a narrow plan is compiled at the first run and reused by the second,
-    # which has new angles, matrices and powers
-    for attempt in range(1 if width >= WIDE else 2):
+    # a plan is compiled at the first run and reused by the second, which
+    # has new angles, matrices and powers
+    for attempt in range(2):
         circuit = _circuit_of(width, structure, rng)
         hits = simulate._plan.cache_info().hits
         got = run(circuit, initial=StateVector(width, amps), seed=seed)
@@ -799,16 +840,17 @@ def test_the_grover_ladders_are_one_signed_permutation(monkeypatch):
         g for g in circuit.ops if g.kind is not GateKind.MEASURE])
     assert unitary.width == simulate.SIM_WIDTH_CAP
     swaps, runs, composed = [], [], []
-    apply_run = simulate._apply_run
+    lookup = simulate._RUN_CACHE.lookup
     compose = simulate._signed_permutation
     for kind, kernel in list(simulate._KERNELS.items()):
         if kernel is simulate._block_swap:
             monkeypatch.setitem(simulate._KERNELS, kind,
                                 lambda a, n, g, k=kernel: (swaps.append(g),
                                                            k(a, n, g)))
-    monkeypatch.setattr(simulate, "_apply_run", lambda a, n, gates, qubits: (
-        runs.append(tuple((g.kind, g.qubits) for g in gates)),
-        apply_run(a, n, gates, qubits)))
+    # every held run of the ladders has two gates or more, so each asks
+    # the run cache
+    monkeypatch.setattr(simulate._RUN_CACHE, "lookup", lambda key: (
+        runs.append(key[1]), lookup(key))[1])
     monkeypatch.setattr(simulate, "_signed_permutation", lambda n, run_: (
         composed.append(run_), compose(n, run_))[1])
     simulate._RUN_CACHE.clear()

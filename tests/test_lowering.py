@@ -11,11 +11,11 @@ from qsaf.analyze import DEFAULT_DEMO_PARAMS
 from qsaf.catalog import get_primitive
 from qsaf.core import ParameterKind
 from qsaf.errors import BadParamsError, NotLowerableError
-from qsaf.gates import (GateCircuit, GateKind, decompose, gate_counts,
-                        unitary_of)
-from qsaf.lowering import (ANSATZ_IDS, ControlledPowers, ansatz_theta_count,
-                           initial_thetas, lower, modular_multiply_matrix,
-                           phase_unitary,
+from qsaf.gates import (GateCircuit, GateKind, dagger, decompose,
+                        gate_counts, unitary_of)
+from qsaf.lowering import (ANSATZ_IDS, ControlledPowers, _qft_ops,
+                           ansatz_theta_count, initial_thetas, lower,
+                           modular_multiply_matrix, phase_unitary,
                            port_spec, qpe_circuit, qpe_round, realize,
                            realize_ansatz)
 from qsaf.simulate import StateVector, run
@@ -193,6 +193,16 @@ def test_approximate_qft_drops_long_range_phases():
     kinds = [op.kind for op in approx.ops]
     assert GateKind.CPHASE not in kinds
     assert kinds.count(GateKind.H) == 4
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_inverse_qft_ladders_are_the_dagger_of_the_qft(n):
+    # built directly, in reverse order with negated angles, not daggered
+    want = dagger(GateCircuit(n, _qft_ops(range(n)))).ops
+    assert lower(16, {"n": n}).ops == want
+    phase = qpe_circuit(ControlledPowers.phase(0.375), n)
+    order = qpe_circuit(ControlledPowers.modular(2, 5), n)
+    assert phase.ops[-len(want):] == want == order.ops[-len(want):]
 
 
 def test_bitflip_oracle_xors_the_result_qubit():
