@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .catalog import (ALGORITHM_ORDER, Algorithm, CountMetric, Growth,
                       all_primitives, get_primitive)
@@ -18,7 +19,7 @@ from .core import (AlgorithmScope, ComplexitySummary, FunctionalCategory,
                    category_template, summarize_parameter_kinds)
 from .errors import QsafError
 from .gates import GateCircuit, decompose, depth, gate_counts
-from .lowering import realize
+from .lowering import lower, realize
 
 DEFAULT_NISQ_GATE_BUDGET = 200
 
@@ -60,46 +61,73 @@ _PREPROCESSING = {
         "parameter updates from a classical optimizer",
 }
 
-# Small, representative parameter sets used when a profile is requested
-# for a primitive without explicit parameters.
-_RING4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
+class _Row(NamedTuple):
+    """A lowerable primitive's analysis inputs. ``family(size)`` gives its
+    params at a size; a fixed-size primitive has none and reuses its demo.
+    ``demo`` is a family size, or params where the demo is no member."""
 
-DEFAULT_DEMO_PARAMS = {
-    1: {"n": 3, "value": 5},
-    2: {"n": 3},
-    3: {"theta": math.pi / 3, "phi": math.pi / 5},
-    4: {},
-    5: {"n": 3},
-    6: {"n": 4, "edges": _RING4},
-    7: {},
-    8: {"n": 3},
-    9: {"n": 3},
-    10: {"n": 4, "edges": _RING4},
-    11: {"n": 3, "marked": [5]},
-    12: {"n": 3},
-    13: {"n": 3, "state": 0},
-    14: {},
-    15: {"n": 3},
-    16: {"n": 3},
-    17: {"n": 4, "cutoff": 2},
-    18: {"n": 3, "marked": [5]},
-    19: {"n": 3, "marked": [5]},
-    20: {"a": 7, "modulus": 15},
-    21: {"n": 2, "truth_table": [0, 1, 0, 0]},
-    22: {"t": 3, "phase": 0.375},
-    23: {"phase": 0.375},
-    24: {},
-    25: {"n": 4, "layers": 2, "thetas": [0.1] * 16},
-    26: {"n": 4, "edges": _RING4, "gammas": [0.4], "betas": [0.3]},
-    27: {"n": 4, "thetas": [0.1, 0.1]},
-    28: {"n": 4, "layers": 2, "thetas": [0.1] * 16},
-    29: {"n": 4, "dt": 0.1},
-    30: {},
-    31: {},
-    32: {},
-    33: {"n": 2},
-    34: {"count": 2},
+    demo: object
+    family: Callable | None = None
+    sizes: tuple = (4, 8, 16)
+
+
+def _n(n):
+    return {"n": n}
+
+
+def _ring(n):
+    return {"n": n, "edges": [[q, (q + 1) % n] for q in range(n)]}
+
+
+def _all_ones(n):
+    return {"n": n, "marked": [2 ** n - 1]}
+
+
+def _layered(n):
+    return {"n": n, "layers": 1, "thetas": [0.1] * (2 * n)}
+
+
+_ROWS = {
+    1: _Row({"n": 3, "value": 5}, lambda n: {"n": n, "value": 2 ** n - 1}),
+    2: _Row(3, _n),
+    3: _Row({"theta": math.pi / 3, "phi": math.pi / 5}),
+    4: _Row({}),
+    5: _Row(3, _n),
+    6: _Row(4, _ring),
+    7: _Row({}),
+    8: _Row(3, _n), 9: _Row(3, _n),
+    10: _Row(4, _ring),
+    11: _Row({"n": 3, "marked": [5]}, _all_ones, (2, 3, 4, 5, 6)),
+    12: _Row(3, _n),
+    13: _Row(3, lambda n: {"n": n, "state": 0}),
+    15: _Row(3, _n), 16: _Row(3, _n),
+    17: _Row({"n": 4, "cutoff": 2}, lambda n: {"n": n, "cutoff": n}),
+    18: _Row({"n": 3, "marked": [5]}, _all_ones),
+    19: _Row({"n": 3, "marked": [5]}, _all_ones),
+    20: _Row({"a": 7, "modulus": 15}),
+    # truth tables double per extra qubit
+    21: _Row({"n": 2, "truth_table": [0, 1, 0, 0]},
+             lambda n: {"n": n, "truth_table": [1] + [0] * (2 ** n - 1)},
+             (2, 3, 4)),
+    22: _Row(3, lambda n: {"t": n, "phase": 0.375}),
+    23: _Row({"phase": 0.375}),
+    25: _Row({"n": 4, "layers": 2, "thetas": [0.1] * 16}, _layered),
+    26: _Row(4, lambda n: {**_ring(n), "gammas": [0.4], "betas": [0.3]}),
+    27: _Row({"n": 4, "thetas": [0.1, 0.1]},
+             lambda n: {"n": n, "thetas": [0.1, 0.1],
+                        "blocks": [["XX" + "Z" * (n - 2), 0, 1.0],
+                                   ["YY" + "Z" * (n - 2), 1, 1.0]]}),
+    28: _Row({"n": 4, "layers": 2, "thetas": [0.1] * 16}, _layered),
+    29: _Row(4, lambda n: {"n": n, "dt": 0.1}),
+    30: _Row({}), 31: _Row({}), 32: _Row({}),
+    33: _Row(2, _n),
+    34: _Row(2, lambda n: {"count": n}),
 }
+
+# the params a profile uses for a primitive given without params
+DEFAULT_DEMO_PARAMS = {
+    pid: row.demo if isinstance(row.demo, dict) else row.family(row.demo)
+    for pid, row in _ROWS.items()}
 
 
 def _complexity_of(circuit: GateCircuit, qubit_count: int,
@@ -275,51 +303,12 @@ class ComplexityCheck:
 
 
 def _default_sizes(pid: int) -> tuple:
-    if pid == 11:
-        return (2, 3, 4, 5, 6)
-    if pid == 21:
-        return (2, 3, 4)  # truth tables double per extra qubit
-    return (4, 8, 16)
+    return _ROWS[pid].sizes
 
 
 def _size_params(pid: int, size: int) -> dict:
-    n = size
-    ring = [[q, (q + 1) % n] for q in range(n)]
-    fixed = {
-        3: {"theta": math.pi / 3, "phi": math.pi / 5},
-        4: {}, 7: {},
-        20: {"a": 7, "modulus": 15},
-        23: {"phase": 0.375},
-        24: {},
-        30: {}, 31: {}, 32: {},
-    }
-    if pid in fixed:
-        return fixed[pid]
-    per_size = {
-        1: {"n": n, "value": 2 ** n - 1},
-        2: {"n": n}, 5: {"n": n}, 8: {"n": n}, 9: {"n": n},
-        6: {"n": n, "edges": ring}, 10: {"n": n, "edges": ring},
-        12: {"n": n},
-        13: {"n": n, "state": 0},
-        15: {"n": n}, 16: {"n": n},
-        17: {"n": n, "cutoff": n},
-        18: {"n": n, "marked": [2 ** n - 1]},
-        19: {"n": n, "marked": [2 ** n - 1]},
-        21: {"n": n, "truth_table": [1] + [0] * (2 ** n - 1)},
-        22: {"t": n, "phase": 0.375},
-        25: {"n": n, "layers": 1, "thetas": [0.1] * (2 * n)},
-        26: {"n": n, "edges": ring, "gammas": [0.4], "betas": [0.3]},
-        27: {"n": n, "thetas": [0.1, 0.1],
-             "blocks": [["XX" + "Z" * (n - 2), 0, 1.0],
-                        ["YY" + "Z" * (n - 2), 1, 1.0]]},
-        28: {"n": n, "layers": 1, "thetas": [0.1] * (2 * n)},
-        29: {"n": n, "dt": 0.1},
-        33: {"n": n},
-        34: {"count": n},
-    }
-    if pid in per_size:
-        return per_size[pid]
-    raise QsafError(f"primitive {pid} has no size model")
+    row = _ROWS[pid]
+    return row.family(size) if row.family else DEFAULT_DEMO_PARAMS[pid]
 
 
 def _count_for(pid: int, size: int) -> int:
@@ -337,26 +326,16 @@ def _count_for(pid: int, size: int) -> int:
 def _best_grover_iterations(n: int) -> int:
     """Iteration count that maximizes the single-marked success chance."""
     from .simulate import run
-    from .lowering import lower
     best_k, best_p = 1, -1.0
     limit = int(math.ceil(math.pi / 4 * math.sqrt(2 ** n))) + 2
+    uniform = lower(2, _size_params(2, n)).ops
     for k in range(1, limit + 1):
-        circ = lower(2, {"n": n})
-        grover = lower(11, {"n": n, "marked": [2 ** n - 1], "iterations": k})
-        circ = _chain(circ, grover)
-        state = run(circ).state
+        grover = lower(11, {**_size_params(11, n), "iterations": k})
+        state = run(GateCircuit(n, uniform + grover.ops)).state
         p = state.probability(2 ** n - 1)
         if p > best_p + 1e-12:
             best_k, best_p = k, p
     return best_k
-
-
-def _chain(first: GateCircuit, second: GateCircuit) -> GateCircuit:
-    width = max(first.width, second.width)
-    merged = GateCircuit(width)
-    merged.extend(first.ops)
-    merged.extend(second.ops)
-    return merged
 
 
 def _predicted_ratio(growth: Growth, s1: int, s2: int) -> float:

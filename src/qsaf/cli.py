@@ -113,8 +113,11 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_validate(args) -> int:
     manifest = _load_manifest(args.manifest)
-    return _print_diagnostics(
-        manifest.graph.validate(strict_contracts=args.strict_contracts))
+    diagnostics = manifest.graph.validate(
+        strict_contracts=args.strict_contracts)
+    if not any(d.blocking for d in diagnostics):
+        diagnostics += workflows.directive_problems(manifest)
+    return _print_diagnostics(diagnostics)
 
 
 def _cmd_export(args) -> int:
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
         parser.error("catalog show needs a primitive id or name")
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, QsafError) as exc:
+    except (OSError, ValueError, QsafError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,7 +309,7 @@ def one_qubit_entries(gate: Gate) -> tuple:
     simulator's kernels both read it.
     """
     k = gate.kind
-    if gate.theta is None:
+    if gate.theta is None and k in _FIXED_ENTRIES:
         return _FIXED_ENTRIES[k]
     if k is GateKind.RX:
         c, sn = math.cos(gate.theta / 2), math.sin(gate.theta / 2)

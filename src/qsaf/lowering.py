@@ -73,8 +73,6 @@ class _Params:
 
     def int(self, key, default=_MISSING, lo=None, hi=None):
         v = self._fetch(key, default)
-        if v is default and not isinstance(default, int):
-            return v
         if isinstance(v, bool) or not isinstance(v, int):
             self._err(f"'{key}' must be an integer, got {v!r}")
         if lo is not None and v < lo:
@@ -106,11 +104,8 @@ class _Params:
             self._err(f"'{key}' must be one of {sorted(choices)}, got {v!r}")
         return v
 
-    def int_list(self, key, default=_MISSING, lo=None, hi=None,
-                 distinct=False):
-        v = self._fetch(key, default)
-        if v is default and not isinstance(default, (list, tuple)):
-            return v
+    def int_list(self, key, lo=None, hi=None, distinct=False):
+        v = self._fetch(key, _MISSING)
         if not isinstance(v, (list, tuple)):
             self._err(f"'{key}' must be a list, got {v!r}")
         out = []
@@ -126,10 +121,8 @@ class _Params:
             self._err(f"'{key}' entries must be distinct")
         return out
 
-    def float_list(self, key, default=_MISSING, length=None):
-        v = self._fetch(key, default)
-        if v is None:
-            return v
+    def float_list(self, key, length=None):
+        v = self._fetch(key, _MISSING)
         if not isinstance(v, (list, tuple)):
             self._err(f"'{key}' must be a list, got {v!r}")
         out = []
@@ -365,15 +358,22 @@ def _unitary_from_params(p: _Params, controls: int) -> ControlledPowers:
 # builders
 
 
-def _simple(circ, measures=False, classical=0, theta_count=0, sites=None):
-    """Record of a circuit whose every qubit is both an in and an out
-    port."""
-    main = tuple(range(circ.width))
-    spec = PortSpec(width=circ.width, in_qubits=main, out_qubits=main,
-                    classical_out=classical,
-                    measures=measures, out_measured=measures,
-                    theta_count=theta_count)
-    return Lowered(circ, spec, sites or [])
+def _record(circ, sites=None, work=None, anc=(), fresh=False):
+    """Record of ``circ``: ``work`` (every qubit by default) is its in and
+    out port, ``anc`` its internal qubits, and a ``fresh`` register has no
+    in port. Width, classical bits, measurement and the theta count (one
+    per site list) are read off the circuit and ``sites``."""
+    work = tuple(range(circ.width)) if work is None else tuple(work)
+    measures = circ.classical_bits > 0
+    out_measured = measures and any(
+        op.kind is g.GateKind.MEASURE and op.qubits[0] in work
+        for op in circ.ops)
+    sites = sites or []
+    spec = PortSpec(width=circ.width, in_qubits=() if fresh else work,
+                    out_qubits=work, anc_qubits=tuple(anc),
+                    classical_out=circ.classical_bits, measures=measures,
+                    out_measured=out_measured, theta_count=len(sites))
+    return Lowered(circ, spec, sites)
 
 
 def _basis_states(p):
@@ -383,7 +383,7 @@ def _basis_states(p):
     for q in range(n):
         if (value >> q) & 1:
             circ.append(g.x(q))
-    return _simple(circ)
+    return _record(circ)
 
 
 def _superposition(p):
@@ -391,7 +391,7 @@ def _superposition(p):
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.h(q))
-    return _simple(circ)
+    return _record(circ)
 
 
 def _arbitrary_state(p):
@@ -402,7 +402,7 @@ def _arbitrary_state(p):
     circ.append(g.rz(lam, 0))
     circ.append(g.ry(theta, 0))
     circ.append(g.rz(phi, 0))
-    return _simple(circ)
+    return _record(circ)
 
 
 _BELL_DRESSING = {
@@ -417,7 +417,7 @@ def _bell(p):
     circ.append(g.h(0))
     circ.append(g.cnot(0, 1))
     circ.extend(_BELL_DRESSING[variant])
-    return _simple(circ)
+    return _record(circ)
 
 
 def _ghz(p):
@@ -426,7 +426,7 @@ def _ghz(p):
     circ.append(g.h(0))
     for q in range(n - 1):
         circ.append(g.cnot(q, q + 1))
-    return _simple(circ)
+    return _record(circ)
 
 
 def _cluster(p):
@@ -437,7 +437,7 @@ def _cluster(p):
         circ.append(g.h(q))
     for a, b in edges:
         circ.append(g.cz(a, b))
-    return _simple(circ)
+    return _record(circ)
 
 
 def _w_state(p):
@@ -449,7 +449,7 @@ def _w_state(p):
         theta = 2.0 * math.acos(math.sqrt(1.0 / (n - k)))
         _append_cry(circ, theta, k, k + 1)
         circ.append(g.cnot(k + 1, k))
-    return _simple(circ)
+    return _record(circ)
 
 
 def _on_value(circ, n, value, append, *args):
@@ -480,7 +480,7 @@ def _phase_oracle(p):
     circ = GateCircuit(n)
     for value in marked:
         _phase_mark(circ, n, value)
-    return _simple(circ)
+    return _record(circ)
 
 
 def _diffusion_ops(circ, n):
@@ -496,7 +496,7 @@ def _diffusion(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
     circ = GateCircuit(n)
     _diffusion_ops(circ, n)
-    return _simple(circ)
+    return _record(circ)
 
 
 def _reflection(p):
@@ -504,7 +504,7 @@ def _reflection(p):
     state = p.int("state", lo=0, hi=2 ** n - 1)
     circ = GateCircuit(n)
     _phase_mark(circ, n, state)
-    return _simple(circ)
+    return _record(circ)
 
 
 def _grover_operator(p):
@@ -518,23 +518,23 @@ def _grover_operator(p):
         _phase_mark(one, n, value)
     _diffusion_ops(one, n)
     # the iterations share one iteration's immutable gates
-    return _simple(GateCircuit.trusted(n, one.ops * iterations))
+    return _record(GateCircuit.trusted(n, one.ops * iterations))
 
 
 def _qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _simple(GateCircuit(n, _qft_ops(range(n))))
+    return _record(GateCircuit(n, _qft_ops(range(n))))
 
 
 def _inverse_qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _simple(GateCircuit(n, _inverse_qft_ops(range(n))))
+    return _record(GateCircuit(n, _inverse_qft_ops(range(n))))
 
 
 def _approx_qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
     cutoff = p.int("cutoff", lo=1)
-    return _simple(GateCircuit(n, _qft_ops(range(n), cutoff)))
+    return _record(GateCircuit(n, _qft_ops(range(n), cutoff)))
 
 
 def _bitflip_from_marked(n, marked):
@@ -543,7 +543,7 @@ def _bitflip_from_marked(n, marked):
     circ = GateCircuit(n + 1)
     for value in marked:
         _on_value(circ, n, value, _append_mcx, range(n), n)
-    return _simple(circ)
+    return _record(circ)
 
 
 def _bitflip_oracle(p):
@@ -555,7 +555,7 @@ def _arithmetic_oracle(p):
     unitary = _modular_from_params(p, 1)
     power = p.int("power", 1, lo=1)
     m = unitary.width
-    return _simple(GateCircuit(1 + m, [unitary.gate(0, range(1, 1 + m),
+    return _record(GateCircuit(1 + m, [unitary.gate(0, range(1, 1 + m),
                                                     power)]))
 
 
@@ -610,21 +610,15 @@ def _standard_qpe(p):
     circ = qpe_circuit(unitary, t_bits)
     for k in range(t_bits):
         circ.append(g.measure(k, k))
-    work = tuple(range(t_bits, circ.width))
-    spec = PortSpec(width=circ.width, in_qubits=work, out_qubits=work,
-                    anc_qubits=tuple(range(t_bits)), classical_out=t_bits,
-                    measures=True)
-    return Lowered(circ, spec, [])
+    return _record(circ, work=range(t_bits, circ.width), anc=range(t_bits))
 
 
 def _iterative_qpe(p):
     k = p.int("k", 0, lo=0, hi=62)
     feedback = p.float("feedback", 0.0)
     unitary = _unitary_from_params(p, 1)
-    work = tuple(range(1, 1 + unitary.width))
-    spec = PortSpec(width=1 + unitary.width, in_qubits=work, out_qubits=work,
-                    anc_qubits=(0,), classical_out=1, measures=True)
-    return Lowered(qpe_round(unitary, 2 ** k, feedback), spec, [])
+    return _record(qpe_round(unitary, 2 ** k, feedback),
+                   work=range(1, 1 + unitary.width), anc=(0,))
 
 
 def _hardware_efficient(p):
@@ -656,7 +650,7 @@ def _problem_inspired(p):
         for q in range(n):
             sites[layers + layer].append((len(circ.ops), 2.0))
             circ.append(g.rx(2.0 * betas[layer], q))
-    return _simple(circ, theta_count=2 * layers, sites=sites)
+    return _record(circ, sites)
 
 
 _DEFAULT_BLOCKS_4Q = (
@@ -734,7 +728,7 @@ def _uccsd(p):
     sites = [[] for _ in thetas]
     for string, idx, coeff in blocks:
         _pauli_block(circ, sites, string, coeff, thetas[idx], idx)
-    return _simple(circ, theta_count=len(thetas), sites=sites)
+    return _record(circ, sites)
 
 
 _ROTATION_BUILDERS = {"rx": g.rx, "ry": g.ry, "rz": g.rz}
@@ -768,7 +762,7 @@ def _build_heuristic(n, layers, rotations, entangler, thetas):
             circ.append(g.cnot(q, q + 1))
         if entangler == "ring" and n > 2:
             circ.append(g.cnot(n - 1, 0))
-    return _simple(circ, theta_count=len(thetas), sites=sites)
+    return _record(circ, sites)
 
 
 def _hamiltonian(p):
@@ -788,7 +782,7 @@ def _hamiltonian(p):
         n, periodic, 1, [2.0 * coupling * dt, 2.0 * field_ * dt]).circuit
     # every step shares one step's immutable gates; fixed angles are not
     # variational, so the record keeps no sites
-    return _simple(GateCircuit.trusted(n, one.ops * steps))
+    return _record(GateCircuit.trusted(n, one.ops * steps))
 
 
 def _build_hamiltonian_variational(n, periodic, steps, thetas):
@@ -807,7 +801,7 @@ def _build_hamiltonian_variational(n, periodic, steps, thetas):
         for q in range(n):
             sites[x_idx].append((len(circ.ops), 1.0))
             circ.append(g.rx(thetas[x_idx], q))
-    return _simple(circ, theta_count=len(thetas), sites=sites)
+    return _record(circ, sites)
 
 
 def _one_gate(p, keys, make, *args):
@@ -819,7 +813,7 @@ def _one_gate(p, keys, make, *args):
         p._err(f"{', '.join(map(repr, keys))} must be distinct")
     hi = max(qubits) + 1
     n = p.int("n", hi, lo=hi)
-    return _simple(GateCircuit(n, [make(*args, *qubits)]))
+    return _record(GateCircuit(n, [make(*args, *qubits)]))
 
 
 def _swap_gate(p):
@@ -850,15 +844,13 @@ def _measurement(p):
     circ = GateCircuit(n)
     for q in range(n):
         circ.append(g.measure(q, q))
-    return _simple(circ, measures=True, classical=n)
+    return _record(circ)
 
 
 def _ancilla_management(p):
     count = p.int("count", lo=1, hi=WIDTH_CAP)
     p.int("released", count, lo=0, hi=count)  # ledger knob, no gates
-    circ = GateCircuit(count)
-    spec = PortSpec(width=count, in_qubits=(), out_qubits=tuple(range(count)))
-    return Lowered(circ, spec, [])
+    return _record(GateCircuit(count), fresh=True)
 
 
 _BUILDERS = {
@@ -939,12 +931,7 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
     params = dict(structure or {})
     for i, name in enumerate(names):
         params[name] = flat[i * size:(i + 1) * size]
-    low = realize(primitive_id, params)
-    if low.spec.theta_count != len(flat):
-        raise BadParamsError(
-            f"primitive {primitive_id} consumed {low.spec.theta_count} "
-            f"parameters, got {len(flat)}")
-    return low
+    return realize(primitive_id, params)
 
 
 def initial_thetas(primitive_id: int, params) -> list:

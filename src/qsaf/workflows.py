@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .composition import ArchitectureGraph
+from .composition import ArchitectureGraph, Diagnostic
 from .errors import BadParamsError, QsafError, ValidationFailedError
 from .gates import GateCircuit, GateKind
 from .lowering import initial_thetas
 from .manifest import Manifest, RunDirective
-from .simulate import (OPTIMIZER_KEYS, SHOT_CAP, OptimizerConfig,
-                       VariationalResult, int_option, run, sample,
-                       variational_minimize)
+from .simulate import (OPTIMIZER_KEYS, SHOT_CAP, SIM_WIDTH_CAP,
+                       OptimizerConfig, VariationalResult, int_option, run,
+                       sample, variational_minimize)
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,20 @@ def execute_directive(manifest: Manifest, directive: RunDirective,
     if directive.verb == "minimize":
         return _run_minimize(manifest.graph, directive.options, seed)
     raise QsafError(f"unknown run verb {directive.verb!r}")
+
+
+def directive_problems(manifest: Manifest) -> list:
+    """Findings that its run directives would fail on and that graph
+    validation cannot see: one per simulate directive whose flat circuit
+    is wider than the simulator cap. The graph must validate without a
+    blocking finding."""
+    simulates = [d for d in manifest.directives if d.verb == "simulate"]
+    width = manifest.graph.flatten().width if simulates else 0
+    if width <= SIM_WIDTH_CAP:
+        return []
+    return [Diagnostic("too_wide", f"run simulate on line {d.line}: width "
+                       f"{width} exceeds simulator cap {SIM_WIDTH_CAP}")
+            for d in simulates]
 
 
 def simulate_graph(graph: ArchitectureGraph, shots: int = 512,

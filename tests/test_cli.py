@@ -599,3 +599,37 @@ def test_run_reports_a_stalled_descent_once(tmp_path, vqe_manifest_text):
     assert done.stderr == ""
     assert "warning = energy non-decreasing at iteration 1; stopping" \
         in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{dir}"],
+    ["kappa", "{dir}"],
+    ["export", "{manifest}", "-o", "{dir}"],
+])
+def test_a_directory_for_a_file_is_an_error_not_a_traceback(
+        tmp_path, capsys, grover_file, command):
+    argv = [a.format(dir=tmp_path, manifest=grover_file) for a in command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21]")
+
+
+def test_validate_reports_a_simulate_directive_past_the_simulator_cap(
+        tmp_path, capsys):
+    # every component is within the builders' width cap, so the graph
+    # validates; only the directive needs the 21 qubits simulated
+    path = tmp_path / "wide.qsaf"
+    path.write_text("component b = BasisStates(n=21, value=3)\n"
+                    "component o = ArithmeticOracles(a=7, modulus=1048573)\n"
+                    "wire b.out -> o.in\n"
+                    "run simulate shots=8 seed=1\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error [too_wide] run simulate on line 4: width 21 exceeds "
+        "simulator cap 16", "1 finding(s), 1 blocking"]
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: width 21 exceeds simulator cap 16\n"
+    # without the directive there is nothing to simulate
+    path.write_text(path.read_text().replace("run simulate shots=8 seed=1\n",
+                                             ""))
+    assert main(["validate", str(path)]) == 0

@@ -483,7 +483,7 @@ def test_mid_measuring_component_raises_as_the_reference_does(monkeypatch):
         n = p.int("n")
         circ = GateCircuit(n, [g.h(0), g.measure(0, 0), g.x(0)],
                            allow_mid_measure=True)
-        return lowering._simple(circ, measures=True, classical=1)
+        return lowering._record(circ)
 
     monkeypatch.setitem(lowering._BUILDERS, 2, measure_then_flip)
     graph = _graph(ComponentInstance("odd", 2, {"n": 2}))
