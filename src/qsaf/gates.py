@@ -52,6 +52,8 @@ class GateKind(enum.Enum):
     MCX = "mcx"
     CMODMUL = "cmodmul"
     CONTROLLED_U = "controlled_u"
+    QFT = "qft"
+    IQFT = "iqft"
     MEASURE = "measure"
 
     # members are singletons compared by identity, so the identity hash is
@@ -99,6 +101,11 @@ KINDS = {
     _K.CMODMUL: KindRow(None, False, _K.CMODMUL, "modular", None),
     _K.CONTROLLED_U: KindRow(None, False, _K.CONTROLLED_U, "controlled",
                              None),
+    # the quantum Fourier transform and its inverse over a register, first
+    # listed qubit least significant; export spells them out (see
+    # ``decompose``)
+    _K.QFT: KindRow(None, False, _K.IQFT, "fourier", None),
+    _K.IQFT: KindRow(None, False, _K.QFT, "fourier", None),
     _K.MEASURE: KindRow(1, False, None, None, None),
 }
 
@@ -108,6 +115,8 @@ PARAMETRIC_KINDS = frozenset(k for k, row in KINDS.items() if row.angled)
 _MEASURE = GateKind.MEASURE
 _CMODMUL = GateKind.CMODMUL
 _CONTROLLED_U = GateKind.CONTROLLED_U
+_QFT = GateKind.QFT
+_IQFT = GateKind.IQFT
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +131,8 @@ class Gate:
     is one (see ``modular_sources``); its qubit list is (control, *work),
     the work register ``modular_width(modulus)`` qubits, least significant
     first. MCZ and MCX take two or more qubits; MCX lists its controls
-    first and its target last.
+    first and its target last. QFT and IQFT take two or more qubits, the
+    register they transform, least significant first.
     """
 
     kind: GateKind
@@ -378,6 +388,14 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if structure == "diagonal":
         return np.diag([1] * (dim - 1)
                        + [diagonal_phase(gate)]).astype(complex)
+    if structure == "fourier":
+        # the QFT maps |x> to sum_y e^{2 pi i x y / dim} |y> / sqrt(dim),
+        # the IQFT with e^{-2 pi i x y / dim}; x y is reduced first so
+        # the angle stays exact
+        sign = 1 if gate.kind is GateKind.QFT else -1
+        labels = np.arange(dim)
+        return (np.exp(sign * 2j * math.pi * (np.outer(labels, labels) % dim)
+                       / dim) / math.sqrt(dim))
     if structure == "modular":
         # control is the first listed qubit, hence the low index bit
         src = np.arange(dim)
@@ -562,21 +580,61 @@ def dagger(circuit: GateCircuit) -> GateCircuit:
                                allow_mid_measure=circuit.allow_mid_measure)
 
 
+def qft_ops(qubits, cutoff=None) -> list:
+    """The QFT over the listed qubits, least significant first, as
+    Hadamards, CPHASEs and SWAPs (Nielsen & Chuang, section 5.1): the
+    ladder runs from the most significant qubit down, and the SWAPs
+    reverse the register. With a ``cutoff``, only rotations spanning
+    fewer qubits are kept (the approximate QFT)."""
+    qs = list(qubits)
+    n = len(qs)
+    ops = []
+    for j in range(n - 1, -1, -1):
+        ops.append(h(qs[j]))
+        for m in range(j - 1, -1, -1):
+            if cutoff is None or j - m < cutoff:
+                ops.append(cphase(math.pi / 2 ** (j - m), qs[m], qs[j]))
+    for i in range(n // 2):
+        ops.append(swap(qs[i], qs[n - 1 - i]))
+    return ops
+
+
+def inverse_qft_ops(qubits) -> list:
+    """``dagger`` of ``qft_ops(qubits)``, built directly: the ladder in
+    reverse order with each CPHASE angle negated."""
+    qs = list(qubits)
+    n = len(qs)
+    ops = [swap(qs[i], qs[n - 1 - i]) for i in reversed(range(n // 2))]
+    for j in range(n):
+        for m in range(j):
+            ops.append(cphase(-math.pi / 2 ** (j - m), qs[m], qs[j]))
+        ops.append(h(qs[j]))
+    return ops
+
+
 def ladder_scratch(gate: Gate) -> int:
-    """Scratch qubits that ``spell_out`` needs for an MCZ or MCX: from
-    three controls on it is a ladder over arity - 2 of them, below that
-    it needs none."""
+    """Scratch qubits that ``spell_out`` needs: an MCZ or MCX from three
+    controls on is a ladder over arity - 2 of them; below that, and for
+    a QFT or IQFT, it needs none."""
+    if gate.kind is _QFT or gate.kind is _IQFT:
+        return 0
     return gate.arity - 2 if gate.arity >= 4 else 0
 
 
 def spell_out(gate: Gate, scratch: int) -> list:
-    """An MCZ or MCX as gates that OPENQASM 2.0 names (Barenco et al.
-    1995, arXiv:quant-ph/9503016). Its last qubit is the target and the
-    others its controls. One or two controls take CZ, H-Toffoli-H, CNOT
-    or Toffoli. From three on, a Toffoli ladder computes the AND of the
+    """A native gate (MCZ, MCX, QFT or IQFT) as gates that OPENQASM 2.0
+    names. A QFT or IQFT is its ladder, ``qft_ops`` or
+    ``inverse_qft_ops``. An MCZ or MCX follows Barenco et al. 1995,
+    arXiv:quant-ph/9503016: its last qubit is the target and the others
+    its controls. One or two controls take CZ, H-Toffoli-H, CNOT or
+    Toffoli. From three on, a Toffoli ladder computes the AND of the
     controls into clean scratch qubits ``scratch``, ``scratch`` + 1, ...
     (see ``ladder_scratch``), applies CZ or CNOT from the last of them
     to the target, and uncomputes, so the scratch ends at |0>."""
+    if gate.kind is _QFT:
+        return qft_ops(gate.qubits)
+    if gate.kind is _IQFT:
+        return inverse_qft_ops(gate.qubits)
     *controls, target = gate.qubits
     last = cz if gate.kind is GateKind.MCZ else cnot
     if len(controls) == 1:
@@ -591,16 +649,23 @@ def spell_out(gate: Gate, scratch: int) -> list:
     return [*forward, last(anc[-1], target), *reversed(forward)]
 
 
+# the kinds that the simulator runs as one gate and ``decompose`` spells
+# out; none has an OPENQASM 2.0 name
+_SPELLED = frozenset({GateKind.MCZ, GateKind.MCX, GateKind.QFT,
+                      GateKind.IQFT})
+
+
 def decompose(circuit: GateCircuit) -> GateCircuit:
-    """The circuit with each MCZ and MCX spelled out (see ``spell_out``);
-    gate counts, depth and QASM export read this form. Every ladder
-    starts its scratch at qubit ``circuit.width`` and leaves it at |0>,
-    so the ladders share it and the result is as wide as the widest one
-    needs. A circuit without MCZ or MCX is returned as it is."""
+    """The circuit with each MCZ, MCX, QFT and IQFT spelled out (see
+    ``spell_out``); gate counts, depth, the NFR profiles and QASM export
+    read this form, while the simulator runs each of them as one native
+    gate. Every MCZ or MCX ladder starts its scratch at qubit
+    ``circuit.width`` and leaves it at |0>, so the ladders share it and
+    the result is as wide as the widest one needs. A circuit without a
+    native gate is returned as it is."""
     ops, scratch, native = [], 0, False
-    mcz_, mcx_ = GateKind.MCZ, GateKind.MCX  # member lookups are slow
     for gate in circuit.ops:
-        if gate.kind is mcz_ or gate.kind is mcx_:
+        if gate.kind in _SPELLED:
             ops += spell_out(gate, circuit.width)
             scratch = max(scratch, ladder_scratch(gate))
             native = True

@@ -10,7 +10,13 @@ only place gates: what each gate does is defined once, in ``gates``.
 Multi-controlled phase/NOT gates over c >= 3 controls are one native MCZ
 or MCX gate, so the register needs no scratch qubits; ``gates.decompose``
 spells each out as a Toffoli ladder over c-1 clean scratch qubits for gate
-counts, depth and export, so those stay linear in the register size.
+counts, depth and export, so those stay linear in the register size. The
+QFT and inverse QFT over two qubits or more (ids 15 and 16, an
+ApproximateQFT whose cutoff drops no rotation, and the inverse QFT of
+phase estimation) are one native QFT or IQFT gate, which the simulator
+applies as one FFT; ``gates.decompose`` spells each out as its ladder of
+Hadamards, CPHASEs and SWAPs for gate counts, depth, the profiles and
+export.
 """
 
 from __future__ import annotations
@@ -229,35 +235,11 @@ def _append_cry(circ: GateCircuit, theta: float, control: int, target: int):
     circ.append(g.cnot(control, target))
 
 
-def _qft_ops(qubits, cutoff=None):
-    """Fourier ladder over the listed qubits, most significant first.
-
-    With a ``cutoff``, only rotations spanning fewer qubits are kept.
-    """
-    qs = list(qubits)
-    n = len(qs)
-    ops = []
-    for j in range(n - 1, -1, -1):
-        ops.append(g.h(qs[j]))
-        for m in range(j - 1, -1, -1):
-            if cutoff is None or j - m < cutoff:
-                ops.append(g.cphase(math.pi / 2 ** (j - m), qs[m], qs[j]))
-    for i in range(n // 2):
-        ops.append(g.swap(qs[i], qs[n - 1 - i]))
-    return ops
-
-
-def _inverse_qft_ops(qubits):
-    """``dagger`` of ``_qft_ops(qubits)``, built directly: the ladder in
-    reverse order with each CPHASE angle negated."""
-    qs = list(qubits)
-    n = len(qs)
-    ops = [g.swap(qs[i], qs[n - 1 - i]) for i in reversed(range(n // 2))]
-    for j in range(n):
-        for m in range(j):
-            ops.append(g.cphase(-math.pi / 2 ** (j - m), qs[m], qs[j]))
-        ops.append(g.h(qs[j]))
-    return ops
+def _fourier_ops(kind, qubits):
+    """The QFT or IQFT (``kind``) over ``qubits``, least significant
+    first, as one native gate; over one qubit both are its Hadamard."""
+    qs = tuple(qubits)
+    return [g.Gate(kind, qs)] if len(qs) > 1 else [g.h(qs[0])]
 
 
 def modular_multiply_matrix(a: int, modulus: int) -> np.ndarray:
@@ -523,18 +505,22 @@ def _grover_operator(p):
 
 def _qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _record(GateCircuit(n, _qft_ops(range(n))))
+    return _record(GateCircuit(n, _fourier_ops(g.GateKind.QFT, range(n))))
 
 
 def _inverse_qft(p):
     n = p.int("n", lo=1, hi=WIDTH_CAP)
-    return _record(GateCircuit(n, _inverse_qft_ops(range(n))))
+    return _record(GateCircuit(n, _fourier_ops(g.GateKind.IQFT, range(n))))
 
 
 def _approx_qft(p):
+    """The QFT ladder without the rotations that span ``cutoff`` qubits
+    or more; a cutoff that drops none gives the QFT itself."""
     n = p.int("n", lo=1, hi=WIDTH_CAP)
     cutoff = p.int("cutoff", lo=1)
-    return _record(GateCircuit(n, _qft_ops(range(n), cutoff)))
+    ops = (_fourier_ops(g.GateKind.QFT, range(n)) if cutoff >= n
+           else g.qft_ops(range(n), cutoff))
+    return _record(GateCircuit(n, ops))
 
 
 def _bitflip_from_marked(n, marked):
@@ -572,8 +558,9 @@ def qpe_circuit(unitary: ControlledPowers, t_bits: int) -> GateCircuit:
     """Standard phase estimation of ``unitary`` without readout.
 
     Counting qubits 0..t_bits-1 take Hadamards and control the powers
-    ``unitary**(2**k)`` on the work register above them; an inverse QFT
-    leaves the phase digits on the counting register.
+    ``unitary**(2**k)`` on the work register above them; an inverse QFT,
+    one IQFT gate from two counting qubits on, leaves the phase digits
+    on the counting register.
     """
     width = t_bits + unitary.width
     work = range(t_bits, width)
@@ -582,7 +569,7 @@ def qpe_circuit(unitary: ControlledPowers, t_bits: int) -> GateCircuit:
         circ.append(g.h(k))
     for k in range(t_bits):
         circ.append(unitary.gate(k, work, 2 ** k))
-    circ.extend(_inverse_qft_ops(range(t_bits)))
+    circ.extend(_fourier_ops(g.GateKind.IQFT, range(t_bits)))
     return circ
 
 

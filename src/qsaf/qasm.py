@@ -2,11 +2,12 @@
 
 Emitted programs use qelib1 names plus ``u1`` for the bare phase gate and
 ``cp`` for the controlled phase, which also carries each controlled power
-of a phase estimation's ``phase``; MCZ and MCX gates are spelled out
-first (see ``gates.decompose``). Angles are printed with 17 significant
-digits so re-exported circuits are byte stable. The controlled modular
-multiply (CMODMUL) and matrix-defined controlled unitaries have no
-textual form and are rejected.
+of a phase estimation's ``phase``. The gates the simulator runs natively
+are spelled out first (see ``gates.decompose``): MCZ and MCX as Toffoli
+ladders, QFT and IQFT as their ladders of ``h``, ``cp`` and ``swap``.
+Angles are printed with 17 significant digits so re-exported circuits are
+byte stable. The controlled modular multiply (CMODMUL) and matrix-defined
+controlled unitaries have no textual form and are rejected.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ def _angle(theta: float) -> str:
 
 
 def export_gates(circuit: GateCircuit) -> str:
-    """Render a circuit, its MCZ and MCX gates decomposed, as OPENQASM
-    2.0 text."""
+    """Render a circuit, its MCZ, MCX, QFT and IQFT gates decomposed, as
+    OPENQASM 2.0 text."""
     circuit = decompose(circuit)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";',
              f"qreg q[{circuit.width}];"]

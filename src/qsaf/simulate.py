@@ -13,7 +13,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from numbers import Integral
@@ -558,11 +558,33 @@ def _controlled_u(amps, n, gate):
                              inner).reshape(half.shape)
 
 
+def _fourier(amps, n, gate):
+    """QFT and IQFT: one orthonormal FFT along the register's axis, the
+    inverse transform for the QFT (numpy's ``ifft`` takes e^{+2 pi i}),
+    written back into ``amps``. A register of ascending contiguous qubits
+    is one axis of a reshape view; any other placement or order is moved
+    to the last axes, most significant first, and back."""
+    qubits, k = gate.qubits, gate.arity
+    transform = np.fft.ifft if gate.kind is GateKind.QFT else np.fft.fft
+    q0 = qubits[0]
+    if qubits == tuple(range(q0, q0 + k)):
+        view = amps.reshape(-1, 1 << k, 1 << q0)
+        view[...] = transform(view, axis=1, norm="ortho")
+        return
+    moved = np.moveaxis(amps.reshape([2] * n),
+                        [n - 1 - q for q in reversed(qubits)],
+                        range(n - k, n))
+    register = moved.reshape(-1, 1 << k)  # a copy
+    moved[...] = transform(register, axis=1,
+                           norm="ortho").reshape(moved.shape)
+
+
 # the ``structure`` column of gates.KINDS -> kernel applying one unitary
 # gate to ``amps`` in place; dense gates are only ever applied as pending
 # runs, so they have none
 _STRUCTURE_KERNELS = {"diagonal": _phase_block, "permutation": _block_swap,
-                      "modular": _modular_gather, "controlled": _controlled_u}
+                      "modular": _modular_gather, "controlled": _controlled_u,
+                      "fourier": _fourier}
 _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             for kind, row in KINDS.items()
             if row.structure in _STRUCTURE_KERNELS}
@@ -896,12 +918,14 @@ def parameter_shift_gradient(ansatz_id: int, thetas, observable,
         amps = _evolve(amps, n, ops[done:pos])
         done = pos
         prefix = StateVector(n, amps)
-        gate = ops[pos]
+        gate, rest = ops[pos], ops[pos + 1:]
         energies = []
         for delta in (math.pi / 2, -math.pi / 2):
-            # built from validated gates, so the circuit is not revalidated
+            # a site is a one-qubit rotation, so the positional constructor
+            # rebuilds it (``replace`` costs about twice as much), and the
+            # suffix of validated gates is not revalidated
             suffix = GateCircuit.trusted(
-                n, [replace(gate, theta=gate.theta + delta), *ops[pos + 1:]])
+                n, [Gate(gate.kind, gate.qubits, gate.theta + delta), *rest])
             energies.append(expectation(run(suffix, prefix).state,
                                         observable))
         diff[pos] = energies[0] - energies[1]
@@ -1056,7 +1080,8 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
     Runs the phase-estimation circuit on the work state |1> (a uniform
     mixture of all eigenstates of the multiply map), converts sampled
     readouts to fractions with bounded denominator, and returns the
-    smallest verified order.
+    order: the smallest denominator, or else lcm of two, that verifies,
+    with every surplus prime factor divided out.
     """
     if modulus < 2:
         raise BadParamsError(f"modulus must be >= 2, got {modulus}")
@@ -1076,10 +1101,27 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
     verified = sorted(r for r in candidates
                       if r >= 1 and pow(a, r, modulus) == 1)
     if verified:
-        return verified[0]
+        return _least_order(a, verified[0], modulus)
     combined = sorted({math.lcm(x, y_) for x in candidates
                        for y_ in candidates})
     for r in combined:
         if r >= 1 and pow(a, r, modulus) == 1:
-            return r
+            return _least_order(a, r, modulus)
     raise QsafError("order not recovered; raise t or shots")
+
+
+def _least_order(a: int, r: int, modulus: int) -> int:
+    """The order of ``a`` modulo ``modulus``, from ``r``, a multiple of it:
+    each prime factor p of r is divided out while a**(r/p) is still
+    one."""
+    rest, p = r, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while r % p == 0 and pow(a, r // p, modulus) == 1:
+                r //= p
+        p += 1
+    return r

@@ -58,16 +58,30 @@ def execute_directive(manifest: Manifest, directive: RunDirective,
 
 def directive_problems(manifest: Manifest) -> list:
     """Findings that its run directives would fail on and that graph
-    validation cannot see: one per simulate directive whose flat circuit
-    is wider than the simulator cap. The graph must validate without a
-    blocking finding."""
-    simulates = [d for d in manifest.directives if d.verb == "simulate"]
-    width = manifest.graph.flatten().width if simulates else 0
-    if width <= SIM_WIDTH_CAP:
-        return []
-    return [Diagnostic("too_wide", f"run simulate on line {d.line}: width "
-                       f"{width} exceeds simulator cap {SIM_WIDTH_CAP}")
-            for d in simulates]
+    validation cannot see: one per directive that would simulate more
+    qubits than the simulator cap (see ``_simulated_width``). The graph
+    must validate without a blocking finding."""
+    out, widths = [], {}
+    for d in manifest.directives:
+        if d.verb not in widths:
+            widths[d.verb] = _simulated_width(manifest.graph, d.verb)
+        if widths[d.verb] > SIM_WIDTH_CAP:
+            out.append(Diagnostic(
+                "too_wide", f"run {d.verb} on line {d.line}: width "
+                f"{widths[d.verb]} exceeds simulator cap {SIM_WIDTH_CAP}"))
+    return out
+
+
+def _simulated_width(graph: ArchitectureGraph, verb: str) -> int:
+    """Qubits a directive simulates: the flat circuit for simulate, the
+    driven ansatz alone for minimize (0 where minimize fails before it
+    simulates; ``run`` reports why)."""
+    if verb == "simulate":
+        return graph.flatten().width
+    try:
+        return _minimize_target(graph)[2].width
+    except QsafError:
+        return 0
 
 
 def simulate_graph(graph: ArchitectureGraph, shots: int = 512,
@@ -115,14 +129,7 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
     if blocking:
         raise ValidationFailedError(blocking)
 
-    optimizers = [inst for inst in graph.components.values()
-                  if inst.is_optimizer]
-    if len(optimizers) != 1:
-        raise QsafError("minimize needs exactly one Optimizer component, "
-                        f"found {len(optimizers)}")
-    opt = optimizers[0]
-    # validate has parsed the observable at the ansatz's width
-    ansatz, observable = graph.minimize_target(opt.instance_id)
+    opt, ansatz, observable = _minimize_target(graph)
     pid = ansatz.primitive_id
     structure = dict(ansatz.params)
     try:
@@ -140,6 +147,19 @@ def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
     result = variational_minimize(pid, init, observable, config, structure)
     return MinimizationOutcome(ansatz.instance_id, opt.params["observable"],
                                result)
+
+
+def _minimize_target(graph: ArchitectureGraph):
+    """(optimizer, ansatz, observable) of a minimize directive: the graph's
+    one Optimizer component, the ansatz it drives, and its observable
+    parsed at that ansatz's width, the width the descent simulates.
+    Raises QsafError."""
+    optimizers = [inst for inst in graph.components.values()
+                  if inst.is_optimizer]
+    if len(optimizers) != 1:
+        raise QsafError("minimize needs exactly one Optimizer component, "
+                        f"found {len(optimizers)}")
+    return (optimizers[0], *graph.minimize_target(optimizers[0].instance_id))
 
 
 # rendering for reports and the command line

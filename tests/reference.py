@@ -196,6 +196,22 @@ def toffoli_ref():
     return m
 
 
+def qft_ladder_ref(qubits, cutoff=None):
+    """The QFT over ``qubits`` (least significant first) as the builders
+    spelled it out before it was a native gate: from the most significant
+    qubit down, H and then a CPHASE by pi/2**d from each qubit d places
+    below it (only for d < ``cutoff`` when one is given), then SWAPs that
+    reverse the register."""
+    qs = list(qubits)
+    ops = []
+    for j in reversed(range(len(qs))):
+        ops.append(g.h(qs[j]))
+        ops += [g.cphase(np.pi / 2 ** d, qs[j - d], qs[j])
+                for d in range(1, j + 1) if cutoff is None or d < cutoff]
+    ops += [g.swap(qs[i], qs[-1 - i]) for i in range(len(qs) // 2)]
+    return ops
+
+
 def dft_matrix(n):
     dim = 2 ** n
     omega = np.exp(2j * np.pi / dim)

@@ -633,3 +633,27 @@ def test_validate_reports_a_simulate_directive_past_the_simulator_cap(
     path.write_text(path.read_text().replace("run simulate shots=8 seed=1\n",
                                              ""))
     assert main(["validate", str(path)]) == 0
+
+
+def test_validate_reports_a_minimize_directive_past_the_simulator_cap(
+        tmp_path, capsys):
+    # minimize simulates the driven ansatz alone, 18 qubits wide
+    thetas = ", ".join(["0.1"] * 36)
+    path = tmp_path / "wide_vqe.qsaf"
+    path.write_text(
+        "level 5\n"
+        f"component a = HardwareEfficientAnsatz(n=18, layers=1, "
+        f"thetas=[{thetas}])\n"
+        "component m = Measurement(n=18)\n"
+        'component o = Optimizer(observable="Z0", max_iters=1)\n'
+        "wire a.out -> m.in\n"
+        "wire m.bits -> o.in\n"
+        "wire o.out -> a.params\n"
+        "run minimize\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error [too_wide] run minimize on line 8: width 18 exceeds "
+        "simulator cap 16", "1 finding(s), 1 blocking"]
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: width 18 exceeds simulator cap 16\n"

@@ -160,6 +160,31 @@ def test_order_finding_falls_back_to_lcms_then_gives_up():
         find_order(2, 15, t=2, shots=1, seed=0)
 
 
+def _brute_force_order(a, modulus):
+    r, x = 1, a % modulus
+    while x != 1:
+        r, x = r + 1, x * a % modulus
+    return r
+
+
+@pytest.mark.parametrize("shots, seed", [(2, 12), (3, 1)])
+def test_order_finding_reduces_a_verified_multiple_to_the_order(shots, seed):
+    # these readouts reach the lcm fallback, whose first lcm to verify
+    # is a multiple of the order: 48 and 180 before it was reduced
+    assert find_order(2, 21, t=6, shots=shots, seed=seed) == \
+        _brute_force_order(2, 21) == 6
+
+
+def test_every_multiple_of_an_order_reduces_to_it():
+    for modulus in range(2, 64):
+        for a in range(1, modulus):
+            if math.gcd(a, modulus) == 1:
+                order = _brute_force_order(a, modulus)
+                for k in (1, 2, 3, 4, 6, 9, 10, 30, 49):
+                    assert simulate._least_order(a, k * order,
+                                                 modulus) == order
+
+
 def test_a_composed_run_leaving_the_window_frees_its_bytes():
     cache = simulate._RunCache(window=1, budget=simulate.RUN_BYTES)
     first = (2, ((GateKind.CNOT, (0, 1)),) * 3)

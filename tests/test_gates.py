@@ -42,6 +42,34 @@ def test_kinds_key_their_tables_after_copy_and_pickle():
         simulate._RUN_KINDS
 
 
+def _example_gate(kind):
+    """One gate of ``kind`` on qubits 0, 1, ...: three for a kind of any
+    arity."""
+    if kind is GateKind.CONTROLLED_U:
+        return g.controlled_u(np.eye(2), 0, [1], power=2)
+    if kind is GateKind.CMODMUL:
+        return g.cmodmul(2, 3, 0, [1, 2])
+    row = g.KINDS[kind]
+    return Gate(kind, tuple(range(row.arity or 3)),
+                0.5 if row.angled else None)
+
+
+def test_every_structured_kind_has_a_kernel_and_a_matrix():
+    # the ``structure`` column picks both: a kernel in simulate (a dense
+    # kind is only ever applied as a one-qubit run) and a gate_matrix
+    # branch
+    for kind, row in g.KINDS.items():
+        if row.structure is None:
+            assert kind is GateKind.MEASURE
+            continue
+        assert kind in simulate._KERNELS or (
+            row.structure == "dense" and row.arity == 1), kind
+        gate = _example_gate(kind)
+        matrix = gate_matrix(gate)
+        assert matrix.shape == (2 ** gate.arity,) * 2
+        assert np.allclose(matrix @ matrix.conj().T, np.eye(len(matrix)))
+
+
 def test_gate_validation_rejects_bad_shapes():
     with pytest.raises(DuplicateQubitError):
         g.cnot(1, 1)

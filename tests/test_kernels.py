@@ -44,6 +44,8 @@ _ARITY = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.CPHASE: 2,
 # the multi-controlled kinds take two qubits or more; drawn up to six
 MULTI_KINDS = (GateKind.MCZ, GateKind.MCX)
 MULTI_MAX = 6
+# so do the Fourier kinds (see tests/test_fourier.py for their suite)
+FOURIER_KINDS = (GateKind.QFT, GateKind.IQFT)
 UNITARY_KINDS = [k for k in GateKind if k is not GateKind.MEASURE]
 
 
@@ -83,7 +85,7 @@ def gates_on_states(draw, kind):
         extra = draw(modular_params(MAX_WIDTH - 1))
         arity = 1 + modular_width(extra["modulus"])
         matrix, power = None, draw(st.integers(1, 2 ** 19))
-    elif kind in MULTI_KINDS:
+    elif kind in MULTI_KINDS or kind in FOURIER_KINDS:
         arity = draw(st.integers(2, MULTI_MAX))
         matrix, power = None, 1
     else:
@@ -131,7 +133,8 @@ def test_kernel_at_width_equal_to_arity(kind):
     elif kind is GateKind.CMODMUL:
         gate = Gate(kind, (1, 2, 0), power=3, multiplier=2, modulus=3)
     else:
-        arity = 4 if kind in MULTI_KINDS else _ARITY.get(kind, 1)
+        arity = 4 if kind in (*MULTI_KINDS, *FOURIER_KINDS) \
+            else _ARITY.get(kind, 1)
         qubits = tuple(range(arity))[::-1]
         gate = Gate(kind, qubits, theta=0.7 if kind in PARAMETRIC_KINDS else None)
     _check_kernel(gate, gate.arity, _random_state(rng, gate.arity))
@@ -178,7 +181,8 @@ def test_run_leaves_the_initial_state_untouched(seed, width):
 
 ONE_QUBIT_KINDS = [k for k in UNITARY_KINDS
                    if k not in (GateKind.CONTROLLED_U, GateKind.CMODMUL)
-                   and k not in _ARITY and k not in MULTI_KINDS]
+                   and k not in _ARITY and k not in MULTI_KINDS
+                   and k not in FOURIER_KINDS]
 
 
 def _reference_run(ops, width, amps):

@@ -12,12 +12,11 @@ from qsaf.catalog import get_primitive
 from qsaf.core import ParameterKind
 from qsaf.errors import BadParamsError, NotLowerableError
 from qsaf.gates import (GateCircuit, GateKind, dagger, decompose,
-                        gate_counts, unitary_of)
-from qsaf.lowering import (ANSATZ_IDS, ControlledPowers, _qft_ops,
-                           ansatz_theta_count, initial_thetas, lower,
-                           modular_multiply_matrix, phase_unitary,
-                           port_spec, qpe_circuit, qpe_round, realize,
-                           realize_ansatz)
+                        gate_counts, qft_ops, unitary_of)
+from qsaf.lowering import (ANSATZ_IDS, ControlledPowers, ansatz_theta_count,
+                           initial_thetas, lower, modular_multiply_matrix,
+                           phase_unitary, port_spec, qpe_circuit, qpe_round,
+                           realize, realize_ansatz)
 from qsaf.simulate import StateVector, run
 from reference import grover_ref
 
@@ -197,11 +196,12 @@ def test_approximate_qft_drops_long_range_phases():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_inverse_qft_ladders_are_the_dagger_of_the_qft(n):
-    # built directly, in reverse order with negated angles, not daggered
-    want = dagger(GateCircuit(n, _qft_ops(range(n)))).ops
-    assert lower(16, {"n": n}).ops == want
-    phase = qpe_circuit(ControlledPowers.phase(0.375), n)
-    order = qpe_circuit(ControlledPowers.modular(2, 5), n)
+    # built directly, in reverse order with negated angles, not daggered;
+    # the native IQFT gates spell out to it
+    want = dagger(GateCircuit(n, qft_ops(range(n)))).ops
+    assert decompose(lower(16, {"n": n})).ops == want
+    phase = decompose(qpe_circuit(ControlledPowers.phase(0.375), n))
+    order = decompose(qpe_circuit(ControlledPowers.modular(2, 5), n))
     assert phase.ops[-len(want):] == want == order.ops[-len(want):]
 
 
