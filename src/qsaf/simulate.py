@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -86,6 +86,12 @@ class StateVector:
     """Normalized dense amplitudes over 2**width basis states.
 
     Basis index convention: qubit 0 is the least significant bit.
+
+    The constructor checks the shape and the norm, and divides by the
+    norm. States this module computes (``basis``, ``run``'s result, the
+    gradient's prefix) are normalized as built, or come from unitary
+    steps on a checked state with measurements renormalized by
+    ``_collapse``, so they are built by ``_trusted`` instead.
     """
 
     width: int
@@ -103,6 +109,16 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps / norm)
 
     @classmethod
+    def _trusted(cls, width: int, amps: np.ndarray) -> "StateVector":
+        """A state of ``amps`` taken as they are: 2**width complex
+        amplitudes of norm one that no one else writes. Nothing is
+        checked, copied or divided."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "width", width)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
+
+    @classmethod
     def zero(cls, width: int) -> "StateVector":
         return cls.basis(width, 0)
 
@@ -112,7 +128,7 @@ class StateVector:
             raise ValueError(f"basis label {label} outside width {width}")
         amps = np.zeros(2 ** width, dtype=complex)
         amps[label] = 1.0
-        return cls(width, amps)
+        return cls._trusted(width, amps)  # normalized as built
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
@@ -146,6 +162,11 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     generator, built at the first measurement; their outcomes land in
     ``bits`` by classical bit index (None for bits never written).
 
+    The result's state owns its amplitudes (an initial StateVector is
+    copied) and is not checked again: ``StateVector``'s constructor
+    checked the norm of any amplitudes passed in from outside, the gates
+    are unitary, and ``_collapse`` renormalizes after each measurement.
+
     Consecutive one-qubit gates on a qubit are held as one pending 2x2.
     When another gate or a measurement touches a pending qubit, or at the
     end, every pending run is applied, in blocks of contiguous qubits.
@@ -171,14 +192,14 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
         amps = initial.amplitudes.copy()
     elif isinstance(initial, (int, np.integer)) and not isinstance(
             initial, bool):
-        amps = StateVector.basis(n, int(initial)).amplitudes.copy()
+        amps = StateVector.basis(n, int(initial)).amplitudes
     else:
         raise TypeError(f"initial must be None, a basis label, or a "
                         f"StateVector, got {type(initial).__name__}")
 
     bits = [None] * circuit.classical_bits
     amps = _evolve(amps, n, circuit.ops, bits, seed)
-    return RunResult(StateVector(n, amps), tuple(bits))
+    return RunResult(StateVector._trusted(n, amps), tuple(bits))
 
 
 def _evolve(amps, n, ops, bits=(), seed=None):
@@ -308,14 +329,33 @@ _UNANGLED = {kind: Gate(kind, (0,)) for kind, row in KINDS.items()
 def _block_matrix(ops, runs, dtype=complex):
     """Kronecker product of the 2x2 products of ``runs``, the positions in
     ``ops`` of each qubit's run, highest qubit first; of ``dtype``, or
-    of the entries' own type when that is None."""
+    of the entries' own type when that is None.
+
+    The product is one gather of the k runs' entries by ``_kron_index``
+    and one product over the k factors of each entry, taken first to
+    last, as a left fold of ``_kron`` would."""
     mats = []
     for positions in runs:
         entries = ops[positions[0]].entries
         for pos in positions[1:]:
             entries = _product(ops[pos].entries, entries)
         mats.append(entries)
-    return reduce(_kron, np.array(mats, dtype=dtype).reshape(-1, 2, 2))
+    return np.array(mats, dtype=dtype).reshape(-1)[
+        _kron_index(len(runs))].prod(axis=0)
+
+
+@lru_cache(maxsize=None)
+def _kron_index(k):
+    """Where each factor of a Kronecker product of k 2x2s, stacked flat
+    (4 entries each, the first factor on the most significant bit), is
+    read: [t, r, c] = 4t + 2 (bit k-1-t of r) + (bit k-1-t of c)."""
+    labels = np.arange(1 << k)
+    shifts = np.arange(k - 1, -1, -1)[:, None, None]
+    rows = (labels[:, None] >> shifts) & 1
+    cols = (labels[None, :] >> shifts) & 1
+    index = 4 * np.arange(k)[:, None, None] + 2 * rows + cols
+    index.flags.writeable = False  # shared by every block of k qubits
+    return index
 
 
 def _apply_layer(amps, ops, blocks):
@@ -612,28 +652,44 @@ def _collapse(amps, n, qubit, rng):
 
 
 def sample(state: StateVector, shots: int, seed=None) -> dict:
-    """Draw bitstring counts from the exact outcome distribution."""
+    """Draw bitstring counts from the exact outcome distribution.
+
+    The amplitudes are taken as normalized, as ``StateVector``'s
+    constructor and ``_collapse`` leave them; any rounding shortfall of
+    the total below one goes to the top label. Only the labels of
+    nonzero probability, and the top one, are searched.
+    """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    cumulative = np.cumsum(state.probabilities())
+    probabilities = state.probabilities()
+    reachable = probabilities != 0
+    reachable[-1] = True
+    # adding a zero leaves a running sum as it is, so these are the
+    # entries of the cumulative sum over all labels at the reachable ones
+    cumulative = probabilities[reachable]
+    del probabilities
+    np.cumsum(cumulative, out=cumulative)
     cumulative[-1] = 1.0  # guard against rounding at the top end
     draws = _rng(seed).random(shots)
-    # label j takes the draws in [cumulative[j - 1], cumulative[j]); both
-    # ways below make the same comparisons, so they give the same counts
+    # searched label j takes the draws in [cumulative[j - 1],
+    # cumulative[j]); both ways below make the same comparisons, so they
+    # give the same counts
     if shots < cumulative.size:
-        # fewer shots than labels: one search per shot
+        # fewer shots than searched labels: one search per shot
         hits = np.bincount(np.searchsorted(cumulative, draws, side="right"),
                            minlength=cumulative.size)
     else:
-        # one search per label: the difference of the draw counts below
-        # the two ends, taken in place once ``cumulative`` is freed, so at
-        # most two label-sized arrays live
+        # one search per searched label: the difference of the draw
+        # counts below the two ends, taken in place once ``cumulative`` is
+        # freed, so at most two label-sized arrays live
         draws.sort()
         hits = np.searchsorted(draws, cumulative, side="left")
         del cumulative
         hits[1:] -= hits[:-1]
-    return {format_outcome(label, state.width): int(hits[label])
-            for label in np.flatnonzero(hits).tolist()}
+    drawn = np.flatnonzero(hits)
+    return {format_outcome(label, state.width): count
+            for label, count in zip(np.flatnonzero(reachable)[drawn].tolist(),
+                                    hits[drawn].tolist())}
 
 
 # observables
@@ -917,7 +973,8 @@ def parameter_shift_gradient(ansatz_id: int, thetas, observable,
     for pos in sorted({pos for sites in low.sites for pos, _ in sites}):
         amps = _evolve(amps, n, ops[done:pos])
         done = pos
-        prefix = StateVector(n, amps)
+        # a copy: the sweep goes on updating ``amps`` in place
+        prefix = StateVector._trusted(n, amps.copy())
         gate, rest = ops[pos], ops[pos + 1:]
         energies = []
         for delta in (math.pi / 2, -math.pi / 2):

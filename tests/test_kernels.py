@@ -15,6 +15,7 @@ over random gates, qubit orders, widths and states.
 """
 
 import math
+from functools import reduce
 from types import SimpleNamespace
 from unittest import mock
 
@@ -531,6 +532,48 @@ def test_real_and_complex_layers_match_gate_by_gate_reference(case):
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
     assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
                        rtol=0, atol=ATOL)
+
+
+@st.composite
+def block_runs(draw):
+    """Runs of 1-3 one-qubit gates on k = 1..GROUP qubits, highest qubit
+    first, drawn from the real kinds, the complex ones, both, or X alone
+    (whose entries are ints)."""
+    pool = draw(st.sampled_from([REAL_KINDS, COMPLEX_KINDS,
+                                 REAL_KINDS + COMPLEX_KINDS, [GateKind.X]]))
+    angles = st.floats(-2 * math.pi, 2 * math.pi)
+    ops, runs = [], []
+    for q in reversed(range(draw(st.integers(1, GROUP)))):
+        positions = []
+        for kind in draw(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=3)):
+            theta = draw(angles) if kind in PARAMETRIC_KINDS else None
+            positions.append(len(ops))
+            ops.append(Gate(kind, (q,), theta=theta))
+        runs.append(tuple(positions))
+    return ops, tuple(runs)
+
+
+@settings(deadline=None)
+@given(block_runs(), st.sampled_from([complex, None]))
+def test_block_matrix_is_the_kronecker_product_of_the_run_products(
+        case, dtype):
+    # the old fold of np.kron over the same run products, as exactly
+    ops, runs = case
+    products = [reduce(lambda acc, pos: simulate._product(ops[pos].entries,
+                                                          acc),
+                       positions[1:], ops[positions[0]].entries)
+                for positions in runs]
+    want = reduce(np.kron, np.array(products, dtype=dtype).reshape(-1, 2, 2))
+    got = simulate._block_matrix(ops, runs, dtype)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if dtype is None:
+        # an X-only block stays int, a real one float
+        entries = [e for product in products for e in product]
+        kind = ("c" if any(isinstance(e, complex) for e in entries)
+                else "f" if any(isinstance(e, float) for e in entries)
+                else "i")
+        assert got.dtype.kind == kind
 
 
 def _run_of(kind, q, rng):
@@ -1098,6 +1141,47 @@ def test_sample_with_one_or_two_reachable_labels(labels):
     assert counts == sample_ref(state, 999, 5)
     assert sum(counts.values()) == 999
     assert set(counts) <= {format_outcome(k, 2) for k in labels}
+
+
+@pytest.mark.parametrize("per_shot", [True, False])
+@given(data=st.data())
+def test_sample_picks_its_branch_by_the_reachable_labels(per_shot, data):
+    # the sampler searches the reachable labels and the top one: fewer
+    # shots than those search once per shot (the only branch that counts
+    # with a bincount), and as many or more once per searched label, even
+    # with fewer shots than labels
+    width = data.draw(st.integers(3, 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    reachable = data.draw(st.integers(2, 2 ** width // 4))
+    amps = np.zeros(2 ** width, dtype=complex)
+    amps[rng.choice(2 ** width, reachable, replace=False)] = \
+        _random_state(rng, width)[:reachable]
+    state = StateVector(width, amps / np.linalg.norm(amps))
+    searched = reachable + (amps[-1] == 0)
+    shots = data.draw(st.integers(1, searched - 1) if per_shot
+                      else st.integers(searched, 2 ** width - 1))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    want = sample_ref(state, shots, seed)
+    with mock.patch.object(simulate.np, "bincount",
+                           wraps=np.bincount) as bincount:
+        assert sample(state, shots, seed) == want
+    assert bincount.called == per_shot
+
+
+def test_sample_sends_a_shortfall_below_one_to_the_top_label():
+    # five equal labels of eight: their probabilities sum to 1 - 2**-53,
+    # and the top label, 7, has none
+    amps = np.zeros(8, dtype=complex)
+    amps[:5] = 1.0
+    state = StateVector(3, amps / np.linalg.norm(amps))
+    assert np.cumsum(state.probabilities())[-1] < 1.0
+    assert sample(state, 4000, 3) == sample_ref(state, 4000, 3)
+    assert sample(state, 3, 3) == sample_ref(state, 3, 3)
+    # a shortfall far past rounding shows where the draws above it go
+    half = StateVector._trusted(3, np.sqrt(amps / 10))
+    counts = sample(half, 4000, 3)
+    assert counts == sample_ref(half, 4000, 3)
+    assert 1800 < counts["111"] < 2200
 
 
 # parameter-shift gradient

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from qsaf.lowering import lower, modular_multiply_matrix, phase_unitary
 from qsaf.simulate import (PauliObservable, StateVector, default_seed,
                            expectation, find_order, format_outcome,
                            iterative_phase_estimate, maxcut_observable,
-                           qpe_estimate, run, sample)
+                           parameter_shift_gradient, qpe_estimate, run,
+                           sample)
 
 from reference import X2, Y2, Z2, op_on
 
@@ -30,6 +32,45 @@ def test_statevector_validation():
     assert sv.width == 1
     assert sv.probability(1) == pytest.approx(0.64)
     assert np.allclose(sv.probabilities(), [0.36, 0.64])
+
+
+def test_the_public_constructor_checks_and_renormalizes():
+    amps = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(WidthMismatchError):
+        StateVector(3, amps)
+    with pytest.raises(ValueError):
+        StateVector(2, amps * (1 + 2e-8))
+    off = amps * (1 + 5e-9)
+    sv = StateVector(2, off)
+    assert np.array_equal(sv.amplitudes, off / np.linalg.norm(off))
+    assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-15
+
+
+def test_internal_states_skip_the_public_constructor(monkeypatch):
+    calls = []
+    check = StateVector.__post_init__
+
+    def counting(self):
+        calls.append(self.width)
+        check(self)
+
+    sv = StateVector(3, np.full(8, 8 ** -0.5, dtype=complex))
+    before = sv.amplitudes.copy()
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    obs = PauliObservable.parse("Z0*Z1 + 0.5*X2", 3)
+    thetas = np.random.default_rng(2).uniform(-math.pi, math.pi, size=12)
+    parameter_shift_gradient(25, thetas, obs, structure={"n": 3, "layers": 2})
+    circuit = GateCircuit(3, [g.h(0), g.cnot(0, 1), g.ry(0.4, 2)])
+    first, second = run(circuit, initial=sv), run(circuit, initial=sv)
+    run(circuit, initial=5)
+    assert calls == []
+    # the run copied its initial state, and each result owns its buffer
+    assert np.array_equal(sv.amplitudes, before)
+    assert np.array_equal(first.state.amplitudes, second.state.amplitudes)
+    buffers = [first.state.amplitudes, second.state.amplitudes,
+               sv.amplitudes]
+    for one, other in combinations(buffers, 2):
+        assert not np.shares_memory(one, other)
 
 
 def test_format_outcome_is_msb_left():
