@@ -12,9 +12,9 @@ from .analyze import (AnalysisContext, ComplexityCheck, DesignOption,
                       TradeoffReport, compare, complexity_check,
                       default_ansatz_options, nfr_profile, render_profile,
                       render_tradeoff, reuse_tier, tier_notes, tier_table)
-from .catalog import (Algorithm, CategoryInfo, Growth, PrimitiveDescriptor,
-                      all_primitives, find_primitive, get_primitive,
-                      list_primitives, usage, usage_heatmap)
+from .catalog import (Algorithm, Growth, PrimitiveDescriptor, all_primitives,
+                      find_primitive, get_primitive, list_primitives, usage,
+                      usage_heatmap)
 from .classify import (ClassificationAttributes, MeceViolation,
                        RatingsMatrix, check_mece, classify, fleiss_kappa,
                        parse_ratings_csv)
@@ -52,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractionLevel", "Algorithm", "AnalysisContext", "AncillaPolicy",
-    "ArchitectureGraph", "BadParamsError", "CategoryInfo",
+    "ArchitectureGraph", "BadParamsError",
     "ClassificationAttributes", "ComplexityCheck", "ComplexitySummary",
     "ComponentInstance", "CompositionError", "DegenerateMarginalsError",
     "DesignOption", "Diagnostic", "FanOutError", "FunctionalCategory",

@@ -13,8 +13,8 @@ from typing import Callable, NamedTuple
 
 from .catalog import (ALGORITHM_ORDER, Algorithm, CountMetric, Growth,
                       all_primitives, get_primitive)
-from .core import (AlgorithmScope, ComplexitySummary, FunctionalCategory,
-                   Granularity, HardwareBinding, InformationFlow, NfrProfile,
+from .core import (AlgorithmScope, ComplexitySummary, Granularity,
+                   HardwareBinding, InformationFlow, NfrProfile,
                    ParameterKind, ReusePattern, ReuseTier, UsageLevel,
                    category_template, summarize_parameter_kinds)
 from .errors import QsafError
@@ -50,16 +50,6 @@ _SCOPE_OF = {
     Algorithm.SIM: AlgorithmScope.SIMULATION,
 }
 
-_PREPROCESSING = {
-    FunctionalCategory.ORACLE_CONSTRUCTION:
-        "predicate compiled into controlled gates",
-    FunctionalCategory.AMPLITUDE_AMPLIFICATION:
-        "iteration count chosen from the marked fraction",
-    FunctionalCategory.PHASE_ESTIMATION:
-        "controlled powers of the target unitary",
-    FunctionalCategory.VARIATIONAL_ANSATZ:
-        "parameter updates from a classical optimizer",
-}
 
 class _Row(NamedTuple):
     """A lowerable primitive's analysis inputs. ``family(size)`` gives its
@@ -172,6 +162,8 @@ def nfr_profile(subject, context: AnalysisContext | None = None) -> NfrProfile:
     desc = get_primitive(pid)
     if params is None:
         params = DEFAULT_DEMO_PARAMS.get(pid, {})
+    template = (None if desc.is_auxiliary
+                else category_template(desc.category))
 
     if desc.lowerable:
         low = realize(pid, params)
@@ -182,14 +174,14 @@ def nfr_profile(subject, context: AnalysisContext | None = None) -> NfrProfile:
             qubit_count=circuit.width,
             ancilla_count=len(low.spec.anc_qubits) + circuit.width
             - low.circuit.width,
-            preprocessing=_PREPROCESSING.get(desc.category, "none"))
+            preprocessing=template.preprocessing if template else "none")
         reversible = not low.circuit.has_measurement
     else:
         summary = None
         reversible = False  # a noise channel contracts the state space
 
-    if desc.category is not None:
-        flow = category_template(desc.category).flow
+    if template is not None:
+        flow = template.flow
     elif desc.id == 33:
         flow = InformationFlow.QUANTUM_CLASSICAL_LOOP
     else:

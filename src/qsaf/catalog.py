@@ -1,10 +1,8 @@
 """The primitive catalog: 34 reusable circuit structures.
 
-Rows 1-29 fall into the seven functional categories (in block order: state
-preparation 1-6, entanglement generation 7-10, amplitude amplification
-11-14, basis transformation 15-17, oracle construction 18-21, phase
-estimation 22-24, variational ansatz 25-29); rows 30-34 are auxiliary
-single-gate operations. The usage table records how strongly each of five
+Rows 1-29 fall into the seven functional categories, one id block each
+(``category_template(c).ids``); rows 30-34 are auxiliary single-gate
+operations. The usage table records how strongly each of five
 algorithm families relies on each primitive.
 """
 
@@ -13,9 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .classify import CATEGORY_FLAG, ClassificationAttributes
+from .classify import ClassificationAttributes
 from .core import (FunctionalCategory, Granularity, Parameter, ParameterKind,
-                   ReusePattern, UsageLevel)
+                   ReusePattern, UsageLevel, category_template)
 from .errors import UnknownAlgorithmError, UnknownPrimitiveError
 
 
@@ -27,8 +25,7 @@ class Algorithm(enum.Enum):
     SIM = "sim"
 
 
-ALGORITHM_ORDER = (Algorithm.GROVER, Algorithm.SHOR, Algorithm.VQE,
-                   Algorithm.QAOA, Algorithm.SIM)
+ALGORITHM_ORDER = tuple(Algorithm)
 
 
 class Growth(enum.Enum):
@@ -45,37 +42,9 @@ class CountMetric(enum.Enum):
     ITERATIONS = "iterations"
 
 
-@dataclass(frozen=True)
-class CategoryInfo:
-    """Category-level design notes: concern, classical analogy, complexity."""
-
-    dominant_concern: str
-    classical_analogy: str
-    complexity_label: str
-
-
-CATEGORY_INFO = {
-    FunctionalCategory.STATE_PREPARATION: CategoryInfo(
-        "state preparation logic", "object factory", "O(1) to O(n)"),
-    FunctionalCategory.ENTANGLEMENT_GENERATION: CategoryInfo(
-        "global interactions among the qubits", "coordination mechanism",
-        "O(n) to O(n+|E|)"),
-    FunctionalCategory.AMPLITUDE_AMPLIFICATION: CategoryInfo(
-        "marking of good states", "iterative refinement loop",
-        "O(sqrt(N)) iterations; O(n) gates"),
-    FunctionalCategory.BASIS_TRANSFORMATION: CategoryInfo(
-        "basis conversion to reveal global structure", "FFT",
-        "O(n^2), O(n log n)"),
-    FunctionalCategory.ORACLE_CONSTRUCTION: CategoryInfo(
-        "encode problem-specific predicates",
-        "predicate evaluator, interfaces", "polynomial in input size"),
-    FunctionalCategory.PHASE_ESTIMATION: CategoryInfo(
-        "extracting phase information", "eigenvalue solver", "O(n^2)"),
-    FunctionalCategory.VARIATIONAL_ANSATZ: CategoryInfo(
-        "parameterized circuit template for hybrid optimization",
-        "template-based optimization model", "O(n) to O(n^2)"),
-}
-
+#: Block label, category filter value and id block of the auxiliary rows.
+_AUXILIARY = "auxiliary"
+_AUXILIARY_IDS = range(30, 35)
 AUXILIARY_COMPLEXITY_LABEL = "O(1)"
 
 
@@ -113,10 +82,15 @@ class PrimitiveDescriptor:
         return self.category is None
 
     @property
+    def category_label(self) -> str:
+        """The category's value, or the auxiliary block label."""
+        return self.category.value if self.category else _AUXILIARY
+
+    @property
     def complexity_label(self) -> str:
         if self.category is None:
             return AUXILIARY_COMPLEXITY_LABEL
-        return CATEGORY_INFO[self.category].complexity_label
+        return category_template(self.category).complexity_label
 
     @property
     def granularity(self) -> Granularity:
@@ -178,29 +152,20 @@ def _parse_usage():
 
 _USAGE = _parse_usage()
 
-_CATEGORY_BLOCKS = (
-    (range(1, 7), FunctionalCategory.STATE_PREPARATION),
-    (range(7, 11), FunctionalCategory.ENTANGLEMENT_GENERATION),
-    (range(11, 15), FunctionalCategory.AMPLITUDE_AMPLIFICATION),
-    (range(15, 18), FunctionalCategory.BASIS_TRANSFORMATION),
-    (range(18, 22), FunctionalCategory.ORACLE_CONSTRUCTION),
-    (range(22, 25), FunctionalCategory.PHASE_ESTIMATION),
-    (range(25, 30), FunctionalCategory.VARIATIONAL_ANSATZ),
-    (range(30, 35), None),
-)
-
 
 def _category_of(pid: int) -> FunctionalCategory | None:
-    for block, category in _CATEGORY_BLOCKS:
-        if pid in block:
+    for category in FunctionalCategory:
+        if pid in category_template(category).ids:
             return category
-    raise UnknownPrimitiveError(f"no primitive with id {pid}")
+    if pid not in _AUXILIARY_IDS:
+        raise UnknownPrimitiveError(f"no primitive with id {pid}")
+    return None
 
 
 def _attrs_for(category: FunctionalCategory | None) -> ClassificationAttributes:
     if category is None:
         return ClassificationAttributes()
-    return ClassificationAttributes(**{CATEGORY_FLAG[category]: True})
+    return ClassificationAttributes(**{category_template(category).flag: True})
 
 
 _S = ParameterKind.STRUCTURAL
@@ -464,43 +429,51 @@ def find_primitive(name: str) -> PrimitiveDescriptor:
     raise UnknownPrimitiveError(f"unknown primitive {name!r}")
 
 
+def _algorithm(algorithm) -> Algorithm:
+    """An Algorithm, given as itself or by its value in any case."""
+    if not isinstance(algorithm, str):
+        return algorithm
+    try:
+        return Algorithm(algorithm.lower())
+    except ValueError:
+        raise UnknownAlgorithmError(
+            f"unknown algorithm {algorithm!r}; expected one of "
+            f"{[a.value for a in ALGORITHM_ORDER]}") from None
+
+
+def _category_label(category) -> str:
+    """The block label a category filter selects: a FunctionalCategory,
+    or a category value or the auxiliary label in any case."""
+    if isinstance(category, FunctionalCategory):
+        return category.value
+    labels = [c.value for c in FunctionalCategory] + [_AUXILIARY]
+    label = str(category).lower()
+    if label not in labels:
+        raise ValueError(f"unknown category {category!r}; expected one of "
+                         f"{labels}")
+    return label
+
+
 def usage(primitive_id: int, algorithm) -> UsageLevel:
     """Usage level of one primitive in one algorithm family."""
     desc = get_primitive(primitive_id)
-    if isinstance(algorithm, str):
-        try:
-            algorithm = Algorithm(algorithm.lower())
-        except ValueError:
-            raise UnknownAlgorithmError(
-                f"unknown algorithm {algorithm!r}; expected one of "
-                f"{[a.value for a in ALGORITHM_ORDER]}") from None
-    return desc.usage_for(algorithm)
+    return desc.usage_for(_algorithm(algorithm))
 
 
 def list_primitives(category=None, algorithm=None,
                     min_usage=UsageLevel.SOMETIMES):
     """Filter the catalog.
 
-    With ``category``, returns that category's block (None is not a valid
-    filter value; use ``auxiliary=True`` via category="auxiliary"). With
-    ``algorithm``, returns primitives whose usage there is at least
-    ``min_usage``.
+    With ``category`` (a FunctionalCategory, its value, or "auxiliary"),
+    returns that block. With ``algorithm``, returns primitives whose usage
+    there is at least ``min_usage``.
     """
     out = list(all_primitives())
     if category is not None:
-        if isinstance(category, str) and category.lower() == "auxiliary":
-            out = [d for d in out if d.is_auxiliary]
-        else:
-            if isinstance(category, str):
-                category = FunctionalCategory(category.lower())
-            out = [d for d in out if d.category is category]
+        label = _category_label(category)
+        out = [d for d in out if d.category_label == label]
     if algorithm is not None:
-        if isinstance(algorithm, str):
-            try:
-                algorithm = Algorithm(algorithm.lower())
-            except ValueError:
-                raise UnknownAlgorithmError(
-                    f"unknown algorithm {algorithm!r}") from None
+        algorithm = _algorithm(algorithm)
         if isinstance(min_usage, str):
             min_usage = UsageLevel(min_usage.upper())
         out = [d for d in out if d.usage_for(algorithm) >= min_usage]
@@ -514,7 +487,7 @@ def usage_heatmap() -> str:
     lines = [header, "-" * len(header)]
     last_block = None
     for desc in all_primitives():
-        block = desc.category.value if desc.category else "auxiliary"
+        block = desc.category_label
         if block != last_block:
             lines.append(f"[{block}]")
             last_block = block

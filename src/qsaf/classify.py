@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .core import FunctionalCategory
+from .core import FunctionalCategory, category_template
 from .errors import (DegenerateMarginalsError, RatingsMatrixError,
                      UnclassifiableError)
 
@@ -49,15 +49,8 @@ class ClassificationAttributes:
 ATTRIBUTE_NAMES = tuple(f.name for f in fields(ClassificationAttributes))
 
 #: Decision-tree branch order; the first true attribute decides.
-DECISION_ORDER: tuple[tuple[str, FunctionalCategory], ...] = (
-    ("initializes_state", FunctionalCategory.STATE_PREPARATION),
-    ("generates_entanglement", FunctionalCategory.ENTANGLEMENT_GENERATION),
-    ("encodes_problem", FunctionalCategory.ORACLE_CONSTRUCTION),
-    ("amplifies_amplitude", FunctionalCategory.AMPLITUDE_AMPLIFICATION),
-    ("transforms_basis", FunctionalCategory.BASIS_TRANSFORMATION),
-    ("estimates_phase", FunctionalCategory.PHASE_ESTIMATION),
-    ("parameterized_form", FunctionalCategory.VARIATIONAL_ANSATZ),
-)
+DECISION_ORDER: tuple[tuple[str, FunctionalCategory], ...] = tuple(
+    (category_template(c).flag, c) for c in FunctionalCategory)
 
 CATEGORY_FLAG = {cat: name for name, cat in DECISION_ORDER}
 
@@ -101,7 +94,7 @@ def check_mece(entries) -> list[MeceViolation]:
         if attrs.true_count != 1:
             flag(entry.id, entry.name, "not_exclusive",
                  f"expected exactly one attribute, found {attrs.true_count}")
-        expected = CATEGORY_FLAG[entry.category]
+        expected = category_template(entry.category).flag
         if not getattr(attrs, expected):
             flag(entry.id, entry.name, "missing_category_flag",
                  f"attribute '{expected}' not set for category "

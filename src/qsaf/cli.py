@@ -48,8 +48,7 @@ def _cmd_catalog(args) -> int:
         print(f"[{desc.manifest_name}]")
         print(f"id = {desc.id}")
         print(f"name = {desc.name}")
-        category = desc.category.value if desc.category else "auxiliary"
-        print(f"category = {category}")
+        print(f"category = {desc.category_label}")
         for alg in catalog.ALGORITHM_ORDER:
             print(f"usage.{alg.value} = {desc.usage_for(alg).value}")
         print(f"summary = {desc.summary}")
@@ -71,8 +70,7 @@ def _cmd_catalog(args) -> int:
                                    algorithm=args.algorithm,
                                    min_usage=min_usage)
     for desc in rows:
-        category = desc.category.value if desc.category else "auxiliary"
-        print(f"{desc.id:>2}  {desc.manifest_name:<24} {category}")
+        print(f"{desc.id:>2}  {desc.manifest_name:<24} {desc.category_label}")
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import get_primitive
-from .core import FunctionalCategory
+from .core import category_template
 from .errors import (BadParamsError, CompositionError, FanOutError,
                      KindMismatchError, LevelViolationError,
                      MeasuredQubitReuseError, QsafError, UnknownPortError,
@@ -28,13 +28,6 @@ from .lowering import ANSATZ_IDS, realize
 from .simulate import OptimizerConfig, PauliObservable
 
 OPTIMIZER_NAME = "Optimizer"
-
-MANDATORY_INPUT_CATEGORIES = frozenset({
-    FunctionalCategory.ORACLE_CONSTRUCTION,
-    FunctionalCategory.AMPLITUDE_AMPLIFICATION,
-    FunctionalCategory.BASIS_TRANSFORMATION,
-    FunctionalCategory.PHASE_ESTIMATION,
-})
 
 
 class AbstractionLevel:
@@ -443,8 +436,8 @@ class ArchitectureGraph:
                         f"bits into it", (inst_id,)))
                 continue
             desc = get_primitive(inst.primitive_id)
-            mandatory = (desc.category in MANDATORY_INPUT_CATEGORIES
-                         or desc.id == 33)
+            mandatory = (desc.id == 33 if desc.is_auxiliary
+                         else category_template(desc.category).needs_input)
             if mandatory and "in" in table \
                     and (inst_id, "in") not in wired_inputs:
                 out.append(Diagnostic(

@@ -137,14 +137,21 @@ class Parameter:
 
 @dataclass(frozen=True)
 class InterfaceTemplate:
-    """Category-level interface conventions.
+    """Everything the framework states about one functional category.
 
-    One template per functional category: what the inputs and outputs mean,
-    the ancilla policy, the flavor of unitary, and how information flows
-    through a component of that category.
+    One row per category, and the only table keyed by category. A row holds
+    the catalog id block ``ids``, the decision-tree attribute ``flag`` that
+    classifies into the category, the interface conventions (what the
+    inputs and outputs mean, the ancilla policy, the flavor of unitary, how
+    information flows), the design notes (dominant concern, classical
+    analogy, complexity label), whether an unwired ``in`` port is a
+    finding (``needs_input``), and the classical ``preprocessing`` a
+    realization needs.
     """
 
     category: FunctionalCategory
+    ids: range
+    flag: str
     input_desc: str
     output_desc: str
     anc_policy: AncillaPolicy
@@ -153,80 +160,93 @@ class InterfaceTemplate:
     param_kind: ParameterKind
     flow: InformationFlow
     flow_desc: str
+    dominant_concern: str
+    classical_analogy: str
+    complexity_label: str
+    needs_input: bool
+    preprocessing: str = "none"
 
 
-_TEMPLATES = {
-    FunctionalCategory.STATE_PREPARATION: InterfaceTemplate(
-        category=FunctionalCategory.STATE_PREPARATION,
-        input_desc="|0...0> register of n qubits",
-        output_desc="prepared target state on the same n qubits",
-        anc_policy=AncillaPolicy.OPTIONAL,
-        anc_note="optional work qubits for multi-controlled preparation steps",
-        unitary_kind=UnitaryKind.FIXED,
-        param_kind=ParameterKind.STRUCTURAL,
-        flow=InformationFlow.LOCAL,
-        flow_desc="local amplitudes spread toward a global target state"),
-    FunctionalCategory.ENTANGLEMENT_GENERATION: InterfaceTemplate(
-        category=FunctionalCategory.ENTANGLEMENT_GENERATION,
-        input_desc="product state on n qubits",
-        output_desc="entangled state across the same n qubits",
-        anc_policy=AncillaPolicy.OPTIONAL,
-        anc_note="optional ancillas for cascaded controlled rotations",
-        unitary_kind=UnitaryKind.FIXED,
-        param_kind=ParameterKind.STRUCTURAL,
-        flow=InformationFlow.GLOBAL,
-        flow_desc="correlations become global properties of the register"),
-    FunctionalCategory.ORACLE_CONSTRUCTION: InterfaceTemplate(
-        category=FunctionalCategory.ORACLE_CONSTRUCTION,
-        input_desc="query register (plus result qubit for bit-flip oracles)",
-        output_desc="same register with marked inputs tagged in phase or bit",
-        anc_policy=AncillaPolicy.OPTIONAL,
-        anc_note="work qubits often required for multi-controlled marking",
-        unitary_kind=UnitaryKind.PROBLEM_DEPENDENT,
-        param_kind=ParameterKind.PROBLEM_DEPENDENT,
-        flow=InformationFlow.GLOBAL,
-        flow_desc="problem structure is encoded into the register's phases"),
-    FunctionalCategory.AMPLITUDE_AMPLIFICATION: InterfaceTemplate(
-        category=FunctionalCategory.AMPLITUDE_AMPLIFICATION,
-        input_desc="superposition containing the marked subspace",
-        output_desc="same register with marked amplitudes amplified",
-        anc_policy=AncillaPolicy.OPTIONAL,
-        anc_note="optional work qubits for the reflection's control ladder",
-        unitary_kind=UnitaryKind.REFLECTION,
-        param_kind=ParameterKind.STRUCTURAL,
-        flow=InformationFlow.GLOBAL,
-        flow_desc="global interference concentrates amplitude on solutions"),
-    FunctionalCategory.BASIS_TRANSFORMATION: InterfaceTemplate(
-        category=FunctionalCategory.BASIS_TRANSFORMATION,
-        input_desc="state expressed in the computational basis",
-        output_desc="same state expressed in the transformed basis",
-        anc_policy=AncillaPolicy.NONE,
-        anc_note="no ancillas: the transform acts in place",
-        unitary_kind=UnitaryKind.FOURIER,
-        param_kind=ParameterKind.STRUCTURAL,
-        flow=InformationFlow.GLOBAL,
-        flow_desc="amplitudes are redistributed across the whole spectrum"),
-    FunctionalCategory.PHASE_ESTIMATION: InterfaceTemplate(
-        category=FunctionalCategory.PHASE_ESTIMATION,
-        input_desc="eigenstate register plus a counting register",
-        output_desc="counting register holding the binary phase readout",
-        anc_policy=AncillaPolicy.REQUIRED,
-        anc_note="counting qubits are mandatory ancillas",
-        unitary_kind=UnitaryKind.CONTROLLED,
-        param_kind=ParameterKind.STRUCTURAL,
-        flow=InformationFlow.FEED_FORWARD,
-        flow_desc="phase kicks feed forward from target into the counters"),
-    FunctionalCategory.VARIATIONAL_ANSATZ: InterfaceTemplate(
-        category=FunctionalCategory.VARIATIONAL_ANSATZ,
-        input_desc="reference state plus classical parameter vector",
-        output_desc="trial state; expectation values flow back classically",
-        anc_policy=AncillaPolicy.OPTIONAL,
-        anc_note="optional ancillas for symmetry checks",
-        unitary_kind=UnitaryKind.PARAMETERIZED,
-        param_kind=ParameterKind.VARIATIONAL,
-        flow=InformationFlow.QUANTUM_CLASSICAL_LOOP,
-        flow_desc="quantum evaluation and classical update alternate"),
-}
+_C = FunctionalCategory
+_A = AncillaPolicy
+_U = UnitaryKind
+_K = ParameterKind
+_I = InformationFlow
+
+# In decision-tree order (the enum's order): category, ids, flag; input,
+# output; ancilla policy and note; unitary kind, parameter kind, flow and
+# its note; dominant concern, classical analogy, complexity label;
+# needs_input, preprocessing.
+_TEMPLATES = {row.category: row for row in (
+    InterfaceTemplate(
+        _C.STATE_PREPARATION, range(1, 7), "initializes_state",
+        "|0...0> register of n qubits",
+        "prepared target state on the same n qubits",
+        _A.OPTIONAL,
+        "optional work qubits for multi-controlled preparation steps",
+        _U.FIXED, _K.STRUCTURAL, _I.LOCAL,
+        "local amplitudes spread toward a global target state",
+        "state preparation logic", "object factory", "O(1) to O(n)",
+        False),
+    InterfaceTemplate(
+        _C.ENTANGLEMENT_GENERATION, range(7, 11), "generates_entanglement",
+        "product state on n qubits",
+        "entangled state across the same n qubits",
+        _A.OPTIONAL, "optional ancillas for cascaded controlled rotations",
+        _U.FIXED, _K.STRUCTURAL, _I.GLOBAL,
+        "correlations become global properties of the register",
+        "global interactions among the qubits", "coordination mechanism",
+        "O(n) to O(n+|E|)", False),
+    InterfaceTemplate(
+        _C.ORACLE_CONSTRUCTION, range(18, 22), "encodes_problem",
+        "query register (plus result qubit for bit-flip oracles)",
+        "same register with marked inputs tagged in phase or bit",
+        _A.OPTIONAL, "work qubits often required for multi-controlled marking",
+        _U.PROBLEM_DEPENDENT, _K.PROBLEM_DEPENDENT, _I.GLOBAL,
+        "problem structure is encoded into the register's phases",
+        "encode problem-specific predicates",
+        "predicate evaluator, interfaces", "polynomial in input size",
+        True, "predicate compiled into controlled gates"),
+    InterfaceTemplate(
+        _C.AMPLITUDE_AMPLIFICATION, range(11, 15), "amplifies_amplitude",
+        "superposition containing the marked subspace",
+        "same register with marked amplitudes amplified",
+        _A.OPTIONAL,
+        "optional work qubits for the reflection's control ladder",
+        _U.REFLECTION, _K.STRUCTURAL, _I.GLOBAL,
+        "global interference concentrates amplitude on solutions",
+        "marking of good states", "iterative refinement loop",
+        "O(sqrt(N)) iterations; O(n) gates",
+        True, "iteration count chosen from the marked fraction"),
+    InterfaceTemplate(
+        _C.BASIS_TRANSFORMATION, range(15, 18), "transforms_basis",
+        "state expressed in the computational basis",
+        "same state expressed in the transformed basis",
+        _A.NONE, "no ancillas: the transform acts in place",
+        _U.FOURIER, _K.STRUCTURAL, _I.GLOBAL,
+        "amplitudes are redistributed across the whole spectrum",
+        "basis conversion to reveal global structure", "FFT",
+        "O(n^2), O(n log n)", True),
+    InterfaceTemplate(
+        _C.PHASE_ESTIMATION, range(22, 25), "estimates_phase",
+        "eigenstate register plus a counting register",
+        "counting register holding the binary phase readout",
+        _A.REQUIRED, "counting qubits are mandatory ancillas",
+        _U.CONTROLLED, _K.STRUCTURAL, _I.FEED_FORWARD,
+        "phase kicks feed forward from target into the counters",
+        "extracting phase information", "eigenvalue solver", "O(n^2)",
+        True, "controlled powers of the target unitary"),
+    InterfaceTemplate(
+        _C.VARIATIONAL_ANSATZ, range(25, 30), "parameterized_form",
+        "reference state plus classical parameter vector",
+        "trial state; expectation values flow back classically",
+        _A.OPTIONAL, "optional ancillas for symmetry checks",
+        _U.PARAMETERIZED, _K.VARIATIONAL, _I.QUANTUM_CLASSICAL_LOOP,
+        "quantum evaluation and classical update alternate",
+        "parameterized circuit template for hybrid optimization",
+        "template-based optimization model", "O(n) to O(n^2)",
+        False, "parameter updates from a classical optimizer"),
+)}
 
 
 def category_template(category: FunctionalCategory) -> InterfaceTemplate:

@@ -81,7 +81,7 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized dense amplitudes over 2**width basis states.
 
@@ -107,6 +107,13 @@ class StateVector:
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state is not normalized (norm {norm})")
         object.__setattr__(self, "amplitudes", amps / norm)
+
+    def __eq__(self, other):
+        # exact comparison of the amplitudes; unhashable, as they are mutable
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return (self.width == other.width
+                and np.array_equal(self.amplitudes, other.amplitudes))
 
     @classmethod
     def _trusted(cls, width: int, amps: np.ndarray) -> "StateVector":

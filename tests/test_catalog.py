@@ -73,6 +73,20 @@ def test_list_primitives_filters():
     assert {d.id for d in vqe_core} == {25, 26, 27, 28, 29}
 
 
+def test_list_primitives_names_the_choices_of_a_bad_filter():
+    assert list_primitives(category="Basis_Transformation") == \
+        list_primitives(category=FunctionalCategory.BASIS_TRANSFORMATION)
+    with pytest.raises(ValueError, match=r"unknown category 'bogus'; "
+                       r"expected one of \['state_preparation', .*"
+                       r"'variational_ansatz', 'auxiliary'\]"):
+        list_primitives(category="bogus")
+    expected = r"unknown algorithm 'bogus'; expected one of \['grover', "
+    for lookup in (lambda: list_primitives(algorithm="bogus"),
+                   lambda: usage(1, "bogus")):
+        with pytest.raises(UnknownAlgorithmError, match=expected):
+            lookup()
+
+
 def test_descriptor_levels_are_consistent():
     for d in all_primitives():
         lo, hi = d.level_range

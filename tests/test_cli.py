@@ -51,6 +51,17 @@ def test_catalog_list_filters(capsys):
     assert ids == [1, 2, 3, 4, 11, 12, 13, 18, 19, 21, 31, 32, 33]
 
 
+@pytest.mark.parametrize("flag", ["--category", "--algorithm"])
+def test_catalog_list_rejects_a_bad_filter(capsys, flag):
+    assert main(["catalog", "list", flag, "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag.lstrip("-")
+    assert captured.err.startswith(
+        f"error: unknown {name} 'bogus'; expected one of [")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_catalog_show_by_id_and_name(capsys):
     assert main(["catalog", "show", "15"]) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from qsaf.errors import (DuplicateQubitError, GateArityError,
 from qsaf.gates import (Gate, GateCircuit, GateKind, apply_matrix, dagger,
                         decompose, depth, gate_counts, gate_matrix,
                         unitary_of)
+from qsaf.lowering import lower
 
 from reference import (H2, X2, Y2, Z2, apply_ref, cnot_ref, cz_ref, op_on,
                        rx_ref, ry_ref, rz_ref, swap_ref, toffoli_ref)
@@ -240,6 +241,21 @@ def test_classical_register_grows_with_measurements():
     assert circ.classical_bits == 0
     circ.append(g.measure(1, 4))
     assert circ.classical_bits == 5
+
+
+def test_circuit_len_and_iteration_follow_its_ops():
+    circ = lower(11, {"n": 3, "marked": [5], "iterations": 3})
+    assert len(circ) == len(circ.ops) > 0
+    yielded = list(circ)
+    assert len(yielded) == len(circ.ops)
+    assert all(gate is op for gate, op in zip(yielded, circ.ops))
+    # the three iterations repeat one iteration's gate objects, so the
+    # oracle's X(1), used twice per iteration, is met at all six places
+    per = len(circ) // 3
+    first = circ.ops[0]
+    assert [i for i, gate in enumerate(circ) if gate is first] == \
+        [k * per + i for k in range(3) for i in (0, 4)]
+    assert len(GateCircuit(2)) == 0 and list(GateCircuit(2)) == []
 
 
 def test_gate_counts_and_depth():

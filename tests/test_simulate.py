@@ -46,6 +46,19 @@ def test_the_public_constructor_checks_and_renormalizes():
     assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-15
 
 
+def test_statevector_equality_compares_width_and_amplitudes():
+    zero = StateVector.zero(2)
+    assert zero == StateVector.zero(2)
+    assert not zero != StateVector.basis(2, 0)
+    assert zero != StateVector.basis(2, 1)
+    assert zero != StateVector.zero(3)
+    assert zero != "zero"
+    assert zero in [StateVector.basis(2, 3), StateVector.zero(2)]
+    assert zero not in [StateVector.zero(1), None]
+    with pytest.raises(TypeError, match="StateVector"):
+        hash(zero)
+
+
 def test_internal_states_skip_the_public_constructor(monkeypatch):
     calls = []
     check = StateVector.__post_init__
