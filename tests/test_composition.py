@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import qsaf.gates as g
 import qsaf.lowering as lowering
+from qsaf.analyze import DEFAULT_DEMO_PARAMS, nfr_profile
 from qsaf.composition import (AbstractionLevel, ArchitectureGraph,
                               ComponentInstance, Wire, entanglement_sets,
                               optimizer)
+from qsaf.core import InformationFlow
 from qsaf.errors import (CompositionError, FanOutError, KindMismatchError,
                          LevelViolationError, MeasuredQubitReuseError,
                          UnknownPortError, ValidationFailedError,
@@ -251,6 +253,27 @@ def test_ancilla_ledger_balances():
     graph = _graph(ComponentInstance("anc", 34,
                                      {"count": 2, "released": 2}))
     assert graph.validate() == []
+
+
+@pytest.mark.parametrize("pid", range(30, 35))
+def test_auxiliary_interface_facts(pid):
+    """The auxiliary rows have no category row: Measurement (33) alone
+    loops to the classical side and needs its in port wired, and
+    AncillaManagement (34) alone keeps an ancilla ledger."""
+    params = DEFAULT_DEMO_PARAMS.get(pid, {})
+    assert nfr_profile(pid).information_flow is (
+        InformationFlow.QUANTUM_CLASSICAL_LOOP if pid == 33
+        else InformationFlow.LOCAL)
+
+    alone = _graph(ComponentInstance("aux", pid, params))
+    assert _codes(alone) == ({"unwired_input"} if pid == 33 else set())
+
+    if pid == 34:  # the other rows take no ``released``
+        for released in range(3):
+            ledger = _graph(ComponentInstance(
+                "aux", pid, {"count": 2, "released": released}))
+            assert _codes(ledger) == (
+                {"ancilla_leak"} if released < 2 else set())
 
 
 def test_flatten_chains_states_through_wires():
