@@ -90,9 +90,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mece(_args) -> int:
-    violations = check_mece(catalog.all_primitives())
+    primitives = catalog.all_primitives()
+    violations = check_mece(primitives)
     if not violations:
-        print("mece check clean: 34 primitives, one category flag each")
+        aux = sum(d.is_auxiliary for d in primitives)
+        print(f"mece check clean: {len(primitives)} primitives: "
+              f"{len(primitives) - aux} with their category's one flag, "
+              f"{aux} auxiliary with none")
         return 0
     for violation in violations:
         print(f"{violation.primitive_id} {violation.name}: "
