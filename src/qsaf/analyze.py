@@ -182,7 +182,7 @@ def nfr_profile(subject, context: AnalysisContext | None = None) -> NfrProfile:
 
     if template is not None:
         flow = template.flow
-    elif desc.id == 33:
+    elif low.spec.measures:  # an auxiliary row that reads out
         flow = InformationFlow.QUANTUM_CLASSICAL_LOOP
     else:
         flow = InformationFlow.LOCAL

@@ -436,7 +436,8 @@ class ArchitectureGraph:
                         f"bits into it", (inst_id,)))
                 continue
             desc = get_primitive(inst.primitive_id)
-            mandatory = (desc.id == 33 if desc.is_auxiliary
+            # an auxiliary row needs its input when it reads it out
+            mandatory = ("bits" in table if desc.is_auxiliary
                          else category_template(desc.category).needs_input)
             if mandatory and "in" in table \
                     and (inst_id, "in") not in wired_inputs:
@@ -447,9 +448,11 @@ class ArchitectureGraph:
 
     def _check_ancilla_ledger(self, ports, out):
         for inst_id, inst in self.components.items():
-            # params that failed to realize are already a bad_params finding
-            if (inst.is_optimizer or inst.primitive_id != 34
-                    or ports[inst_id] is None):
+            # params that failed to realize are already a bad_params finding;
+            # the ledger keeps the rows that declare a ``released`` count
+            if (inst.is_optimizer or ports[inst_id] is None
+                    or all(p.name != "released" for p in
+                           get_primitive(inst.primitive_id).params)):
                 continue
             count = int(inst.params.get("count", 1))
             released = int(inst.params.get("released", count))
