@@ -448,8 +448,7 @@ class ArchitectureGraph:
 
     def _check_ancilla_ledger(self, ports, out):
         for inst_id, inst in self.components.items():
-            # params that failed to realize are already a bad_params finding;
-            # the ledger keeps the rows that declare a ``released`` count
+            # params that failed to realize are already a bad_params finding
             if (inst.is_optimizer or ports[inst_id] is None
                     or all(p.name != "released" for p in
                            get_primitive(inst.primitive_id).params)):
