@@ -607,16 +607,16 @@ def _controlled_u(amps, n, gate):
 
 def _fourier(amps, n, gate):
     """QFT and IQFT: one orthonormal FFT along the register's axis, the
-    inverse transform for the QFT (numpy's ``ifft`` takes e^{+2 pi i}),
-    written back into ``amps``. A register of ascending contiguous qubits
-    is one axis of a reshape view; any other placement or order is moved
-    to the last axes, most significant first, and back."""
+    inverse transform for the QFT (numpy's ``ifft`` takes e^{+2 pi i}).
+    A register of ascending contiguous qubits is one axis of a reshape
+    view, transformed in place; any other placement or order is moved to
+    the last axes, most significant first, transformed and moved back."""
     qubits, k = gate.qubits, gate.arity
     transform = np.fft.ifft if gate.kind is GateKind.QFT else np.fft.fft
     q0 = qubits[0]
     if qubits == tuple(range(q0, q0 + k)):
         view = amps.reshape(-1, 1 << k, 1 << q0)
-        view[...] = transform(view, axis=1, norm="ortho")
+        transform(view, axis=1, norm="ortho", out=view)
         return
     moved = np.moveaxis(amps.reshape([2] * n),
                         [n - 1 - q for q in reversed(qubits)],
@@ -794,7 +794,7 @@ class PauliObservable:
                 continue
             if diagonal is None:
                 diagonal = np.zeros(labels.size)
-            diagonal += coeff * _signs(labels, zy, self.width)
+            diagonal += coeff * _signs(labels, zy)
         # a stacked term holds an index and a complex weight per label
         term_bytes = labels.size * (labels.itemsize + 16)
         size = max(1, PAULI_BYTES // 4 // term_bytes)
@@ -802,18 +802,18 @@ class PauliObservable:
         for start in range(0, len(rest), size):
             terms = rest[start:start + size]
             held += len(terms) * term_bytes
-            chunks.append((terms, _stack(labels, terms, self.width)
+            chunks.append((terms, _stack(labels, terms)
                            if held <= PAULI_BYTES else None))
         return labels, diagonal, tuple(chunks)
 
 
-def _stack(labels, terms, width):
+def _stack(labels, terms):
     """(index, weight), each terms x labels, with index[t, k] = k ^ flip
     and weight[t, k] = coeff * i**#Y * (-1)**parity(k & zy) of term t: so
     <P_t> = sum_k conj(amps[index[t, k]]) * weight[t, k] * amps[k]."""
     weights, flips, zys = (np.array(column) for column in zip(*terms))
     return (labels ^ flips[:, None],
-            weights[:, None] * _signs(labels, zys[:, None], width))
+            weights[:, None] * _signs(labels, zys[:, None]))
 
 
 def _split_terms(text: str):
@@ -866,26 +866,19 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
     if diagonal is not None:
         total += float(diagonal @ (amps.real ** 2 + amps.imag ** 2))
     for terms, stacked in chunks:
-        index, weight = stacked or _stack(labels, terms, state.width)
+        index, weight = stacked or _stack(labels, terms)
         total += float(np.vdot(amps[index], weight * amps).real)
     return total
 
 
-def _signs(labels, masks, bits: int):
-    """(-1)**parity(label & mask) for each label and mask, masks below
-    2**bits."""
-    return 1 - 2 * _parity(labels & masks, bits)
+def _signs(labels, masks):
+    """(-1)**parity(label & mask) for each label and mask."""
+    return 1 - 2 * _parity(labels & masks).astype(np.int64)
 
 
-def _parity(words, bits: int):
-    """Parity of each integer in ``words``, whose values fit in ``bits``."""
-    shift = 1
-    while shift < bits:
-        shift <<= 1
-    while shift > 1:
-        shift >>= 1
-        words = words ^ (words >> shift)
-    return words & 1
+def _parity(words):
+    """Parity of each integer in ``words``, as uint8."""
+    return np.bitwise_count(words) & 1
 
 
 # variational loop
