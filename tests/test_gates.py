@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsaf.gates as g
 import qsaf.simulate as simulate
@@ -300,6 +302,47 @@ def test_dagger_reverses_any_unitary_circuit():
         inverse = dagger(circ)
         prod = unitary_of(inverse) @ unitary_of(circ)
         assert np.abs(prod - np.eye(2 ** n)).max() <= 1e-9
+
+
+@st.composite
+def unitary_circuits(draw, max_width=5):
+    """Up to eight gates on at most ``max_width`` qubits, of every kind
+    but MEASURE that fits the drawn width."""
+    width = draw(st.integers(1, max_width))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = [kind for kind, row in g.KINDS.items()
+             if kind is not GateKind.MEASURE and (row.arity or 2) <= width]
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=8)):
+        extra = {}
+        if kind is GateKind.CONTROLLED_U:
+            dim = 2 ** draw(st.integers(1, min(2, width - 1)))
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            extra = {"matrix": np.linalg.qr(z)[0],
+                     "power": draw(st.integers(1, 5))}
+            arity = dim.bit_length()  # control and log2(dim) targets
+        elif kind is GateKind.CMODMUL:
+            modulus = draw(st.integers(2, 2 ** (width - 1)))
+            units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
+            extra = {"multiplier": draw(st.sampled_from(units)),
+                     "modulus": modulus, "power": draw(st.integers(1, 9))}
+            arity = 1 + g.modular_width(modulus)
+        else:
+            arity = g.KINDS[kind].arity or draw(st.integers(2, width))
+        theta = (draw(st.floats(-2 * math.pi, 2 * math.pi))
+                 if g.KINDS[kind].angled else None)
+        qubits = draw(st.permutations(range(width)))[:arity]
+        ops.append(Gate(kind, tuple(qubits), theta, **extra))
+    return GateCircuit(width, ops)
+
+
+@settings(deadline=None)
+@given(unitary_circuits())
+def test_dagger_after_a_circuit_is_the_identity(circuit):
+    both = GateCircuit(circuit.width, circuit.ops + dagger(circuit).ops)
+    assert np.allclose(unitary_of(both), np.eye(2 ** circuit.width),
+                       rtol=0, atol=1e-9)
 
 
 def test_dagger_is_an_involution_for_plain_gates():

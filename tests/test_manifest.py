@@ -1,9 +1,17 @@
 """Manifest parsing, error positions, canonical rendering."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qsaf.analyze import DEFAULT_DEMO_PARAMS
+from qsaf.catalog import all_primitives
+from qsaf.composition import (AbstractionLevel, ArchitectureGraph,
+                              ComponentInstance, optimizer)
 from qsaf.errors import ManifestError, UnknownPrimitiveError
-from qsaf.manifest import (Manifest, RunDirective, parse_manifest,
+from qsaf.manifest import (RUN_VERBS, Manifest, RunDirective, parse_manifest,
                            render_manifest)
 
 GNARLY = """\
@@ -177,3 +185,52 @@ def test_render_refuses_unrepresentable_strings():
         "component o = Optimizer(observable='a\"b')\n")
     with pytest.raises(ManifestError):
         render_manifest(manifest)
+
+
+_WORD = "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_NAMES = st.builds(str.__add__, st.sampled_from(_WORD),
+                   st.text(_WORD + "0123456789", max_size=7))
+# every value shape the grammar has; strings hold no double quote or
+# line break, which render refuses
+_VALUES = st.recursive(
+    st.integers(-10 ** 6, 10 ** 6) | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                            blacklist_characters='"'), max_size=8),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_OPTIONS = st.dictionaries(_NAMES.filter(lambda k: k != "level"), _VALUES,
+                           max_size=3)
+
+
+@st.composite
+def manifests(draw):
+    """A manifest of catalog components with their demo parameters, at
+    any level they present at, plus an optimizer, wires as written,
+    contracts and run directives."""
+    graph = ArchitectureGraph(name=draw(_NAMES),
+                              level=draw(st.sampled_from(AbstractionLevel.ALL)))
+    ids = draw(st.lists(_NAMES, unique=True, max_size=6))
+    with_optimizer = bool(ids) and draw(st.booleans())
+    if with_optimizer:
+        graph.add_component(optimizer(ids[0], **draw(_OPTIONS)), check=False)
+    for instance_id in ids[with_optimizer:]:
+        desc = draw(st.sampled_from(all_primitives()))
+        graph.add_component(ComponentInstance(
+            instance_id, desc.id, DEFAULT_DEMO_PARAMS.get(desc.id, {}),
+            draw(st.integers(*desc.level_range))), check=False)
+    ends = st.tuples(st.sampled_from([*ids, "ghost"]),
+                     st.sampled_from(["in", "out", "bits", "params"]))
+    for src, dst in draw(st.lists(st.tuples(ends, ends), max_size=4)):
+        graph.record_wire(".".join(src), ".".join(dst))
+    for qubits in draw(st.lists(st.sets(st.integers(0, 40), min_size=2),
+                                max_size=2)):
+        graph.add_contract(qubits)
+    directives = draw(st.lists(st.builds(
+        RunDirective, st.sampled_from(RUN_VERBS), _OPTIONS), max_size=2))
+    return Manifest(graph.name, draw(st.integers(-10, 10 ** 6)), graph,
+                    tuple(directives))
+
+
+@given(manifests())
+def test_parse_inverts_render(manifest):
+    assert parse_manifest(render_manifest(manifest)) == manifest
