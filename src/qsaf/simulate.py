@@ -873,7 +873,7 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
 
 def _signs(labels, masks):
     """(-1)**parity(label & mask) for each label and mask."""
-    return 1 - 2 * _parity(labels & masks).astype(np.int64)
+    return np.where(_parity(labels & masks), -1, 1)
 
 
 def _parity(words):

@@ -1,7 +1,5 @@
 """Manifest parsing, error positions, canonical rendering."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
