@@ -229,6 +229,20 @@ def manifests(draw):
                     tuple(directives))
 
 
+def _typed(value):
+    """``value`` with the type beside each leaf: == takes 1, 1.0 and True
+    as equal, and a round trip must keep them apart."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [(key, _typed(item)) for key, item in items]
+    return type(value), value
+
+
 @given(manifests())
 def test_parse_inverts_render(manifest):
-    assert parse_manifest(render_manifest(manifest)) == manifest
+    again = parse_manifest(render_manifest(manifest))
+    assert again == manifest
+    assert _typed([*(i.params for i in again.graph.components.values()),
+                   *(d.options for d in again.directives)]) \
+        == _typed([*(i.params for i in manifest.graph.components.values()),
+                   *(d.options for d in manifest.directives)])
