@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from numbers import Integral
 
 import numpy as np
@@ -106,7 +106,9 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state is not normalized (norm {norm})")
-        object.__setattr__(self, "amplitudes", amps / norm)
+        # numpy divides a complex by a real through its reciprocal, so
+        # this is ``amps / norm`` without the complex division's cost
+        object.__setattr__(self, "amplitudes", amps * (1 / norm))
 
     def __eq__(self, other):
         # exact comparison of the amplitudes; unhashable, as they are mutable
@@ -622,8 +624,8 @@ def _fourier(amps, n, gate):
                         [n - 1 - q for q in reversed(qubits)],
                         range(n - k, n))
     register = moved.reshape(-1, 1 << k)  # a copy
-    moved[...] = transform(register, axis=1,
-                           norm="ortho").reshape(moved.shape)
+    transform(register, axis=1, norm="ortho", out=register)
+    moved[...] = register.reshape(moved.shape)
 
 
 # the ``structure`` column of gates.KINDS -> kernel applying one unitary
@@ -658,16 +660,19 @@ def _collapse(amps, n, qubit, rng):
     return np.moveaxis(keep, 0, axis).reshape(2 ** n), outcome
 
 
-def sample(state: StateVector, shots: int, seed=None) -> dict:
+def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
     """Draw bitstring counts from the exact outcome distribution.
 
-    The amplitudes are taken as normalized, as ``StateVector``'s
-    constructor and ``_collapse`` leave them; any rounding shortfall of
-    the total below one goes to the top label. Only the labels of
-    nonzero probability, and the top one, are searched.
+    ``qubits`` are the read-out qubits, most significant first; None
+    reads every qubit. Keys come in ascending order. The amplitudes are
+    taken as normalized, as ``StateVector``'s constructor and
+    ``_collapse`` leave them; any rounding shortfall of the total below
+    one goes to the top label. Only the labels of nonzero probability,
+    and the top one, are searched.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
+    width = state.width
     probabilities = state.probabilities()
     reachable = probabilities != 0
     reachable[-1] = True
@@ -677,26 +682,61 @@ def sample(state: StateVector, shots: int, seed=None) -> dict:
     del probabilities
     np.cumsum(cumulative, out=cumulative)
     cumulative[-1] = 1.0  # guard against rounding at the top end
+    keys, merge = np.flatnonzero(reachable), None
+    if qubits is not None and list(qubits) != list(range(width - 1, -1, -1)):
+        if len(qubits) == 0 or not all(0 <= q < width for q in qubits):
+            raise ValueError(f"qubits must be nonempty, each below {width}")
+        keys, width = _readout(keys, width, list(qubits)), len(qubits)
+        # a run of labels with one readout is one interval, cut at its
+        # last label; runs that share a readout are summed below
+        last = np.append(keys[1:] != keys[:-1], True)
+        keys, merge = np.unique(keys[last], return_inverse=True)
+        cumulative = cumulative[last]
     draws = _rng(seed).random(shots)
-    # searched label j takes the draws in [cumulative[j - 1],
-    # cumulative[j]); both ways below make the same comparisons, so they
-    # give the same counts
+    # interval j takes the draws in [cumulative[j - 1], cumulative[j]);
+    # the three ways below make the same comparisons, so they give the
+    # same counts
     if shots < cumulative.size:
-        # fewer shots than searched labels: one search per shot
+        # fewer shots than cuts: one search per shot
         hits = np.bincount(np.searchsorted(cumulative, draws, side="right"),
                            minlength=cumulative.size)
     else:
-        # one search per searched label: the difference of the draw
-        # counts below the two ends, taken in place once ``cumulative`` is
-        # freed, so at most two label-sized arrays live
-        draws.sort()
-        hits = np.searchsorted(draws, cumulative, side="left")
+        if cumulative.size <= int(shots).bit_length():
+            # a sort makes about log2(shots) comparisons per draw, one
+            # pass per cut no more
+            hits = np.array([np.count_nonzero(draws < cut)
+                             for cut in cumulative.tolist()])
+        else:
+            # one search per cut, the difference of the draw counts
+            # below its two ends, taken in place once ``cumulative`` is
+            # freed, so at most two label-sized arrays live
+            draws.sort()
+            hits = np.searchsorted(draws, cumulative, side="left")
         del cumulative
         hits[1:] -= hits[:-1]
+    if merge is not None:  # exact: each sum is at most ``shots``
+        hits = np.bincount(merge, hits, keys.size).astype(np.int64)
     drawn = np.flatnonzero(hits)
-    return {format_outcome(label, state.width): count
-            for label, count in zip(np.flatnonzero(reachable)[drawn].tolist(),
-                                    hits[drawn].tolist())}
+    return {format_outcome(key, width): count
+            for key, count in zip(keys[drawn].tolist(),
+                                  hits[drawn].tolist())}
+
+
+def _readout(labels, width, qubits):
+    """The bits of each label at ``qubits``, most significant first, as
+    an integer: one shift and mask per stretch of consecutive qubits."""
+    parts, start = [], 0
+    for end in range(1, len(qubits) + 1):
+        if end < len(qubits) and qubits[end] == qubits[end - 1] - 1:
+            continue
+        low, size = qubits[end - 1], end - start
+        part = labels >> low if low else labels
+        if low + size < width:
+            part = part & ((1 << size) - 1)
+        parts.append(part << (len(qubits) - end) if end < len(qubits)
+                     else part)
+        start = end
+    return reduce(np.bitwise_or, parts)
 
 
 # observables
@@ -1095,12 +1135,9 @@ def qpe_estimate(unitary, eigenstate, t: int, shots: int = 256,
         raise BadParamsError(f"t must be >= 1, got {t}")
     mat, vec = _check_eigenstate(unitary, eigenstate)
     state = _qpe_state(ControlledPowers.dense(mat), vec, t)
-    counts = {}
-    for label, hits in sample(state, shots, seed).items():
-        readout = int(label, 2) & (2 ** t - 1)
-        counts[readout] = counts.get(readout, 0) + hits
-    best = max(counts, key=lambda k: (counts[k], -k))
-    return best / 2 ** t
+    counts = sample(state, shots, seed, qubits=range(t - 1, -1, -1))
+    best = max(counts, key=lambda k: (counts[k], -int(k, 2)))
+    return int(best, 2) / 2 ** t
 
 
 def iterative_phase_estimate(unitary, eigenstate, t: int, seed=None) -> float:
@@ -1146,14 +1183,9 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
         raise BadParamsError(
             f"{a} shares a factor with {modulus}; order undefined")
     state = _qpe_state(ControlledPowers.modular(a % modulus, modulus), 1, t)
-    readouts = {}
-    for label, hits in sample(state, shots, seed).items():
-        readout = int(label, 2) & (2 ** t - 1)
-        readouts[readout] = readouts.get(readout, 0) + hits
-
     candidates = set()
-    for readout in readouts:
-        frac = Fraction(readout, 2 ** t).limit_denominator(modulus)
+    for key in sample(state, shots, seed, qubits=range(t - 1, -1, -1)):
+        frac = Fraction(int(key, 2), 2 ** t).limit_denominator(modulus)
         candidates.add(frac.denominator)
     verified = sorted(r for r in candidates
                       if r >= 1 and pow(a, r, modulus) == 1)

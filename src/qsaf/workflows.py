@@ -9,7 +9,6 @@ then runs the variational loop against the optimizer's observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .composition import ArchitectureGraph, Diagnostic
 from .errors import BadParamsError, QsafError, ValidationFailedError
@@ -108,19 +107,13 @@ def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
     # the flat circuit has checked its gates; dropping measurements
     # leaves them valid
     state = run(GateCircuit.trusted(circuit.width, unitary_ops)).state
-    counts = sample(state, shots, seed)
     if not measured:
-        return SimulationOutcome(counts, shots, circuit.width, False)
-    # keep only the measured qubits, highest classical bit leftmost; one
-    # measured qubit makes itemgetter return a character, which joins to
-    # itself
-    pick = itemgetter(*[circuit.width - 1 - q for q, _ in
-                        sorted(measured, key=lambda qc: -qc[1])])
-    projected = {}
-    for key, hits in counts.items():
-        bits = "".join(pick(key))
-        projected[bits] = projected.get(bits, 0) + hits
-    return SimulationOutcome(projected, shots, len(measured), True)
+        return SimulationOutcome(sample(state, shots, seed), shots,
+                                 circuit.width, False)
+    # read out the measured qubits, highest classical bit leftmost
+    qubits = [q for q, _ in sorted(measured, key=lambda qc: -qc[1])]
+    return SimulationOutcome(sample(state, shots, seed, qubits=qubits),
+                             shots, len(measured), True)
 
 
 def _run_minimize(graph: ArchitectureGraph, options: dict, seed):

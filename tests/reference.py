@@ -1,5 +1,5 @@
 """Independent dense-algebra references, the full-replay shift gradient,
-the bincount sampler, the gate-by-gate flatten and Grover builds, and
+the bincount sampler and its string readout, the gate-by-gate flatten and Grover builds, and
 manifest texts shared by the test modules; fixtures live in
 conftest.py."""
 
@@ -104,6 +104,17 @@ def sample_ref(state, shots, seed):
     hits = np.bincount(outcomes, minlength=probs.size)
     return {format_outcome(label, state.width): int(hits[label])
             for label in np.flatnonzero(hits).tolist()}
+
+
+def readout_ref(counts, qubits):
+    """``counts`` over full bitstrings summed by their characters at
+    ``qubits``, most significant first, one string at a time; keys in
+    ascending order."""
+    out = {}
+    for key, hits in counts.items():
+        bits = "".join(key[len(key) - 1 - q] for q in qubits)
+        out[bits] = out.get(bits, 0) + hits
+    return dict(sorted(out.items()))
 
 
 def flatten_ref(graph):

@@ -9,6 +9,7 @@ inside wider states, and pin the inverse, the spelled-out form, the
 matrix and every report to the ladder of ``reference.qft_ladder_ref``.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -73,6 +74,27 @@ def test_the_fft_kernel_matches_the_ladder_gate_by_gate(width, data):
     for gate in _ladder_ref(kind, qubits):
         want = apply_ref(want, width, gate_matrix(gate), gate.qubits)
     assert np.allclose(got, want, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("kind", FOURIER, ids=lambda k: k.value)
+@pytest.mark.parametrize("qubits", [
+    tuple(range(15, 3, -1)), tuple(range(0, 16, 2)), (3, 9, 1, 12, 2),
+    (14, 15), tuple(range(1, 16))], ids=str)
+def test_a_moved_register_is_transformed_in_place_bit_for_bit(kind, qubits):
+    # the kernel transforms a register it has to move in the moved copy;
+    # its bytes are those of the transform's own result copied back
+    width, k = 16, len(qubits)
+    amps = _random_state(np.random.default_rng(k), width)
+    want = amps.copy()
+    moved = np.moveaxis(want.reshape([2] * width),
+                        [width - 1 - q for q in reversed(qubits)],
+                        range(width - k, width))
+    transform = np.fft.ifft if kind is GateKind.QFT else np.fft.fft
+    moved[...] = transform(moved.reshape(-1, 1 << k), axis=1,
+                           norm="ortho").reshape(moved.shape)
+    simulate._fourier(amps, width, Gate(kind, qubits))
+    assert hashlib.sha256(amps.tobytes()).hexdigest() == \
+        hashlib.sha256(want.tobytes()).hexdigest()
 
 
 @settings(deadline=None, max_examples=30)

@@ -8,13 +8,15 @@ one-qubit runs, the held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX
 gates, the native multi-controlled gates against their decomposition,
 the controlled modular multiply against the dense power of
 ``modular_multiply_matrix``, the planned and stacked Pauli
-``expectation``, both ways of ``sample`` and the prefix-sharing
-parameter-shift gradient are compared with the index-arithmetic kernel
-``apply_ref``, a per-shot loop, the bincount sampler or full replays,
-over random gates, qubit orders, widths and states.
+``expectation``, the three ways of ``sample`` and its readout of chosen
+qubits, and the prefix-sharing parameter-shift gradient are compared
+with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
+bincount sampler and its string readout or full replays, over random
+gates, qubit orders, widths and states.
 """
 
 import math
+from bisect import bisect_right
 from functools import reduce
 from types import SimpleNamespace
 from unittest import mock
@@ -22,7 +24,7 @@ from unittest import mock
 import numpy as np
 import pytest
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st
 
 import qsaf.simulate as simulate
@@ -34,7 +36,7 @@ from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            format_outcome, parameter_shift_gradient, run,
                            sample)
 
-from reference import (X2, Y2, Z2, apply_ref, sample_ref,
+from reference import (X2, Y2, Z2, apply_ref, readout_ref, sample_ref,
                        shift_gradient_ref)
 
 MAX_WIDTH = 6
@@ -982,26 +984,30 @@ def test_run_cache_stays_under_12_mib_at_width_16(monkeypatch):
 _LETTERS = {"X": X2, "Y": Y2, "Z": Z2}
 
 
+def _pauli_terms(width):
+    strings = st.text("IXYZ", min_size=width, max_size=width)
+    coeffs = st.floats(-3.0, 3.0, allow_nan=False)
+    return st.lists(st.tuples(coeffs, strings), min_size=1, max_size=5)
+
+
 @st.composite
 def observables_on_states(draw):
     width = draw(st.integers(1, MAX_WIDTH))
-    strings = st.text("IXYZ", min_size=width, max_size=width)
-    coeffs = st.floats(-3.0, 3.0, allow_nan=False)
-    terms = draw(st.lists(st.tuples(coeffs, strings), min_size=1,
-                          max_size=5))
+    terms = draw(_pauli_terms(width))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return PauliObservable(width, tuple(terms)), \
         StateVector(width, _random_state(rng, width))
 
 
 def _per_letter_expectation(state, observable):
+    """The complex sum of coeff * <state|P|state>, one letter at a time."""
     want = 0.0
     for coeff, string in observable.terms:
         vec = state.amplitudes
         for q, letter in enumerate(string):
             if letter != "I":
                 vec = apply_ref(vec, state.width, _LETTERS[letter], (q,))
-        want += coeff * np.vdot(state.amplitudes, vec).real
+        want += coeff * np.vdot(state.amplitudes, vec)
     return want
 
 
@@ -1010,6 +1016,21 @@ def test_bitmask_expectation_matches_per_letter_products(case):
     observable, state = case
     assert abs(expectation(state, observable)
                - _per_letter_expectation(state, observable)) <= ATOL
+
+
+@given(observables_on_states(), st.data())
+def test_expectation_is_real_and_linear_in_the_observable(case, data):
+    a, state = case
+    b = PauliObservable(a.width, tuple(data.draw(_pauli_terms(a.width))))
+    x, y = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                              max_size=2))
+    mix = PauliObservable(a.width,
+                          tuple((x * c, s) for c, s in a.terms)
+                          + tuple((y * c, s) for c, s in b.terms))
+    values = [expectation(state, o) for o in (a, b, mix)]
+    assert all(type(value) is float for value in values)
+    assert abs(_per_letter_expectation(state, mix).imag) <= ATOL * 100
+    assert abs(values[2] - x * values[0] - y * values[1]) <= ATOL * 100
 
 
 @given(observables_on_states(), st.integers(0, 2 ** 32 - 1))
@@ -1143,29 +1164,130 @@ def test_sample_with_one_or_two_reachable_labels(labels):
     assert set(counts) <= {format_outcome(k, 2) for k in labels}
 
 
-@pytest.mark.parametrize("per_shot", [True, False])
+@given(st.integers(1, simulate.SIM_WIDTH_CAP), st.integers(0, 2 ** 32 - 1),
+       st.floats(-1e-9, 1e-9), st.floats(-200.0, 200.0))
+def test_the_constructor_divides_by_the_norm_through_its_reciprocal(
+        width, seed, error, exponent):
+    amps = _random_state(np.random.default_rng(seed), width)
+    # numpy divides a complex by a real as a product with its reciprocal
+    scale = 10.0 ** exponent
+    assert np.array_equal((amps * scale) / scale,
+                          (amps * scale) * (1 / scale))
+    amps *= 1.0 + error
+    assert np.array_equal(StateVector(width, amps).amplitudes,
+                          amps / np.linalg.norm(amps))
+
+
+def _cut_count(state, qubits):
+    """Intervals the sampler cuts: runs of one readout among the labels
+    of nonzero probability and the top one."""
+    labels = np.flatnonzero(state.probabilities()).tolist()
+    if labels[-1] != 2 ** state.width - 1:
+        labels.append(2 ** state.width - 1)
+    keys = [[label >> q & 1 for q in qubits] for label in labels]
+    return 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+
+
+# shots for each branch from its number of cuts c: fewer than c search
+# once per shot; from max(c, 2**(c - 1)) on, c <= shots.bit_length() and
+# each cut counts its draws; in between the draws are sorted
+BRANCH_SHOTS = {
+    "per_shot": lambda c: st.integers(1, c - 1),
+    "count": lambda c: st.integers(max(c, 2 ** (c - 1)), 2 ** c),
+    "sort": lambda c: st.integers(c, min(2 ** (c - 1) - 1, 5000)),
+}
+
+
+@st.composite
+def readout_cases(draw, branch):
+    """(state, qubits, shots): a dense, sparse or few-label state (few
+    labels always for the count branch, which needs few cuts), any
+    subset of its qubits in any order, and shots in ``branch``."""
+    width = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = _random_state(rng, width)
+    kind = "few" if branch == "count" else \
+        draw(st.sampled_from(["dense", "sparse", "few"]))
+    if kind == "sparse":
+        amps[rng.random(amps.size) < 0.6] = 0.0
+    elif kind == "few":
+        few = draw(st.integers(1, min(2 ** width, 10)))
+        amps[rng.permutation(amps.size)[few:]] = 0.0
+    if not amps.any():
+        amps[rng.integers(amps.size)] = 1.0
+    state = StateVector(width, amps / np.linalg.norm(amps))
+    qubits = draw(st.permutations(range(width)))[
+        :draw(st.integers(1, width))]
+    cuts = _cut_count(state, qubits)
+    assume(cuts >= {"per_shot": 2, "count": 1, "sort": 3}[branch])
+    return state, qubits, draw(BRANCH_SHOTS[branch](cuts))
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_SHOTS))
 @given(data=st.data())
-def test_sample_picks_its_branch_by_the_reachable_labels(per_shot, data):
-    # the sampler searches the reachable labels and the top one: fewer
-    # shots than those search once per shot (the only branch that counts
-    # with a bincount), and as many or more once per searched label, even
-    # with fewer shots than labels
+def test_sample_reads_out_the_bits_of_the_full_labels(branch, data):
+    state, qubits, shots = data.draw(readout_cases(branch))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    counts = sample(state, shots, seed, qubits=qubits)
+    assert counts == readout_ref(sample_ref(state, shots, seed), qubits)
+    assert list(counts) == sorted(counts)
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_SHOTS))
+@given(data=st.data())
+def test_sample_picks_its_branch_by_the_reachable_labels(branch, data):
+    # the sampler cuts at the reachable labels and the top one, even
+    # with fewer shots than labels: fewer shots than cuts search once per
+    # shot, at most shots.bit_length() cuts count the draws below each
+    # cut, and more sort the draws and search once per cut
     width = data.draw(st.integers(3, 10))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    reachable = data.draw(st.integers(2, 2 ** width // 4))
+    most = 8 if branch == "count" else max(3, 2 ** width // 4)
+    reachable = data.draw(st.integers(2 + (branch == "sort"), most))
     amps = np.zeros(2 ** width, dtype=complex)
     amps[rng.choice(2 ** width, reachable, replace=False)] = \
         _random_state(rng, width)[:reachable]
     state = StateVector(width, amps / np.linalg.norm(amps))
-    searched = reachable + (amps[-1] == 0)
-    shots = data.draw(st.integers(1, searched - 1) if per_shot
-                      else st.integers(searched, 2 ** width - 1))
+    cuts = reachable + int(amps[-1] == 0)
+    shots = data.draw(BRANCH_SHOTS[branch](cuts))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     want = sample_ref(state, shots, seed)
-    with mock.patch.object(simulate.np, "bincount",
-                           wraps=np.bincount) as bincount:
+    with mock.patch.object(simulate.np, "searchsorted",
+                           wraps=np.searchsorted) as search, \
+            mock.patch.object(simulate.np, "count_nonzero",
+                              wraps=np.count_nonzero) as count:
         assert sample(state, shots, seed) == want
-    assert bincount.called == per_shot
+    assert count.call_count == (cuts if branch == "count" else 0)
+    if branch == "count":
+        assert not search.called
+    else:
+        (_, needles), _ = search.call_args
+        assert search.call_count == 1
+        assert needles.size == (shots if branch == "per_shot" else cuts)
+
+
+@pytest.mark.parametrize("amps, draws", [
+    # 3 cuts and 2 shots: one search per shot
+    ([0.5, 0.5, 0.0, 0.5 ** 0.5], [0.25, 0.5]),
+    # 3 cuts and 6 shots: the draws below each cut are counted
+    ([0.5, 0.5, 0.0, 0.5 ** 0.5], [0.25, 0.5, 0.0, 0.3, 0.5, 0.75]),
+    # 8 cuts and 9 shots: the draws are sorted
+    ([0.25] * 4 + [0.5] * 3 + [0.0],
+     [0.0625, 0.125, 0.1875, 0.25, 0.5, 0.75, 0.0, 0.8, 0.125]),
+], ids=["per_shot", "count", "sort"])
+def test_sample_gives_a_draw_on_a_cut_to_the_label_above(amps, draws):
+    # the probabilities and the cumulative sums are exact dyadic
+    # fractions, so some draws land on a cut
+    state = StateVector._trusted(int(len(amps)).bit_length() - 1,
+                                 np.array(amps, dtype=complex))
+    cumulative = np.cumsum(state.probabilities()).tolist()
+    want = {}
+    for draw in draws:
+        key = format_outcome(bisect_right(cumulative, draw), state.width)
+        want[key] = want.get(key, 0) + 1
+    generator = SimpleNamespace(random=lambda shots: np.array(draws))
+    with mock.patch.object(simulate, "_rng", return_value=generator):
+        assert sample(state, len(draws)) == dict(sorted(want.items()))
 
 
 def test_sample_sends_a_shortfall_below_one_to_the_top_label():
