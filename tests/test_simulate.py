@@ -144,6 +144,16 @@ def test_sample_on_a_basis_state_is_exact():
     assert counts == {"101": 64}
 
 
+def test_sample_reads_out_the_given_qubits_and_rejects_others():
+    state = StateVector.basis(3, 6)  # qubits 2, 1, 0 read 1, 1, 0
+    for qubits, key in (([2, 1, 0], "110"), ([0, 1, 2], "011"),
+                        ([0], "0"), ([2, 0], "10"), ([1, 1], "11")):
+        assert sample(state, 64, 2, qubits=qubits) == {key: 64}
+    for qubits in ([], [3], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            sample(state, 64, 2, qubits=qubits)
+
+
 def test_qsaf_seed_env_var(monkeypatch):
     monkeypatch.setenv("QSAF_SEED", "77")
     assert default_seed() == 77
