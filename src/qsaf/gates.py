@@ -17,7 +17,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +118,19 @@ _QFT = GateKind.QFT
 _IQFT = GateKind.IQFT
 
 
+class _FirstRead:
+    """A gate's ``entries``: computed at the first read and kept in the
+    gate's ``__dict__``, which then answers every later read without a
+    call. ``functools.cached_property`` does the same, but on Python 3.11
+    it takes a lock at every first read."""
+
+    def __get__(self, gate, owner=None):
+        if gate is None:
+            return self
+        entries = gate.__dict__["entries"] = one_qubit_entries(gate)
+        return entries
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One gate application: a kind, target qubits, and any parameters.
@@ -214,11 +226,9 @@ class Gate:
     def arity(self) -> int:
         return len(self.qubits)
 
-    @cached_property
-    def entries(self) -> tuple:
-        """``one_qubit_entries`` of this gate, computed at the first read:
-        a gate is immutable, and runs that share it read them again."""
-        return one_qubit_entries(self)
+    # ``one_qubit_entries`` of this gate, computed at the first read: a
+    # gate is immutable, and runs that share it read them again
+    entries = _FirstRead()
 
 
 # constructors
@@ -480,9 +490,12 @@ class GateCircuit:
         """A circuit of ``ops`` taken as they are: for gates that already
         passed ``append`` in a circuit with these qubits, classical bits
         and measurement rule, or that are built to."""
-        circuit = cls(width, classical_bits=classical_bits,
-                      allow_mid_measure=allow_mid_measure)
-        circuit.ops = list(ops)
+        # the fields set directly: the dataclass ``__init__`` and
+        # ``__post_init__`` would check every gate again
+        circuit = object.__new__(cls)
+        circuit.width, circuit.ops = width, list(ops)
+        circuit.classical_bits = classical_bits
+        circuit.allow_mid_measure = allow_mid_measure
         circuit._measured = {gate.qubits[0] for gate in circuit.ops
                              if gate.kind is _MEASURE}
         return circuit

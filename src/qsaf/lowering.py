@@ -902,11 +902,23 @@ def ansatz_theta_count(primitive_id: int, structure=None) -> int:
                          f"ansatz; expected one of {list(ANSATZ_IDS)}")
 
 
+# realized ansatz records that ``realize_ansatz`` binds angles on, at most
+# this many, the oldest dropped first
+_TEMPLATE_SLOTS = 16
+_TEMPLATES = {}  # (id, flat length, frozen structure) -> Lowered
+
+
 def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
     """Lower a variational primitive from a flat parameter vector.
 
     ``structure`` holds the non-variational parameters. The returned record
     carries one site list per flat parameter for the shift rule.
+
+    A structure realized before, at the same flat length, is not built
+    again: finite angles are bound on the record kept for it, each site's
+    gate rebuilt as scale * theta (the ``Lowered.sites`` contract). Any
+    other call goes through ``realize``, so every error comes from there.
+    Each call returns its own record over a new op list.
     """
     names = _flat_layout(primitive_id)
     flat = [float(v) for v in flat_thetas]
@@ -915,10 +927,49 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
         raise BadParamsError(
             f"flat vector for id {primitive_id} must hold "
             f"{' then '.join(names)}, equally many of each")
-    params = dict(structure or {})
+    # the flat vector sets every variational param, whatever ``structure``
+    # holds for it, so those are no part of the key
+    params = {key: value for key, value in dict(structure or {}).items()
+              if key not in names}
+    try:
+        key = (primitive_id, len(flat), _frozen(params))
+        template = _TEMPLATES.get(key)
+    except TypeError:  # an unhashable value: nothing is kept
+        key = template = None
+    if template is not None and all(map(math.isfinite, flat)):
+        return _bind(template, flat)
     for i, name in enumerate(names):
         params[name] = flat[i * size:(i + 1) * size]
-    return realize(primitive_id, params)
+    low = realize(primitive_id, params)
+    if key is not None:
+        if len(_TEMPLATES) >= _TEMPLATE_SLOTS:
+            _TEMPLATES.pop(next(iter(_TEMPLATES)), None)
+        _TEMPLATES[key] = _bind(low, flat)  # a copy no caller holds
+    return low
+
+
+def _frozen(value):
+    """``value`` as a hashable key that keeps the type of every part, so
+    2, 2.0 and True, or a list and a tuple, stay distinct."""
+    if isinstance(value, dict):
+        return dict, frozenset((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_frozen, value))
+    return type(value), value
+
+
+def _bind(low, flat):
+    """A new record of ``low`` with each site's gate at scale * theta."""
+    ops = list(low.circuit.ops)
+    for theta, sites in zip(flat, low.sites):
+        for pos, scale in sites:
+            gate = ops[pos]
+            ops[pos] = g.Gate(gate.kind, gate.qubits, scale * theta)
+    circuit = low.circuit
+    return Lowered(GateCircuit.trusted(circuit.width, ops,
+                                       circuit.classical_bits,
+                                       circuit.allow_mid_measure),
+                   low.spec, [list(sites) for sites in low.sites])
 
 
 def initial_thetas(primitive_id: int, params) -> list:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from numbers import Integral
+from operator import is_
 
 import numpy as np
 
@@ -304,7 +305,9 @@ def _layer_steps(n, pending, structure, wide):
     it scales, and any other group, a lone gate too, is one
     ``_update_group`` with a matrix that is real when no entry is
     complex. A block whose gates take no angle is the same on every run,
-    so its matrix is built here; any other block's matrix is None.
+    so its matrix is built here; any other block's matrix is None, and a
+    narrow one gets a memo, [gates, matrix], of the gates it was last
+    built from and the matrix built from them.
     """
     blocks, steps = [], []
     for group in _groups(pending, GROUP_QUBITS if wide else LAYER_QUBITS):
@@ -318,8 +321,10 @@ def _layer_steps(n, pending, structure, wide):
                 None if wide else complex)
             matrix.flags.writeable = False  # shared by every run
         if not wide:
+            memo = None if matrix is not None else [(None,) * len(kinds),
+                                                    None]
             blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0), matrix,
-                           runs))
+                           runs, memo))
             continue
         (pos, kind), *others = kinds.items()
         if not others and KINDS[kind].structure == "diagonal":
@@ -369,11 +374,19 @@ def _kron_index(k):
 
 def _apply_layer(amps, ops, blocks):
     """Each block of a layer as one matmul with the Kronecker product of
-    its qubits' run products, built on each run only for a block with an
-    angled gate."""
-    for shape, matrix, runs in blocks:
+    its qubits' run products. A block with an angled gate is built again
+    only when its gates are not the very objects it was last built from:
+    a ``Gate`` is immutable, and the shifted runs of a gradient share
+    most blocks' gates."""
+    for shape, matrix, runs, memo in blocks:
         if matrix is None:
-            matrix = _block_matrix(ops, runs)
+            gates = [ops[pos] for run in runs for pos in run]
+            # read as one pair, as it is written: the matrix is always
+            # that of ``built_from``
+            built_from, matrix = memo
+            if not all(map(is_, gates, built_from)):
+                matrix = _block_matrix(ops, runs)
+                memo[:] = gates, matrix
         view = amps.reshape(shape)
         view[...] = matrix @ view
 
@@ -690,8 +703,9 @@ def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
         # a run of labels with one readout is one interval, cut at its
         # last label; runs that share a readout are summed below
         last = np.append(keys[1:] != keys[:-1], True)
-        keys, merge = np.unique(keys[last], return_inverse=True)
-        cumulative = cumulative[last]
+        keys, cumulative = keys[last], cumulative[last]
+        if (keys[1:] <= keys[:-1]).any():  # a top register always ascends
+            keys, merge = np.unique(keys, return_inverse=True)
     draws = _rng(seed).random(shots)
     # interval j takes the draws in [cumulative[j - 1], cumulative[j]);
     # the three ways below make the same comparisons, so they give the
@@ -807,18 +821,18 @@ class PauliObservable:
 
     @cached_property
     def _plan(self):
-        """(labels, diagonal, chunks), derived once from the terms.
+        """(labels, chunks), derived once from the terms.
 
-        Every term without X or Y is folded into ``diagonal``, one real
-        weight per basis label (None when there is no such term). The
-        other terms are (coeff * i**#Y, flip, zy), where
-        P|k> = i**#Y (-1)**parity(k & zy) |k ^ flip>, split into
-        ``chunks`` of (terms, their ``_stack``). Chunks hold at most a
+        Every term without X or Y is folded into one diagonal, a real
+        weight per basis label, which is row 0, (diagonal, 0, 0). The
+        other terms are rows (coeff * i**#Y, flip, zy), where
+        P|k> = i**#Y (-1)**parity(k & zy) |k ^ flip>. The rows are split
+        into ``chunks`` of (rows, their ``_stack``). Chunks hold at most a
         quarter of PAULI_BYTES each, and past PAULI_BYTES in all a chunk
         keeps None, to be stacked by each ``expectation``.
         """
         labels = np.arange(2 ** self.width)
-        diagonal, rest = None, []
+        diagonal, rows = None, []
         for coeff, string in self.terms:
             if coeff == 0.0:
                 continue
@@ -830,30 +844,32 @@ class PauliObservable:
                     zy |= 1 << q
                 ys += letter == "Y"
             if flip:
-                rest.append((coeff * (1, 1j, -1, -1j)[ys % 4], flip, zy))
+                rows.append((coeff * (1, 1j, -1, -1j)[ys % 4], flip, zy))
                 continue
             if diagonal is None:
                 diagonal = np.zeros(labels.size)
             diagonal += coeff * _signs(labels, zy)
-        # a stacked term holds an index and a complex weight per label
-        term_bytes = labels.size * (labels.itemsize + 16)
-        size = max(1, PAULI_BYTES // 4 // term_bytes)
+        if diagonal is not None:
+            rows.insert(0, (diagonal, 0, 0))
+        # a stacked row holds an index and a complex weight per label
+        row_bytes = labels.size * (labels.itemsize + 16)
+        size = max(1, PAULI_BYTES // 4 // row_bytes)
         chunks, held = [], 0
-        for start in range(0, len(rest), size):
-            terms = rest[start:start + size]
-            held += len(terms) * term_bytes
-            chunks.append((terms, _stack(labels, terms)
+        for start in range(0, len(rows), size):
+            part = rows[start:start + size]
+            held += len(part) * row_bytes
+            chunks.append((part, _stack(labels, part)
                            if held <= PAULI_BYTES else None))
-        return labels, diagonal, tuple(chunks)
+        return labels, tuple(chunks)
 
 
-def _stack(labels, terms):
-    """(index, weight), each terms x labels, with index[t, k] = k ^ flip
-    and weight[t, k] = coeff * i**#Y * (-1)**parity(k & zy) of term t: so
-    <P_t> = sum_k conj(amps[index[t, k]]) * weight[t, k] * amps[k]."""
-    weights, flips, zys = (np.array(column) for column in zip(*terms))
-    return (labels ^ flips[:, None],
-            weights[:, None] * _signs(labels, zys[:, None]))
+def _stack(labels, rows):
+    """(index, weight), each rows x labels, with index[t, k] = k ^ flip
+    and weight[t, k] = coeff * (-1)**parity(k & zy) of row t: so
+    <P_t> = sum_k conj(amps[index[t, k]]) * weight[t, k] * amps[k]. The
+    diagonal's row has flip = zy = 0 and its weights as ``coeff``."""
+    return (np.array([labels ^ flip for _, flip, _ in rows]),
+            np.array([coeff * _signs(labels, zy) for coeff, _, zy in rows]))
 
 
 def _split_terms(text: str):
@@ -900,13 +916,11 @@ def expectation(state: StateVector, observable: PauliObservable) -> float:
         raise WidthMismatchError(
             f"observable width {observable.width} != state width "
             f"{state.width}")
-    labels, diagonal, chunks = observable._plan
+    labels, chunks = observable._plan
     amps = state.amplitudes
     total = 0.0
-    if diagonal is not None:
-        total += float(diagonal @ (amps.real ** 2 + amps.imag ** 2))
-    for terms, stacked in chunks:
-        index, weight = stacked or _stack(labels, terms)
+    for rows, stacked in chunks:
+        index, weight = stacked or _stack(labels, rows)
         total += float(np.vdot(amps[index], weight * amps).real)
     return total
 
@@ -1000,30 +1014,38 @@ def parameter_shift_gradient(ansatz_id: int, thetas, observable,
 
     A parameter may drive several gates (each with its own angle scale), so
     the rule is applied per gate occurrence and combined by the chain rule.
-    One forward sweep carries the unshifted state through the circuit; each
-    shifted run starts from the state just before its gate, so it replays
-    only the gates from that one on.
+    One forward sweep carries the unshifted state through the circuit. A
+    site's stretch of one-qubit unitaries starts just after the last
+    other gate before it (or at 0), and each shifted run replays only
+    ``ops[start:]``, with the shifted gate in place, from the state at
+    ``start``: so the runs of a stretch share that state and the plan of
+    ``ops[start:]``, and most of its layer blocks (see ``_apply_layer``).
     """
     low = realize_ansatz(ansatz_id, structure, thetas)
     n, ops = low.circuit.width, low.circuit.ops
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = 1.0
-    done = 0
+    state = StateVector.zero(n)  # the unshifted state at ``done``
+    done = start = scanned = 0
     diff = {}  # site position -> E(+pi/2) - E(-pi/2)
     for pos in sorted({pos for sites in low.sites for pos, _ in sites}):
-        amps = _evolve(amps, n, ops[done:pos])
-        done = pos
-        # a copy: the sweep goes on updating ``amps`` in place
-        prefix = StateVector._trusted(n, amps.copy())
-        gate, rest = ops[pos], ops[pos + 1:]
+        for later in range(scanned, pos):
+            gate = ops[later]
+            if len(gate.qubits) > 1 or gate.kind is GateKind.MEASURE:
+                start = later + 1
+        scanned = pos
+        if start > done:  # a copy: a state handed to ``run`` stays
+            state = StateVector._trusted(
+                n, _evolve(state.amplitudes.copy(), n, ops[done:start]))
+            done = start
+        stretch, gate, rest = ops[start:pos], ops[pos], ops[pos + 1:]
         energies = []
         for delta in (math.pi / 2, -math.pi / 2):
             # a site is a one-qubit rotation, so the positional constructor
             # rebuilds it (``replace`` costs about twice as much), and the
             # suffix of validated gates is not revalidated
-            suffix = GateCircuit.trusted(
-                n, [Gate(gate.kind, gate.qubits, gate.theta + delta), *rest])
-            energies.append(expectation(run(suffix, prefix).state,
+            suffix = GateCircuit.trusted(n, [
+                *stretch, Gate(gate.kind, gate.qubits, gate.theta + delta),
+                *rest])
+            energies.append(expectation(run(suffix, state).state,
                                         observable))
         diff[pos] = energies[0] - energies[1]
     grad = np.zeros(len(low.sites))

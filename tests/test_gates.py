@@ -380,3 +380,30 @@ def test_circuit_equality_ignores_measured_tracking():
     b.append(g.measure(0, 0))
     assert a == b
     assert a != GateCircuit(2, [g.h(0)])
+
+
+def test_a_trusted_circuit_equals_the_checked_one_field_for_field():
+    ops = [g.h(0), g.cnot(0, 1), g.measure(1, 2), g.rz(0.3, 0),
+           g.measure(0, 0)]
+    checked = GateCircuit(3, ops, classical_bits=3)
+    trusted = GateCircuit.trusted(3, ops, classical_bits=3)
+    assert vars(trusted) == vars(checked)
+    assert trusted._measured == {0, 1}
+    assert trusted.ops is not ops  # its own list
+
+
+def test_gate_entries_are_computed_once_per_gate(monkeypatch):
+    gates = [Gate(kind, (0,), 0.7 if row.angled else None)
+             for kind, row in g.KINDS.items()
+             if row.arity == 1 and row.structure]
+    want = [g.one_qubit_entries(gate) for gate in gates]
+    calls = []
+
+    def spy(gate):
+        calls.append(gate)
+        return want[gates.index(gate)]
+
+    monkeypatch.setattr(g, "one_qubit_entries", spy)
+    assert [gate.entries for gate in gates] == want
+    assert [gate.entries for gate in gates] == want
+    assert calls == gates  # one call per gate, at its first read

@@ -27,10 +27,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st
 
+import qsaf.lowering as lowering
 import qsaf.simulate as simulate
 from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
                         dagger, decompose, gate_matrix, modular_width)
-from qsaf.lowering import modular_multiply_matrix
+from qsaf.lowering import modular_multiply_matrix, realize_ansatz
 from qsaf.manifest import parse_manifest
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            format_outcome, parameter_shift_gradient, run,
@@ -265,8 +266,9 @@ def test_a_layer_without_angles_is_built_with_the_plan_bit_for_bit():
     blocks = [block for step, args in plan
               if step is simulate._apply_layer for block in args[0]]
     assert len(blocks) == 4  # qubits 0-2 and 3-4, before and after
-    for _, matrix, runs in blocks:
+    for _, matrix, runs, memo in blocks:
         assert matrix is not None and not matrix.flags.writeable
+        assert memo is None  # nothing to build again
         assert matrix.tobytes() == \
             simulate._block_matrix(ops, runs).tobytes()
 
@@ -285,14 +287,17 @@ def test_a_plan_is_layers_runs_and_kernels():
         simulate._apply_layer, simulate._signed_gather,
         simulate._apply_layer, simulate._apply_gate]
     (layer,) = plan[0][1]
-    assert [(shape, runs) for shape, _, runs in layer] == \
+    assert [(shape, runs) for shape, _, runs, _ in layer] == \
         [((2, 4, 1), ((1,), (0,)))]
-    # Z and X take no angle, so the plan holds their block
+    # Z and X take no angle, so the plan holds their block and no memo
     assert np.array_equal(layer[0][1], np.kron(X2, Z2))
+    assert layer[0][3] is None
     (layer,) = plan[2][1]
-    assert [(shape, runs) for shape, _, runs in layer] == \
+    assert [(shape, runs) for shape, _, runs, _ in layer] == \
         [((4, 2, 1), ((5,),)), ((1, 2, 4), ((3, 4),))]
-    assert [matrix for _, matrix, _ in layer] == [None, None]
+    assert [matrix for _, matrix, _, _ in layer] == [None, None]
+    # an angled block remembers the gates it was last built from
+    assert [memo[0] for *_, memo in layer] == [(None,), (None, None)]
     assert plan[3][1] == (simulate._phase_block, 3, 6)
     moved, sources, negated = plan[1][1]
     assert list(moved) == [1, 3, 5, 7] and list(sources) == [3, 1, 7, 5]
@@ -1082,11 +1087,17 @@ def test_stacked_expectation_spans_chunks(width, data):
     observable = PauliObservable(width, tuple(terms))
     budget = 8 * 2 ** width * (np.dtype(np.intp).itemsize + 16)
     with mock.patch.object(simulate, "PAULI_BYTES", budget):
-        _, _, chunks = observable._plan
+        _, chunks = observable._plan
     flips = sum(coeff != 0.0 and set(string) & set("XY") != set()
                 for coeff, string in observable.terms)
-    assert [len(terms) for terms, _ in chunks] == \
-        [2] * (flips // 2) + [1] * (flips % 2)
+    # the summed diagonal, when there is one, is one more row, first
+    diagonal = any(coeff != 0.0 and not set(string) & set("XY")
+                   for coeff, string in observable.terms)
+    rows = diagonal + flips
+    assert [len(part) for part, _ in chunks] == \
+        [2] * (rows // 2) + [1] * (rows % 2)
+    if diagonal:
+        assert chunks[0][0][0][1:] == (0, 0)
     assert [stacked is None for _, stacked in chunks] == \
         [j >= 4 for j in range(len(chunks))]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -1266,6 +1277,21 @@ def test_sample_picks_its_branch_by_the_reachable_labels(branch, data):
         assert needles.size == (shots if branch == "per_shot" else cuts)
 
 
+def test_sample_merges_readouts_only_when_the_cuts_do_not_ascend():
+    # the readouts of a top register ascend with the labels, so no two
+    # cuts share one and nothing is merged; a low register's readouts
+    # repeat along the labels, so their cuts are merged
+    rng = np.random.default_rng(11)
+    state = StateVector(6, _random_state(rng, 6))
+    for qubits, merged in (([5, 4, 3], False), ([5, 4, 3, 2, 1, 0], False),
+                           ([1, 0], True), ([3, 5], True)):
+        with mock.patch.object(simulate.np, "unique",
+                               wraps=np.unique) as unique:
+            counts = sample(state, 3000, 5, qubits=qubits)
+        assert counts == readout_ref(sample_ref(state, 3000, 5), qubits)
+        assert unique.called is merged
+
+
 @pytest.mark.parametrize("amps, draws", [
     # 3 cuts and 2 shots: one search per shot
     ([0.5, 0.5, 0.0, 0.5 ** 0.5], [0.25, 0.5]),
@@ -1358,3 +1384,47 @@ def test_shift_gradient_matches_full_replays(case):
     got = parameter_shift_gradient(pid, thetas, observable, structure)
     want = shift_gradient_ref(pid, thetas, observable, structure)
     assert np.allclose(got, want, rtol=0, atol=ATOL)
+
+
+def test_a_gradient_builds_a_layer_block_only_when_its_gates_change():
+    # HEA n=6, L=2: two stretches of 12 rotations, each a layer of two
+    # 3-qubit blocks. Each of the 48 runs builds the block of its shifted
+    # gate; the first run of a stretch builds its other blocks (3 in the
+    # plan of all 34 gates, 1 in the plan of the second layer), the move
+    # to qubits 3-5 builds the block of qubits 0-2 once more, and the
+    # sweep to the second stretch builds the first layer's 2 blocks:
+    # 48 + 3 + 1 + 1 + 1 + 2 = 56
+    observable = PauliObservable.parse(
+        " + ".join([f"Z{q}*Z{q + 1}" for q in range(5)]
+                   + [f"0.7*X{q}" for q in range(6)]), 6)
+    thetas = np.random.default_rng(2).uniform(-math.pi, math.pi, 24)
+    with mock.patch.object(simulate, "_block_matrix",
+                           wraps=simulate._block_matrix) as build:
+        parameter_shift_gradient(25, thetas, observable,
+                                 {"n": 6, "layers": 2})
+    assert build.call_count == 56
+
+
+def _fresh(pid, structure, flat):
+    """``realize_ansatz`` with no template kept: ``realize`` builds it."""
+    lowering._TEMPLATES.clear()
+    return realize_ansatz(pid, structure, flat)
+
+
+@settings(deadline=None)
+@given(ansatz_cases(), st.data())
+def test_angles_bound_on_a_template_equal_a_fresh_realize(case, data):
+    # the template holds other angles; a builder whose angle is not
+    # scale * theta (an offset, say) would differ here
+    pid, structure, thetas, _ = case
+    floats = st.lists(st.floats(-math.pi, math.pi), min_size=len(thetas),
+                      max_size=len(thetas))
+    for flat in ([0.0] * len(thetas), data.draw(floats), data.draw(floats)):
+        _fresh(pid, structure, thetas)
+        with mock.patch.object(lowering, "realize",
+                               wraps=lowering.realize) as build:
+            bound = realize_ansatz(pid, structure, flat)
+        assert not build.called
+        want = _fresh(pid, structure, flat)
+        assert bound.circuit == want.circuit  # gate for gate
+        assert bound.spec == want.spec and bound.sites == want.sites

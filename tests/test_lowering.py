@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qsaf
+import qsaf.lowering as lowering
 from qsaf.analyze import DEFAULT_DEMO_PARAMS
 from qsaf.catalog import get_primitive
 from qsaf.core import ParameterKind
@@ -410,6 +411,52 @@ def test_ansatz_rejects_wrong_flat_length():
         realize_ansatz(15, {"n": 2}, [0.1])
     with pytest.raises(BadParamsError):
         ansatz_theta_count(15)
+
+
+def test_a_kept_template_binds_only_finite_angles(monkeypatch):
+    monkeypatch.setattr(lowering, "_TEMPLATES", {})
+    structure = {"n": 2, "layers": 1}
+    errors = {}
+    for bad in (math.nan, math.inf, -math.inf):
+        flat = [0.1, bad, 0.3, 0.4]
+        for kept in (True, False):
+            lowering._TEMPLATES.clear()
+            if kept:
+                realize_ansatz(25, structure, [0.1, 0.2, 0.3, 0.4])
+                assert len(lowering._TEMPLATES) == 1
+            with pytest.raises(BadParamsError) as info:
+                realize_ansatz(25, structure, flat)
+            errors.setdefault(bad, set()).add(str(info.value))
+    # a hit raises what a miss raises, from ``realize``
+    assert all(len(texts) == 1 for texts in errors.values())
+
+
+def test_a_template_key_keeps_the_types_of_the_structure(monkeypatch):
+    monkeypatch.setattr(lowering, "_TEMPLATES", {})
+    flat = [0.1, 0.2, 0.3, 0.4]
+    realize_ansatz(25, {"n": 2, "layers": 1}, flat)
+    calls = []
+    realize_ = lowering.realize
+
+    def spy(pid, params):
+        calls.append(params)
+        return realize_(pid, params)
+
+    monkeypatch.setattr(lowering, "realize", spy)
+    low = realize_ansatz(25, {"n": 2, "layers": 1}, flat)
+    assert calls == []  # a hit
+    for layers in (1.0, True):
+        with pytest.raises(BadParamsError, match="'layers' must be an "
+                                                 "integer"):
+            realize_ansatz(25, {"n": 2, "layers": layers}, flat)
+    assert [params["layers"] for params in calls] == [1.0, True]
+    # a list and a tuple of edges are two keys, each realized once
+    for edges in ([[0, 1]], ((0, 1),), [[0, 1]], ((0, 1),)):
+        realize_ansatz(26, {"n": 2, "edges": edges}, [0.5, 0.25])
+    assert [params["edges"] for params in calls[2:]] == [[[0, 1]], ((0, 1),)]
+    # every call returns its own op list: changing one leaves the next
+    low.circuit.ops.clear()
+    assert len(realize_ansatz(25, {"n": 2, "layers": 1}, flat).circuit) == 5
 
 
 def test_uccsd_default_blocks_are_four_qubit_only():

@@ -74,22 +74,33 @@ def test_shifted_runs_resume_from_the_unshifted_prefix(monkeypatch):
     ops = low.circuit.ops
     positions = sorted(pos for sites in low.sites for pos, _ in sites)
     assert len(calls) == 2 * len(positions)
-    shifts = {}
-    for suffix, initial in calls:
-        pos = len(ops) - len(suffix)  # the run replays ops[pos:] only
-        gate = ops[pos]
-        assert (suffix[0].kind, suffix[0].qubits) == (gate.kind, gate.qubits)
-        assert suffix[1:] == ops[pos + 1:]
-        shifts.setdefault(pos, []).append(suffix[0].theta - gate.theta)
+    # a site's stretch of one-qubit gates starts after the last CNOT
+    # before it: each layer's rotations are one stretch
+    starts = {pos: max([0] + [j + 1 for j in range(pos)
+                              if len(ops[j].qubits) > 1])
+              for pos in positions}
+    assert sorted(set(starts.values())) == [0, 8]
+    runs = iter(calls)
+    for pos in positions:
+        start = starts[pos]
         prefix = np.eye(8, dtype=complex)[0]
-        for earlier in ops[:pos]:
+        for earlier in ops[:start]:
             prefix = apply_ref(prefix, 3, gate_matrix(earlier),
                                earlier.qubits)
-        assert np.allclose(initial.amplitudes, prefix, rtol=0, atol=1e-12)
-    assert sorted(shifts) == positions
-    for deltas in shifts.values():
-        assert sorted(deltas) == pytest.approx([-math.pi / 2, math.pi / 2],
-                                               abs=1e-12)
+        deltas = []
+        for suffix, initial in (next(runs), next(runs)):
+            # the run replays ops[start:], the site's gate shifted
+            shifted = suffix[pos - start]
+            assert len(suffix) == len(ops) - start
+            assert (shifted.kind, shifted.qubits) == \
+                (ops[pos].kind, ops[pos].qubits)
+            assert suffix[:pos - start] == ops[start:pos]
+            assert suffix[pos - start + 1:] == ops[pos + 1:]
+            deltas.append(shifted.theta - ops[pos].theta)
+            assert np.allclose(initial.amplitudes, prefix, rtol=0,
+                               atol=1e-12)
+        assert deltas == pytest.approx([math.pi / 2, -math.pi / 2],
+                                       abs=1e-12)
 
 
 def test_minimize_reaches_the_single_qubit_ground_state():
