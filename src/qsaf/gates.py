@@ -226,6 +226,17 @@ class Gate:
     def arity(self) -> int:
         return len(self.qubits)
 
+    def _at(self, theta):
+        """This angled gate at angle ``theta``: its fields copied, without
+        ``__post_init__``'s checks, which its kind and qubits passed, and
+        without the ``entries`` of its old angle."""
+        gate = object.__new__(Gate)
+        fields = gate.__dict__
+        fields.update(self.__dict__)
+        fields["theta"] = theta
+        fields.pop("entries", None)
+        return gate
+
     # ``one_qubit_entries`` of this gate, computed at the first read: a
     # gate is immutable, and runs that share it read them again
     entries = _FirstRead()

@@ -916,7 +916,7 @@ def realize_ansatz(primitive_id: int, structure, flat_thetas) -> Lowered:
 
     A structure realized before, at the same flat length, is not built
     again: finite angles are bound on the record kept for it, each site's
-    gate rebuilt as scale * theta (the ``Lowered.sites`` contract). Any
+    gate copied at angle scale * theta (the ``Lowered.sites`` contract). Any
     other call goes through ``realize``, so every error comes from there.
     Each call returns its own record over a new op list.
     """
@@ -963,8 +963,7 @@ def _bind(low, flat):
     ops = list(low.circuit.ops)
     for theta, sites in zip(flat, low.sites):
         for pos, scale in sites:
-            gate = ops[pos]
-            ops[pos] = g.Gate(gate.kind, gate.qubits, scale * theta)
+            ops[pos] = ops[pos]._at(scale * theta)
     circuit = low.circuit
     return Lowered(GateCircuit.trusted(circuit.width, ops,
                                        circuit.classical_bits,

@@ -376,8 +376,9 @@ def _apply_layer(amps, ops, blocks):
     """Each block of a layer as one matmul with the Kronecker product of
     its qubits' run products. A block with an angled gate is built again
     only when its gates are not the very objects it was last built from:
-    a ``Gate`` is immutable, and the shifted runs of a gradient share
-    most blocks' gates."""
+    a ``Gate`` is immutable, and every shifted run of a gradient's
+    stretch replays the very same gates (see
+    ``parameter_shift_gradient``)."""
     for shape, matrix, runs, memo in blocks:
         if matrix is None:
             gates = [ops[pos] for run in runs for pos in run]
@@ -1008,46 +1009,63 @@ def _ansatz_energy(low, observable) -> float:
     return expectation(state, observable)
 
 
+# G(pi/2) and G(-pi/2) of each angled one-qubit kind, stacked: each kind
+# rotates about one axis, so a site shifted by d is G(theta + d) =
+# G(theta) G(d)
+_SHIFTS = {kind: np.array([Gate(kind, (0,), delta).entries
+                           for delta in (math.pi / 2, -math.pi / 2)],
+                          dtype=complex).reshape(2, 2, 2)
+           for kind, row in KINDS.items() if row.arity == 1 and row.angled}
+
+
 def parameter_shift_gradient(ansatz_id: int, thetas, observable,
                              structure=None) -> np.ndarray:
     """Exact gradient of the ansatz energy via the two-point shift rule.
 
     A parameter may drive several gates (each with its own angle scale), so
     the rule is applied per gate occurrence and combined by the chain rule.
-    One forward sweep carries the unshifted state through the circuit. A
-    site's stretch of one-qubit unitaries starts just after the last
-    other gate before it (or at 0), and each shifted run replays only
-    ``ops[start:]``, with the shifted gate in place, from the state at
-    ``start``: so the runs of a stretch share that state and the plan of
-    ``ops[start:]``, and most of its layer blocks (see ``_apply_layer``).
+
+    A site's stretch of one-qubit unitaries ends at the first later gate
+    that is not one (a multi-qubit gate or a measurement), or at the end
+    of the circuit. Let A be the product of the stretch's gates on the
+    site's qubit after the site. The stretch's gates on other qubits
+    commute with anything on it, and G(theta + d) = G(theta) G(d) (see
+    ``_SHIFTS``), so the shifted circuit is the unshifted one with
+    W = A G(d) A^dagger applied on the site's qubit at the stretch's end.
+    One forward sweep carries the unshifted state from one stretch end
+    to the next, and both runs of every site of a stretch replay the one
+    circuit ``ops[end:]`` from W applied to the state at ``end``: they
+    share its plan and its layer blocks (see ``_apply_layer``).
     """
     low = realize_ansatz(ansatz_id, structure, thetas)
     n, ops = low.circuit.width, low.circuit.ops
-    state = StateVector.zero(n)  # the unshifted state at ``done``
-    done = start = scanned = 0
+    amps = StateVector.zero(n).amplitudes  # the unshifted state at ``end``
+    end = 0
     diff = {}  # site position -> E(+pi/2) - E(-pi/2)
     for pos in sorted({pos for sites in low.sites for pos, _ in sites}):
-        for later in range(scanned, pos):
-            gate = ops[later]
-            if len(gate.qubits) > 1 or gate.kind is GateKind.MEASURE:
-                start = later + 1
-        scanned = pos
-        if start > done:  # a copy: a state handed to ``run`` stays
-            state = StateVector._trusted(
-                n, _evolve(state.amplitudes.copy(), n, ops[done:start]))
-            done = start
-        stretch, gate, rest = ops[start:pos], ops[pos], ops[pos + 1:]
-        energies = []
-        for delta in (math.pi / 2, -math.pi / 2):
-            # a site is a one-qubit rotation, so the positional constructor
-            # rebuilds it (``replace`` costs about twice as much), and the
-            # suffix of validated gates is not revalidated
-            suffix = GateCircuit.trusted(n, [
-                *stretch, Gate(gate.kind, gate.qubits, gate.theta + delta),
-                *rest])
-            energies.append(expectation(run(suffix, state).state,
-                                        observable))
-        diff[pos] = energies[0] - energies[1]
+        if pos >= end:  # a new stretch: its end, the state there, its suffix
+            start, end = end, pos + 1
+            while end < len(ops) and len(ops[end].qubits) == 1 \
+                    and ops[end].kind is not GateKind.MEASURE:
+                end += 1
+            amps = _evolve(amps, n, ops[start:end])
+            suffix = GateCircuit.trusted(n, ops[end:])
+        gate = ops[pos]
+        q, = gate.qubits
+        turns = _SHIFTS[gate.kind]
+        after = [later.entries for later in ops[pos + 1:end]
+                 if later.qubits == gate.qubits]
+        if after:
+            a = np.array(reduce(lambda acc, entries: _product(entries, acc),
+                                after), dtype=complex).reshape(2, 2)
+            turns = a @ turns @ a.conj().T
+        # both shifted states at ``end``: one matmul over the stacked pair
+        shifted = turns[:, None] @ amps.reshape(1 << (n - 1 - q), 2, 1 << q)
+        plus, minus = (
+            expectation(run(suffix, StateVector._trusted(
+                n, state.reshape(-1))).state, observable)
+            for state in shifted)
+        diff[pos] = plus - minus
     grad = np.zeros(len(low.sites))
     for i, sites in enumerate(low.sites):
         for pos, scale in sites:

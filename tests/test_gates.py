@@ -407,3 +407,18 @@ def test_gate_entries_are_computed_once_per_gate(monkeypatch):
     assert [gate.entries for gate in gates] == want
     assert [gate.entries for gate in gates] == want
     assert calls == gates  # one call per gate, at its first read
+
+
+def test_a_gate_at_a_new_angle_equals_a_checked_one_field_for_field():
+    for kind, row in g.KINDS.items():
+        if row.arity != 1 or not row.angled:
+            continue
+        old = Gate(kind, (3,), 0.4)
+        old.entries  # kept in the gate's __dict__ at the first read
+        moved = old._at(-1.25)
+        want = Gate(kind, (3,), -1.25)
+        assert type(moved) is Gate
+        assert vars(moved) == vars(want)  # no stale entries carried over
+        assert moved.entries == want.entries
+        assert vars(old)["entries"] == g.one_qubit_entries(old)
+        assert old.theta == 0.4  # the copy left its source alone

@@ -9,10 +9,10 @@ gates, the native multi-controlled gates against their decomposition,
 the controlled modular multiply against the dense power of
 ``modular_multiply_matrix``, the planned and stacked Pauli
 ``expectation``, the three ways of ``sample`` and its readout of chosen
-qubits, and the prefix-sharing parameter-shift gradient are compared
-with the index-arithmetic kernel ``apply_ref``, a per-shot loop, the
-bincount sampler and its string readout or full replays, over random
-gates, qubit orders, widths and states.
+qubits, and the parameter-shift gradient shifted at each stretch's end
+are compared with the index-arithmetic kernel ``apply_ref``, a per-shot
+loop, the bincount sampler and its string readout or full replays, over
+random gates, qubit orders, widths and states.
 """
 
 import math
@@ -1388,12 +1388,13 @@ def test_shift_gradient_matches_full_replays(case):
 
 def test_a_gradient_builds_a_layer_block_only_when_its_gates_change():
     # HEA n=6, L=2: two stretches of 12 rotations, each a layer of two
-    # 3-qubit blocks. Each of the 48 runs builds the block of its shifted
-    # gate; the first run of a stretch builds its other blocks (3 in the
-    # plan of all 34 gates, 1 in the plan of the second layer), the move
-    # to qubits 3-5 builds the block of qubits 0-2 once more, and the
-    # sweep to the second stretch builds the first layer's 2 blocks:
-    # 48 + 3 + 1 + 1 + 1 + 2 = 56
+    # 3-qubit blocks, ending at the CNOT chains (positions 12 and 29).
+    # The sweep builds the first layer's 2 blocks in the plan of
+    # ops[:12] and the second layer's 2 in the plan of ops[12:29]; every
+    # run of the first stretch replays ops[12:] with the very same gates,
+    # so its first run builds the second layer's 2 blocks and the other
+    # 23 reuse them; the second stretch's runs replay the last CNOT
+    # chain, which has no block: 2 + 2 + 2 = 6
     observable = PauliObservable.parse(
         " + ".join([f"Z{q}*Z{q + 1}" for q in range(5)]
                    + [f"0.7*X{q}" for q in range(6)]), 6)
@@ -1402,7 +1403,70 @@ def test_a_gradient_builds_a_layer_block_only_when_its_gates_change():
                            wraps=simulate._block_matrix) as build:
         parameter_shift_gradient(25, thetas, observable,
                                  {"n": 6, "layers": 2})
-    assert build.call_count == 56
+    assert build.call_count == 6
+
+
+@pytest.mark.parametrize("rotations", [["ry", "rz", "rx"], ["rz", "rz"]])
+def test_a_site_with_gates_on_its_qubit_on_both_sides(rotations):
+    # each qubit's rotations of a layer are one run: a middle (or first)
+    # site has gates of its stretch on its qubit after it, which the
+    # shift applied at the stretch's end must conjugate
+    structure = {"n": 3, "layers": 2, "rotations": rotations,
+                 "entangler": "ring"}
+    observable = PauliObservable.parse("Z0*Z1 + 0.5*X2 - 0.3*Y1 + 0.2*X0*Y2",
+                                       3)
+    thetas = np.random.default_rng(28).uniform(-math.pi, math.pi,
+                                                6 * len(rotations))
+    got = parameter_shift_gradient(28, thetas, observable, structure)
+    want = shift_gradient_ref(28, thetas, observable, structure)
+    assert np.allclose(got, want, rtol=0, atol=ATOL)
+
+
+def test_a_stretch_that_ends_the_circuit_replays_no_gates():
+    # QAOA's RX mixers are the last stretch: their runs start from the
+    # final state with the shift applied and replay an empty circuit
+    structure = {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+    thetas = [0.7, -0.4]  # gamma, beta
+    observable = PauliObservable.parse("Z0*Z1 + Z1*Z2 + 0.5*Y0*X2", 3)
+    calls = []
+
+    def spy(circuit, initial=None, seed=None):
+        calls.append(len(circuit.ops))
+        return run(circuit, initial, seed)
+
+    with mock.patch.object(simulate, "run", spy):
+        got = parameter_shift_gradient(26, thetas, observable, structure)
+    low = realize_ansatz(26, structure, thetas)
+    mixers = [pos for pos, _ in low.sites[1]]
+    assert all(low.circuit.ops[pos].kind is GateKind.RX for pos in mixers)
+    assert len(calls) == 2 * sum(len(sites) for sites in low.sites)
+    assert calls[-2 * len(mixers):] == [0] * (2 * len(mixers))
+    assert all(calls[:-2 * len(mixers)])
+    want = shift_gradient_ref(26, thetas, observable, structure)
+    assert np.allclose(got, want, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("kind", sorted(simulate._SHIFTS, key=str))
+def test_a_shifted_rotation_is_the_rotation_then_its_shift(kind):
+    theta = 0.83
+    for delta, shift in zip((math.pi / 2, -math.pi / 2),
+                            simulate._SHIFTS[kind]):
+        assert np.allclose(gate_matrix(Gate(kind, (0,), theta + delta)),
+                           gate_matrix(Gate(kind, (0,), theta)) @ shift,
+                           rtol=0, atol=ATOL)
+
+
+@settings(deadline=None)
+@given(ansatz_cases())
+def test_every_ansatz_site_is_a_one_qubit_kind_with_shifts(case):
+    # the premise of applying a shift at the stretch's end: every site
+    # is a one-qubit rotation about one axis, listed in ``_SHIFTS``
+    pid, structure, thetas, _ = case
+    low = realize_ansatz(pid, structure, thetas)
+    for sites in low.sites:
+        for pos, _ in sites:
+            gate = low.circuit.ops[pos]
+            assert len(gate.qubits) == 1 and gate.kind in simulate._SHIFTS
 
 
 def _fresh(pid, structure, flat):

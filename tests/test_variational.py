@@ -7,7 +7,7 @@ import pytest
 
 import qsaf.simulate as simulate
 from qsaf.errors import BadParamsError
-from qsaf.gates import gate_matrix
+from qsaf.gates import Gate, gate_matrix
 from qsaf.lowering import realize_ansatz
 from qsaf.simulate import (NonDecreasingEnergyWarning, OptimizerConfig,
                            PauliObservable, expectation,
@@ -74,33 +74,31 @@ def test_shifted_runs_resume_from_the_unshifted_prefix(monkeypatch):
     ops = low.circuit.ops
     positions = sorted(pos for sites in low.sites for pos, _ in sites)
     assert len(calls) == 2 * len(positions)
-    # a site's stretch of one-qubit gates starts after the last CNOT
-    # before it: each layer's rotations are one stretch
-    starts = {pos: max([0] + [j + 1 for j in range(pos)
-                              if len(ops[j].qubits) > 1])
-              for pos in positions}
-    assert sorted(set(starts.values())) == [0, 8]
+    # a site's stretch of one-qubit gates ends at the first CNOT after it:
+    # each layer's rotations are one stretch
+    ends = {pos: next((j for j in range(pos + 1, len(ops))
+                       if len(ops[j].qubits) > 1), len(ops))
+            for pos in positions}
+    assert sorted(set(ends.values())) == [6, 14]
     runs = iter(calls)
     for pos in positions:
-        start = starts[pos]
+        end, site = ends[pos], ops[pos]
         prefix = np.eye(8, dtype=complex)[0]
-        for earlier in ops[:start]:
+        for earlier in ops[:end]:
             prefix = apply_ref(prefix, 3, gate_matrix(earlier),
                                earlier.qubits)
-        deltas = []
-        for suffix, initial in (next(runs), next(runs)):
-            # the run replays ops[start:], the site's gate shifted
-            shifted = suffix[pos - start]
-            assert len(suffix) == len(ops) - start
-            assert (shifted.kind, shifted.qubits) == \
-                (ops[pos].kind, ops[pos].qubits)
-            assert suffix[:pos - start] == ops[start:pos]
-            assert suffix[pos - start + 1:] == ops[pos + 1:]
-            deltas.append(shifted.theta - ops[pos].theta)
-            assert np.allclose(initial.amplitudes, prefix, rtol=0,
-                               atol=1e-12)
-        assert deltas == pytest.approx([math.pi / 2, -math.pi / 2],
-                                       abs=1e-12)
+        # the stretch's gates on the site's qubit after the site
+        after = np.eye(2)
+        for later in ops[pos + 1:end]:
+            if later.qubits == site.qubits:
+                after = gate_matrix(later) @ after
+        for delta in (math.pi / 2, -math.pi / 2):
+            suffix, initial = next(runs)
+            assert suffix == ops[end:]  # replayed unchanged
+            turn = (after @ gate_matrix(Gate(site.kind, site.qubits, delta))
+                    @ after.conj().T)
+            want = apply_ref(prefix, 3, turn, site.qubits)
+            assert np.allclose(initial.amplitudes, want, rtol=0, atol=1e-12)
 
 
 def test_minimize_reaches_the_single_qubit_ground_state():
