@@ -13,6 +13,7 @@ import math
 import os
 import re
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -60,6 +61,9 @@ RUN_BYTES = 12 * 2 ** 20
 # an observable's plan keeps its X and Y terms stacked, PAULI_BYTES at most
 # (see ``PauliObservable._plan``): ten terms at 16 qubits
 PAULI_BYTES = 16 * 2 ** 20
+# a gradient builds a stretch's shifted states SHIFT_BYTES at a time (see
+# ``parameter_shift_gradient``): four sites at 16 qubits
+SHIFT_BYTES = 8 * 2 ** 20
 
 
 def default_seed():
@@ -212,19 +216,37 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     return RunResult(StateVector._trusted(n, amps), tuple(bits))
 
 
+# the op list run last, as one tuple (width, gates, steps): ``gates`` is a
+# snapshot that keeps them alive, so no new gate can take one's identity
+_last_run = None, (), ()
+
+
 def _evolve(amps, n, ops, bits=(), seed=None):
     """Apply ``ops`` to ``amps`` (2**n amplitudes, updated in place until a
     measurement collapses them) and return the final amplitudes.
 
     Measurement outcomes land in ``bits``; the seeded generator is built at
     the first measurement. The plan of the gates' structure runs, reading
-    their angles and matrices from ``ops``.
+    their angles and matrices from ``ops``, its angled blocks built from
+    them (see ``_bound``). A replay of the op list run last, the very
+    same gates (a ``Gate`` is immutable), takes its steps from
+    ``_last_run``: no structure key, plan lookup or block build.
     """
+    global _last_run
+    width, gates, steps = _last_run  # read as one tuple, as it is written
+    if width != n or len(gates) != len(ops) or not all(map(is_, ops, gates)):
+        gates = tuple(ops)
+        # a list, not a generator: one generator per run let the process's
+        # resident memory creep up between full garbage collections
+        steps, angled = _plan(n, tuple([(gate.kind, gate.qubits)
+                                        for gate in gates]))
+        if angled:
+            steps = list(steps)
+            for i in angled:
+                steps[i] = _bound(ops, *steps[i])
+        _last_run = n, gates, steps
     rng = None
-    # a list, not a generator: one generator per run let the process's
-    # resident memory creep up between full garbage collections
-    for step, args in _plan(n, tuple([(gate.kind, gate.qubits)
-                                      for gate in ops])):
+    for step, args in steps:
         if step is not None:
             step(amps, ops, *args)
             continue
@@ -237,8 +259,9 @@ def _evolve(amps, n, ops, bits=(), seed=None):
 
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(n, structure):
-    """The steps that apply gates of ``structure``, ((kind, qubits), ...),
-    at width n.
+    """(steps, angled): the steps that apply gates of ``structure``,
+    ((kind, qubits), ...), at width n, and the indices of those with a
+    block whose matrix ``_bound`` builds on each new op list.
 
     A step is (function, args), called as function(amps, ops, *args); a
     measurement is (None, (qubit, position)). Steps refer to gates by
@@ -289,7 +312,11 @@ def _plan(n, structure):
                      else (_apply_gate, (_KERNELS[kind], n, pos)))
     release()
     flush()
-    return tuple(steps)
+    angled = tuple(i for i, (step, args) in enumerate(steps)
+                   if step is _apply_layer
+                   and any(block[1] is None for block in args[0])
+                   or step is _apply_group and args[1] is None)
+    return tuple(steps), angled
 
 
 def _layer_steps(n, pending, structure, wide):
@@ -305,9 +332,8 @@ def _layer_steps(n, pending, structure, wide):
     it scales, and any other group, a lone gate too, is one
     ``_update_group`` with a matrix that is real when no entry is
     complex. A block whose gates take no angle is the same on every run,
-    so its matrix is built here; any other block's matrix is None, and a
-    narrow one gets a memo, [gates, matrix], of the gates it was last
-    built from and the matrix built from them.
+    so its matrix is built here; any other block's matrix is None, built
+    by ``_bound`` for each op list.
     """
     blocks, steps = [], []
     for group in _groups(pending, GROUP_QUBITS if wide else LAYER_QUBITS):
@@ -321,10 +347,8 @@ def _layer_steps(n, pending, structure, wide):
                 None if wide else complex)
             matrix.flags.writeable = False  # shared by every run
         if not wide:
-            memo = None if matrix is not None else [(None,) * len(kinds),
-                                                    None]
             blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0), matrix,
-                           runs, memo))
+                           runs))
             continue
         (pos, kind), *others = kinds.items()
         if not others and KINDS[kind].structure == "diagonal":
@@ -372,31 +396,29 @@ def _kron_index(k):
     return index
 
 
+def _bound(ops, step, args):
+    """A layer step of a plan with each angled block's matrix, None in
+    the plan, built from ``ops``: complex for a narrow block, real for a
+    wide group without a complex entry (see ``_layer_steps``)."""
+    if step is _apply_group:
+        q0, _, runs = args
+        return step, (q0, _block_matrix(ops, runs, None), runs)
+    blocks, = args
+    return step, (tuple([
+        (shape, _block_matrix(ops, runs) if matrix is None else matrix, runs)
+        for shape, matrix, runs in blocks]),)
+
+
 def _apply_layer(amps, ops, blocks):
     """Each block of a layer as one matmul with the Kronecker product of
-    its qubits' run products. A block with an angled gate is built again
-    only when its gates are not the very objects it was last built from:
-    a ``Gate`` is immutable, and every shifted run of a gradient's
-    stretch replays the very same gates (see
-    ``parameter_shift_gradient``)."""
-    for shape, matrix, runs, memo in blocks:
-        if matrix is None:
-            gates = [ops[pos] for run in runs for pos in run]
-            # read as one pair, as it is written: the matrix is always
-            # that of ``built_from``
-            built_from, matrix = memo
-            if not all(map(is_, gates, built_from)):
-                matrix = _block_matrix(ops, runs)
-                memo[:] = gates, matrix
+    its qubits' run products."""
+    for shape, matrix, _ in blocks:
         view = amps.reshape(shape)
         view[...] = matrix @ view
 
 
 def _apply_group(amps, ops, q0, matrix, runs):
-    """One group of a wide layer (see ``_layer_steps``), its matrix built
-    on each run only when one of its gates takes an angle."""
-    if matrix is None:
-        matrix = _block_matrix(ops, runs, None)
+    """One group of a wide layer (see ``_layer_steps``)."""
     _update_group(amps, q0, matrix)
 
 
@@ -1033,44 +1055,72 @@ def parameter_shift_gradient(ansatz_id: int, thetas, observable,
     ``_SHIFTS``), so the shifted circuit is the unshifted one with
     W = A G(d) A^dagger applied on the site's qubit at the stretch's end.
     One forward sweep carries the unshifted state from one stretch end
-    to the next, and both runs of every site of a stretch replay the one
-    circuit ``ops[end:]`` from W applied to the state at ``end``: they
-    share its plan and its layer blocks (see ``_apply_layer``).
+    to the next, and the shifted states of a stretch's sites are built
+    there at once (see ``_shifted``). Both runs of every site of a
+    stretch replay the one circuit ``ops[end:]``, so all but its first
+    replay the op list run last (see ``_evolve``).
     """
     low = realize_ansatz(ansatz_id, structure, thetas)
     n, ops = low.circuit.width, low.circuit.ops
     amps = StateVector.zero(n).amplitudes  # the unshifted state at ``end``
-    end = 0
+    positions = sorted({pos for sites in low.sites for pos, _ in sites})
+    # each chunk's shifted states, two of 2**n amplitudes per site, hold
+    # SHIFT_BYTES at most
+    size = max(1, SHIFT_BYTES >> (n + 5))
     diff = {}  # site position -> E(+pi/2) - E(-pi/2)
-    for pos in sorted({pos for sites in low.sites for pos, _ in sites}):
-        if pos >= end:  # a new stretch: its end, the state there, its suffix
-            start, end = end, pos + 1
-            while end < len(ops) and len(ops[end].qubits) == 1 \
-                    and ops[end].kind is not GateKind.MEASURE:
-                end += 1
-            amps = _evolve(amps, n, ops[start:end])
-            suffix = GateCircuit.trusted(n, ops[end:])
-        gate = ops[pos]
-        q, = gate.qubits
-        turns = _SHIFTS[gate.kind]
-        after = [later.entries for later in ops[pos + 1:end]
-                 if later.qubits == gate.qubits]
-        if after:
-            a = np.array(reduce(lambda acc, entries: _product(entries, acc),
-                                after), dtype=complex).reshape(2, 2)
-            turns = a @ turns @ a.conj().T
-        # both shifted states at ``end``: one matmul over the stacked pair
-        shifted = turns[:, None] @ amps.reshape(1 << (n - 1 - q), 2, 1 << q)
-        plus, minus = (
-            expectation(run(suffix, StateVector._trusted(
-                n, state.reshape(-1))).state, observable)
-            for state in shifted)
-        diff[pos] = plus - minus
+    end = i = 0
+    while i < len(positions):
+        start, end = end, positions[i] + 1
+        while end < len(ops) and len(ops[end].qubits) == 1 \
+                and ops[end].kind is not GateKind.MEASURE:
+            end += 1
+        amps = _evolve(amps, n, ops[start:end])
+        suffix = GateCircuit.trusted(n, ops[end:])
+        stretch = positions[i:bisect_left(positions, end, i)]
+        i += len(stretch)
+        for first in range(0, len(stretch), size):
+            chunk = stretch[first:first + size]
+            for pos, pair in zip(chunk, _shifted(amps, n, ops, chunk, end)):
+                plus, minus = (expectation(run(suffix, StateVector._trusted(
+                    n, state)).state, observable) for state in pair)
+                diff[pos] = plus - minus
     grad = np.zeros(len(low.sites))
     for i, sites in enumerate(low.sites):
         for pos, scale in sites:
             grad[i] += scale * diff[pos] / 2.0
     return grad
+
+
+def _shifted(amps, n, ops, sites, end):
+    """(sites, 2, 2**n): ``amps``, the state at ``end``, with each site's
+    W+- = A G(+-pi/2) A^dagger applied on its qubit. ``sites`` are
+    ascending positions in ``ops`` of one-qubit rotations in the stretch
+    that ends at ``end``. Each qubit's A, the product of its gates after
+    the site, comes from one backward walk; every W from one stacked
+    product; every state from one gather of each label's partner:
+    out[k] = W[b, b] amps[k] + W[b, 1 - b] amps[k ^ 2**q], b bit q of k.
+    """
+    after, products = {}, []  # qubit -> product of its gates walked
+    chosen = set(sites)
+    for pos in range(end - 1, sites[0] - 1, -1):
+        gate = ops[pos]
+        q, = gate.qubits
+        if pos in chosen:
+            products.append(after.get(q, (1, 0, 0, 1)))
+        after[q] = gate.entries if q not in after \
+            else _product(after[q], gate.entries)
+    a = np.array(products[::-1], dtype=complex).reshape(-1, 1, 2, 2)
+    w = (a @ np.array([_SHIFTS[ops[pos].kind] for pos in sites])
+         @ a.conj().swapaxes(2, 3)).reshape(-1, 2, 4, 1)
+    labels = np.arange(1 << n)
+    masks = np.left_shift(1, [ops[pos].qubits[0] for pos in sites])[:, None]
+    ones = (labels & masks != 0)[:, None]
+    out = np.where(ones, w[:, :, 3], w[:, :, 0])
+    out *= amps
+    other = np.where(ones, w[:, :, 2], w[:, :, 1])
+    other *= amps[labels ^ masks][:, None]
+    out += other
+    return out
 
 
 def variational_minimize(ansatz_id: int, thetas0, observable,

@@ -262,13 +262,13 @@ def test_a_layer_without_angles_is_built_with_the_plan_bit_for_bit():
               Gate(GateKind.H, (3,)), Gate(GateKind.S, (4,)),
               Gate(GateKind.T, (1,)), Gate(GateKind.MCZ, tuple(range(5)))]
            + [Gate(GateKind.H, (q,)) for q in range(5)])
-    plan = simulate._plan(5, tuple((g.kind, g.qubits) for g in ops))
+    plan, angled = simulate._plan(5, tuple((g.kind, g.qubits) for g in ops))
     blocks = [block for step, args in plan
               if step is simulate._apply_layer for block in args[0]]
     assert len(blocks) == 4  # qubits 0-2 and 3-4, before and after
-    for _, matrix, runs, memo in blocks:
+    assert angled == ()  # nothing to build for each op list
+    for _, matrix, runs in blocks:
         assert matrix is not None and not matrix.flags.writeable
-        assert memo is None  # nothing to build again
         assert matrix.tobytes() == \
             simulate._block_matrix(ops, runs).tobytes()
 
@@ -278,7 +278,7 @@ def test_a_plan_is_layers_runs_and_kernels():
            Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (2,), 0.3),
            Gate(GateKind.RZ, (2,), -1.2), Gate(GateKind.PHASE, (0,), 0.5),
            Gate(GateKind.CPHASE, (1, 2), 0.9)]
-    plan = simulate._plan(3, tuple((g.kind, g.qubits) for g in ops))
+    plan, angled = simulate._plan(3, tuple((g.kind, g.qubits) for g in ops))
     # the CNOT flushes the layer of Z and X as one block, qubit 1 first;
     # the PHASE on its qubit releases it as a signed permutation; the
     # CPHASE flushes PHASE and the fused RY-RZ run as two lone blocks and
@@ -287,17 +287,16 @@ def test_a_plan_is_layers_runs_and_kernels():
         simulate._apply_layer, simulate._signed_gather,
         simulate._apply_layer, simulate._apply_gate]
     (layer,) = plan[0][1]
-    assert [(shape, runs) for shape, _, runs, _ in layer] == \
+    assert [(shape, runs) for shape, _, runs in layer] == \
         [((2, 4, 1), ((1,), (0,)))]
-    # Z and X take no angle, so the plan holds their block and no memo
+    # Z and X take no angle, so the plan holds their block
     assert np.array_equal(layer[0][1], np.kron(X2, Z2))
-    assert layer[0][3] is None
     (layer,) = plan[2][1]
-    assert [(shape, runs) for shape, _, runs, _ in layer] == \
+    assert [(shape, runs) for shape, _, runs in layer] == \
         [((4, 2, 1), ((5,),)), ((1, 2, 4), ((3, 4),))]
-    assert [matrix for _, matrix, _, _ in layer] == [None, None]
-    # an angled block remembers the gates it was last built from
-    assert [memo[0] for *_, memo in layer] == [(None,), (None, None)]
+    # angled blocks are built for each op list, in the step ``angled`` names
+    assert [matrix for _, matrix, _ in layer] == [None, None]
+    assert angled == (2,)
     assert plan[3][1] == (simulate._phase_block, 3, 6)
     moved, sources, negated = plan[1][1]
     assert list(moved) == [1, 3, 5, 7] and list(sources) == [3, 1, 7, 5]
@@ -315,7 +314,8 @@ def test_a_wide_plan_is_groups_runs_and_kernels():
            Gate(GateKind.RZ, (9,), 0.4), Gate(GateKind.CNOT, (0, 1)),
            Gate(GateKind.CZ, (1, 2)), Gate(GateKind.RY, (2,), 0.3),
            Gate(GateKind.CPHASE, (2, 3), 0.9)]
-    plan = simulate._plan(width, tuple((g.kind, g.qubits) for g in ops))
+    plan, angled = simulate._plan(width,
+                                  tuple((g.kind, g.qubits) for g in ops))
     # the CNOT flushes the layer as a group per stretch of qubits: Z and
     # X as one real block, a lone H as a group of its own, a lone S with
     # its phase kernel; the RY releases the held run, and the CPHASE
@@ -332,6 +332,7 @@ def test_a_wide_plan_is_groups_runs_and_kernels():
     assert np.array_equal(fixed[0], np.kron(X2, Z2))
     assert fixed[0].dtype.kind != "c" and fixed[1].dtype.kind != "c"
     assert fixed[2:] == [None, None]
+    assert angled == (3, 5)
     assert plan[2][1] == (simulate._phase_block, width, 3)
     assert plan[4][1] == ((width, ((GateKind.CNOT, (0, 1)),
                                    (GateKind.CZ, (1, 2)))), (5, 6))
@@ -340,6 +341,42 @@ def test_a_wide_plan_is_groups_runs_and_kernels():
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
     assert np.allclose(got.state.amplitudes,
                        _reference_run(ops, width, amps), rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("width", [4, simulate.WIDE_WIDTH])
+def test_a_replay_sees_the_edits_of_its_op_list(width):
+    # ``GateCircuit.ops`` is a public list: each edit after a run makes
+    # the next run of the same circuit a new op list, at the same
+    # structure or not; the very same gates at another width are a new
+    # op list too
+    rng = np.random.default_rng(width)
+    ops = ([Gate(GateKind.RY, (q,), float(rng.uniform(-3, 3)))
+            for q in range(width)]
+           + [Gate(GateKind.RZ, (q,), float(rng.uniform(-3, 3)))
+              for q in range(0, width, 2)]
+           + [Gate(GateKind.CNOT, (q, q + 1)) for q in range(width - 1)]
+           + [Gate(GateKind.RX, (q,), float(rng.uniform(-3, 3)))
+              for q in range(width)])
+    circuit = GateCircuit(width, ops)
+    amps = _random_state(rng, width)
+    edits = [
+        lambda ops: ops.__setitem__(1, Gate(GateKind.RY, (1,), 0.25)),
+        lambda ops: ops.__setitem__(-1, Gate(GateKind.H, (width - 1,))),
+        lambda ops: ops.append(Gate(GateKind.RZ, (2,), -0.7)),
+    ]
+    for edit in [None, *edits]:
+        if edit is not None:  # after a run of the unedited circuit
+            edit(circuit.ops)
+        got = run(circuit, initial=StateVector(width, amps))
+        assert np.allclose(got.state.amplitudes,
+                           _reference_run(circuit.ops, width, amps),
+                           rtol=0, atol=ATOL)
+    wider = _random_state(rng, width + 1)
+    got = run(GateCircuit(width + 1, circuit.ops),
+              initial=StateVector(width + 1, wider))
+    assert np.allclose(got.state.amplitudes,
+                       _reference_run(circuit.ops, width + 1, wider),
+                       rtol=0, atol=ATOL)
 
 
 def test_unitary_run_draws_nothing_from_a_given_generator():
@@ -1404,6 +1441,52 @@ def test_a_gradient_builds_a_layer_block_only_when_its_gates_change():
         parameter_shift_gradient(25, thetas, observable,
                                  {"n": 6, "layers": 2})
     assert build.call_count == 6
+
+
+def _hea_case(n):
+    """An HEA L=2 gradient's arguments at width n: its thetas, an
+    observable with Z, X and Y terms, and its structure."""
+    observable = PauliObservable.parse(
+        " + ".join([f"Z{q}*Z{q + 1}" for q in range(n - 1)]
+                   + [f"0.7*X{q}" for q in range(n)]) + " - 0.3*Y0*X1", n)
+    thetas = np.random.default_rng(n).uniform(-math.pi, math.pi, 4 * n)
+    return thetas, observable, {"n": n, "layers": 2}
+
+
+def test_a_gradient_looks_up_a_plan_only_for_a_new_op_list():
+    # HEA n=6, L=2: the sweep runs ops[:12] and ops[12:29], each a new
+    # op list; the 24 runs of a stretch replay its one suffix, so only
+    # the first of them looks its plan up: 2 + 2 = 4, not one per run
+    # (50)
+    with mock.patch.object(simulate, "_plan",
+                           wraps=simulate._plan) as lookup:
+        parameter_shift_gradient(25, *_hea_case(6))
+    assert lookup.call_count == 4
+
+
+def test_a_wide_gradient_builds_a_group_only_when_its_gates_change():
+    # HEA n=10, L=2: a layer is three groups of angled rotations (3, 3
+    # and 4 qubits), built in the plans of the two sweep steps and of
+    # the first stretch's suffix, each once: 3 x 3 = 9, not once per
+    # run (126)
+    assert simulate.WIDE_WIDTH <= 10
+    with mock.patch.object(simulate, "_block_matrix",
+                           wraps=simulate._block_matrix) as build:
+        parameter_shift_gradient(25, *_hea_case(10))
+    assert build.call_count == 9
+
+
+def test_a_stretch_split_by_the_byte_cap_keeps_its_gradient(monkeypatch):
+    # HEA n=12, L=2: two stretches of 24 sites; a cap of three sites'
+    # shifted states at 12 qubits splits each into eight gathers
+    monkeypatch.setattr(simulate, "SHIFT_BYTES", 3 * 2 * 16 * 2 ** 12)
+    thetas, observable, structure = _hea_case(12)
+    with mock.patch.object(simulate, "_shifted",
+                           wraps=simulate._shifted) as gather:
+        got = parameter_shift_gradient(25, thetas, observable, structure)
+    assert gather.call_count == 16
+    want = shift_gradient_ref(25, thetas, observable, structure)
+    assert np.allclose(got, want, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("rotations", [["ry", "rz", "rx"], ["rz", "rz"]])
