@@ -883,23 +883,31 @@ def port_spec(primitive_id: int, params=None) -> PortSpec:
 
 
 def ansatz_theta_count(primitive_id: int, structure=None) -> int:
-    """Length of the flat parameter vector of a variational primitive."""
-    structure = dict(structure or {})
-    if primitive_id == 25:
-        n = structure.get("n", 2)
-        return 2 * n * structure.get("layers", 1)
-    if primitive_id == 26:
-        return 2 * len(structure.get("gammas", [0.0]))
-    if primitive_id == 27:
-        return len(structure.get("thetas", [0.0, 0.0]))
-    if primitive_id == 28:
-        n = structure.get("n", 2)
-        return (structure.get("layers", 1) * n
-                * len(structure.get("rotations", ["ry", "rz"])))
-    if primitive_id == 29:
-        return 2 * structure.get("steps", 1)
-    raise BadParamsError(f"primitive {primitive_id} is not a variational "
-                         f"ansatz; expected one of {list(ANSATZ_IDS)}")
+    """Length of the flat parameter vector of a variational primitive, as
+    its builder counts it: each variational param ``structure`` leaves out
+    is filled with as many zeros as the structure implies (one layer of
+    gammas for id 26, two thetas for id 27). A structure the builder
+    refuses raises its BadParamsError; so does one of more than 2**16
+    params, which is not built."""
+    params = dict(structure or {})
+    names = _flat_layout(primitive_id)
+    get = params.get
+    # only integers are multiplied, so no malformed value grows a sequence
+    whole = {key: value for key, value in params.items()
+             if isinstance(value, int) and not isinstance(value, bool)}
+    try:
+        size = {25: lambda: 2 * whole["n"] * whole["layers"],
+                26: lambda: len(get("gammas", [0.0])),
+                27: lambda: len(get("thetas", [0.0, 0.0])),
+                28: lambda: whole["layers"] * whole["n"]
+                * len(get("rotations", ["ry", "rz"])),
+                29: lambda: 2 * whole.get("steps", 1)}[primitive_id]()
+    except (KeyError, TypeError):  # the builder says what is wrong
+        size = 0
+    zeros = [0.0] * size if size <= 1 << 16 else []
+    for name in names:
+        params.setdefault(name, zeros)
+    return len(realize(primitive_id, params).sites)
 
 
 # realized ansatz records that ``realize_ansatz`` binds angles on, at most

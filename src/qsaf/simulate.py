@@ -168,6 +168,12 @@ class RunResult:
     bits: tuple
 
 
+def check_width(n: int) -> None:
+    """Refuse a statevector of more than SIM_WIDTH_CAP qubits."""
+    if n > SIM_WIDTH_CAP:
+        raise TooWideError(f"width {n} exceeds simulator cap {SIM_WIDTH_CAP}")
+
+
 def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     """Execute a circuit on a dense statevector.
 
@@ -194,8 +200,7 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     ``_plan`` and ``_apply_run``).
     """
     n = circuit.width
-    if n > SIM_WIDTH_CAP:
-        raise TooWideError(f"width {n} exceeds simulator cap {SIM_WIDTH_CAP}")
+    check_width(n)
     if initial is None:
         amps = np.zeros(2 ** n, dtype=complex)
         amps[0] = 1.0
@@ -1149,12 +1154,15 @@ def variational_minimize(ansatz_id: int, thetas0, observable,
             break
         improved = False
         while step >= cfg.min_step:
-            candidate = params - step * grad
-            cand_energy = _ansatz_energy(
-                realize_ansatz(ansatz_id, structure, candidate), observable)
-            if cand_energy < energy:
-                improved = True
-                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = params - step * grad
+            # a candidate past the floats is no improvement
+            if np.isfinite(candidate).all():
+                cand_energy = _ansatz_energy(realize_ansatz(
+                    ansatz_id, structure, candidate), observable)
+                if cand_energy < energy:
+                    improved = True
+                    break
             step /= 2.0
         if not improved:
             message = ("energy non-decreasing at iteration "

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .composition import ArchitectureGraph, Diagnostic
-from .errors import BadParamsError, QsafError, ValidationFailedError
+from .errors import (BadParamsError, QsafError, TooWideError,
+                     ValidationFailedError)
 from .gates import GateCircuit, GateKind
 from .lowering import initial_thetas
 from .manifest import Manifest, RunDirective
-from .simulate import (OPTIMIZER_KEYS, SHOT_CAP, SIM_WIDTH_CAP,
-                       OptimizerConfig, VariationalResult, int_option, run,
+from .simulate import (OPTIMIZER_KEYS, SHOT_CAP, OptimizerConfig,
+                       VariationalResult, check_width, int_option, run,
                        sample, variational_minimize)
 
 
@@ -48,111 +49,101 @@ def execute(manifest: Manifest, seed=None) -> list:
 
 def execute_directive(manifest: Manifest, directive: RunDirective,
                       seed=None):
-    if directive.verb == "simulate":
-        return _run_simulate(manifest.graph, directive.options, seed)
-    if directive.verb == "minimize":
-        return _run_minimize(manifest.graph, directive.options, seed)
-    raise QsafError(f"unknown run verb {directive.verb!r}")
+    return prepare(manifest.graph, directive.verb, directive.options,
+                   seed)()
 
 
 def directive_problems(manifest: Manifest) -> list:
-    """Findings that its run directives would fail on and that graph
-    validation cannot see: one per directive that would simulate more
-    qubits than the simulator cap (see ``_simulated_width``). The graph
+    """One blocking finding per run directive that ``run`` would refuse,
+    carrying ``run``'s message: ``too_wide`` past the simulator cap,
+    ``bad_directive`` for any other refusal (see ``prepare``). The graph
     must validate without a blocking finding."""
-    out, widths = [], {}
+    out = []
     for d in manifest.directives:
-        if d.verb not in widths:
-            widths[d.verb] = _simulated_width(manifest.graph, d.verb)
-        if widths[d.verb] > SIM_WIDTH_CAP:
-            out.append(Diagnostic(
-                "too_wide", f"run {d.verb} on line {d.line}: width "
-                f"{widths[d.verb]} exceeds simulator cap {SIM_WIDTH_CAP}"))
+        try:
+            prepare(manifest.graph, d.verb, d.options)
+        except QsafError as exc:
+            code = "too_wide" if isinstance(exc, TooWideError) \
+                else "bad_directive"
+            out.append(Diagnostic(code, f"run {d.verb} on line {d.line}: "
+                                  f"{exc}"))
     return out
-
-
-def _simulated_width(graph: ArchitectureGraph, verb: str) -> int:
-    """Qubits a directive simulates: the flat circuit for simulate, the
-    driven ansatz alone for minimize (0 where minimize fails before it
-    simulates; ``run`` reports why)."""
-    if verb == "simulate":
-        return graph.flatten().width
-    try:
-        return _minimize_target(graph)[2].width
-    except QsafError:
-        return 0
 
 
 def simulate_graph(graph: ArchitectureGraph, shots: int = 512,
                    seed=None) -> SimulationOutcome:
     """Flatten and sample a graph without needing a directive."""
-    return _run_simulate(graph, {"shots": shots}, seed)
+    return prepare(graph, "simulate", {"shots": shots}, seed)()
 
 
-def _run_simulate(graph: ArchitectureGraph, options: dict, seed):
-    shots = int_option("shots", options.get("shots", 512), 1, SHOT_CAP)
+def prepare(graph: ArchitectureGraph, verb: str, options: dict, seed=None):
+    """The run of one directive as a call, after every check ``run`` makes
+    before it simulates: the verb, its option keys and values, the graph,
+    and the width the run would simulate. ``seed`` overrides the
+    directive's. Raises QsafError."""
+    if verb not in _VERB_KEYS:
+        raise QsafError(f"unknown run verb {verb!r}")
+    for key in options:
+        if key not in _VERB_KEYS[verb]:
+            raise QsafError(f"unknown {verb} option {key!r}")
     if seed is None:
         seed = options.get("seed")
     if seed is not None:
         seed = int_option("seed", seed, 0)
+    if verb == "simulate":
+        return _prepare_simulate(graph, options, seed)
+    return _prepare_minimize(graph, options)
+
+
+_VERB_KEYS = {"simulate": ("shots", "seed"),
+              "minimize": (*OPTIMIZER_KEYS, "seed")}
+
+
+def _prepare_simulate(graph: ArchitectureGraph, options: dict, seed):
+    shots = int_option("shots", options.get("shots", 512), 1, SHOT_CAP)
     circuit = graph.flatten()
-    unitary_ops = []
-    measured = []
+    check_width(circuit.width)
     measure = GateKind.MEASURE  # a local: member lookups are slow
-    for gate in circuit.ops:
-        if gate.kind is measure:
-            measured.append((gate.qubits[0], gate.cbit))
-        else:
-            unitary_ops.append(gate)
     # the flat circuit has checked its gates; dropping measurements
     # leaves them valid
-    state = run(GateCircuit.trusted(circuit.width, unitary_ops)).state
-    if not measured:
-        return SimulationOutcome(sample(state, shots, seed), shots,
-                                 circuit.width, False)
+    unitary = GateCircuit.trusted(circuit.width, [
+        gate for gate in circuit.ops if gate.kind is not measure])
     # read out the measured qubits, highest classical bit leftmost
-    qubits = [q for q, _ in sorted(measured, key=lambda qc: -qc[1])]
-    return SimulationOutcome(sample(state, shots, seed, qubits=qubits),
-                             shots, len(measured), True)
+    qubits = [gate.qubits[0] for gate in sorted(
+        (gate for gate in circuit.ops if gate.kind is measure),
+        key=lambda gate: -gate.cbit)] or None
+    width = circuit.width if qubits is None else len(qubits)
+    return lambda: SimulationOutcome(
+        sample(run(unitary).state, shots, seed, qubits=qubits), shots, width,
+        qubits is not None)
 
 
-def _run_minimize(graph: ArchitectureGraph, options: dict, seed):
-    del seed  # the descent is deterministic
+def _prepare_minimize(graph: ArchitectureGraph, options: dict):
+    # the descent is deterministic: a seed is checked and not used
     blocking = [d for d in graph.validate() if d.blocking]
     if blocking:
         raise ValidationFailedError(blocking)
-
-    opt, ansatz, observable = _minimize_target(graph)
-    pid = ansatz.primitive_id
-    structure = dict(ansatz.params)
-    try:
-        init = initial_thetas(pid, structure)
-    except BadParamsError as exc:
-        raise QsafError(f"{ansatz.instance_id} {exc}") from None
-
-    for key in options:
-        if key not in OPTIMIZER_KEYS and key != "seed":
-            raise QsafError(f"unknown minimize option {key!r}")
-    # validate has checked the optimizer's own params; the run's options
-    # override them and are checked here
-    config = OptimizerConfig.from_options({**opt.params, **options})
-
-    result = variational_minimize(pid, init, observable, config, structure)
-    return MinimizationOutcome(ansatz.instance_id, opt.params["observable"],
-                               result)
-
-
-def _minimize_target(graph: ArchitectureGraph):
-    """(optimizer, ansatz, observable) of a minimize directive: the graph's
-    one Optimizer component, the ansatz it drives, and its observable
-    parsed at that ansatz's width, the width the descent simulates.
-    Raises QsafError."""
     optimizers = [inst for inst in graph.components.values()
                   if inst.is_optimizer]
     if len(optimizers) != 1:
         raise QsafError("minimize needs exactly one Optimizer component, "
                         f"found {len(optimizers)}")
-    return (optimizers[0], *graph.minimize_target(optimizers[0].instance_id))
+    opt, = optimizers
+    # the observable is parsed at the driven ansatz's width, the width
+    # the descent simulates
+    ansatz, observable = graph.minimize_target(opt.instance_id)
+    pid, structure = ansatz.primitive_id, dict(ansatz.params)
+    try:
+        init = initial_thetas(pid, structure)
+    except BadParamsError as exc:
+        raise QsafError(f"{ansatz.instance_id} {exc}") from None
+    # validate has checked the optimizer's own params; the run's options
+    # override them and are checked here
+    config = OptimizerConfig.from_options({**opt.params, **options})
+    check_width(observable.width)
+    return lambda: MinimizationOutcome(
+        ansatz.instance_id, opt.params["observable"],
+        variational_minimize(pid, init, observable, config, structure))
 
 
 # rendering for reports and the command line

@@ -576,14 +576,77 @@ def test_a_component_that_fails_to_realize_reports_only_bad_params(
         f"error: graph has blocking diagnostics: [bad_params] {message}\n")
 
 
-def test_validate_leaves_run_options_to_run(tmp_path, capsys,
-                                            vqe_manifest_text):
-    # the directive's options override the optimizer's params at run time
+def test_validate_reports_a_run_option_that_run_refuses(tmp_path, capsys,
+                                                       vqe_manifest_text):
+    # the directive's options override the optimizer's params at run time;
+    # validate checks them as run does
     path = _with_minimize_options(tmp_path, vqe_manifest_text, "step=0")
-    assert main(["validate", path]) == 0
-    assert capsys.readouterr().out == "validation clean\n"
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error [bad_directive] run minimize on line 15: option 'step' must "
+        "be > 0, got 0", "1 finding(s), 1 blocking"]
     assert main(["run", path]) == 2
-    assert "option 'step' must be > 0, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: option 'step' must be > 0, got 0\n"
+
+
+BELL = ('component bell = BellStates(variant="phi_plus")\n'
+        "component meas = Measurement(n=2)\n"
+        "wire bell.out -> meas.in\n")
+
+
+@pytest.mark.parametrize("base,directive,message", [
+    ("bell", "run simulate shots=0",
+     "option 'shots' must be between 1 and 10000000, got 0"),
+    ("bell", "run simulate shots=1.5",
+     "option 'shots' must be an integer, got 1.5"),
+    ("bell", "run simulate seed=-1", "option 'seed' must be >= 0, got -1"),
+    ("bell", "run simulate bogus=1", "unknown simulate option 'bogus'"),
+    ("vqe", "run minimize max_iters=0",
+     "option 'max_iters' must be between 1 and 100000, got 0"),
+    ("vqe", "run minimize foo=1", "unknown minimize option 'foo'"),
+    ("bell", "run minimize",
+     "minimize needs exactly one Optimizer component, found 0"),
+])
+def test_validate_reports_each_directive_run_refuses(
+        tmp_path, capsys, vqe_manifest_text, base, directive, message):
+    text = BELL if base == "bell" else \
+        vqe_manifest_text.replace("run minimize\n", "")
+    text += "\n" + directive + "\n"
+    path = tmp_path / "directive.qsaf"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    line = text.count("\n")
+    verb = directive.split()[1]
+    assert capsys.readouterr().out.splitlines() == [
+        f"error [bad_directive] run {verb} on line {line}: {message}",
+        "1 finding(s), 1 blocking"]
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_step_past_the_floats_shortens_without_a_warning(tmp_path):
+    # every candidate of the first steps has an infinite angle
+    path = tmp_path / "huge_step.qsaf"
+    path.write_text(
+        "level 5\n"
+        "component a = HardwareEfficientAnsatz(n=2, layers=1, "
+        "thetas=[0.1, 0.2, 0.3, 0.4])\n"
+        "component m = Measurement(n=2)\n"
+        'component o = Optimizer(observable="Z0 + Z1", max_iters=5, '
+        "step=1e308)\n"
+        "wire a.out -> m.in\n"
+        "wire m.bits -> o.in\n"
+        "wire o.out -> a.params\n"
+        "run minimize\n")
+    done = _cli("validate", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "validation clean\n", "")
+    done = _cli("run", str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "iterations = 5" in done.stdout.splitlines()
 
 
 def test_zero_tolerance_and_min_step_end_without_a_traceback(

@@ -411,6 +411,21 @@ def test_ansatz_rejects_wrong_flat_length():
         realize_ansatz(15, {"n": 2}, [0.1])
     with pytest.raises(BadParamsError):
         ansatz_theta_count(15)
+    # a count comes only from a structure the builder accepts, and the
+    # refusal is the builder's
+    for pid, structure, message in (
+            (25, {"n": "a"}, "'n' must be an integer, got 'a'"),
+            (25, {"n": 2.5, "layers": 1}, "'n' must be an integer, got 2.5"),
+            (25, {"n": 2, "layers": -1}, "'layers' must be >= 1, got -1"),
+            (25, {"n": 3}, "missing parameter 'layers'"),
+            (25, {"n": [1], "layers": 10 ** 9},
+             "'n' must be an integer, got [1]"),
+            (26, {"gammas": 5}, "missing parameter 'n'"),
+            (26, {"n": 2, "edges": [[0, 1]], "gammas": 5},
+             "'gammas' must be a list, got 5")):
+        with pytest.raises(BadParamsError) as info:
+            ansatz_theta_count(pid, structure)
+        assert str(info.value) == f"primitive {pid}: {message}"
 
 
 def test_a_kept_template_binds_only_finite_angles(monkeypatch):

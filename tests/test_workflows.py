@@ -14,9 +14,11 @@ from qsaf.lowering import lower
 from qsaf.manifest import RunDirective, parse_manifest
 from qsaf.simulate import (OptimizerConfig, PauliObservable, expectation,
                            run, sample, variational_minimize)
-from qsaf.workflows import (MinimizationOutcome, SimulationOutcome, execute,
-                            execute_directive, render_minimization,
-                            render_simulation, simulate_graph)
+import qsaf.workflows as workflows
+from qsaf.workflows import (MinimizationOutcome, SimulationOutcome,
+                            directive_problems, execute, execute_directive,
+                            render_minimization, render_simulation,
+                            simulate_graph)
 from reference import X2, Z2, op_on
 
 COIN = ("name coin\n"
@@ -151,6 +153,14 @@ def test_unknown_verbs_are_rejected(vqe_manifest_text):
     manifest = parse_manifest(vqe_manifest_text)
     with pytest.raises(QsafError):
         execute_directive(manifest, RunDirective("anneal", {}))
+
+
+def test_directive_problems_check_without_simulating(monkeypatch,
+                                                    vqe_manifest_text):
+    manifest = parse_manifest(vqe_manifest_text + "run simulate shots=8\n")
+    monkeypatch.setattr(workflows, "run", pytest.fail)
+    monkeypatch.setattr(workflows, "variational_minimize", pytest.fail)
+    assert directive_problems(manifest) == []
 
 
 def test_minimize_reports_ansatz_and_observable(vqe_manifest_text):

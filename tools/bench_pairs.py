@@ -121,6 +121,8 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # quartiles need two runs a side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     seeds = args.seed or [2]
     workloads = args.workload or list(WORKLOADS)
 
