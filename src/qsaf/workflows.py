@@ -9,6 +9,7 @@ then runs the variational loop against the optimizer's observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .composition import ArchitectureGraph, Diagnostic
 from .errors import (BadParamsError, QsafError, TooWideError,
@@ -57,11 +58,14 @@ def directive_problems(manifest: Manifest) -> list:
     """One blocking finding per run directive that ``run`` would refuse,
     carrying ``run``'s message: ``too_wide`` past the simulator cap,
     ``bad_directive`` for any other refusal (see ``prepare``). The graph
-    must validate without a blocking finding."""
+    must validate without a blocking finding, so it is not validated
+    again, and one flat circuit serves every directive."""
+    graph = manifest.graph
+    flat = cache(lambda: graph._flatten_checked()[0])
     out = []
     for d in manifest.directives:
         try:
-            prepare(manifest.graph, d.verb, d.options)
+            prepare(graph, d.verb, d.options, flat=flat)
         except QsafError as exc:
             code = "too_wide" if isinstance(exc, TooWideError) \
                 else "bad_directive"
@@ -76,11 +80,14 @@ def simulate_graph(graph: ArchitectureGraph, shots: int = 512,
     return prepare(graph, "simulate", {"shots": shots}, seed)()
 
 
-def prepare(graph: ArchitectureGraph, verb: str, options: dict, seed=None):
+def prepare(graph: ArchitectureGraph, verb: str, options: dict, seed=None,
+            flat=None):
     """The run of one directive as a call, after every check ``run`` makes
     before it simulates: the verb, its option keys and values, the graph,
     and the width the run would simulate. ``seed`` overrides the
-    directive's. Raises QsafError."""
+    directive's. ``flat``, for a graph known to validate without a
+    blocking finding, is a call that returns its flat circuit: the graph
+    is then not validated here. Raises QsafError."""
     if verb not in _VERB_KEYS:
         raise QsafError(f"unknown run verb {verb!r}")
     for key in options:
@@ -91,17 +98,17 @@ def prepare(graph: ArchitectureGraph, verb: str, options: dict, seed=None):
     if seed is not None:
         seed = int_option("seed", seed, 0)
     if verb == "simulate":
-        return _prepare_simulate(graph, options, seed)
-    return _prepare_minimize(graph, options)
+        return _prepare_simulate(options, seed, flat or graph.flatten)
+    return _prepare_minimize(graph, options, flat is None)
 
 
 _VERB_KEYS = {"simulate": ("shots", "seed"),
               "minimize": (*OPTIMIZER_KEYS, "seed")}
 
 
-def _prepare_simulate(graph: ArchitectureGraph, options: dict, seed):
+def _prepare_simulate(options: dict, seed, flat):
     shots = int_option("shots", options.get("shots", 512), 1, SHOT_CAP)
-    circuit = graph.flatten()
+    circuit = flat()
     check_width(circuit.width)
     measure = GateKind.MEASURE  # a local: member lookups are slow
     # the flat circuit has checked its gates; dropping measurements
@@ -118,11 +125,12 @@ def _prepare_simulate(graph: ArchitectureGraph, options: dict, seed):
         qubits is not None)
 
 
-def _prepare_minimize(graph: ArchitectureGraph, options: dict):
+def _prepare_minimize(graph: ArchitectureGraph, options: dict, validate):
     # the descent is deterministic: a seed is checked and not used
-    blocking = [d for d in graph.validate() if d.blocking]
-    if blocking:
-        raise ValidationFailedError(blocking)
+    if validate:
+        blocking = [d for d in graph.validate() if d.blocking]
+        if blocking:
+            raise ValidationFailedError(blocking)
     optimizers = [inst for inst in graph.components.values()
                   if inst.is_optimizer]
     if len(optimizers) != 1:

@@ -88,3 +88,17 @@ def test_fewer_than_two_pairs_are_refused_before_any_run(
     assert f"--pairs must be at least 2, got {pairs}" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_claim_outside_the_chosen_workloads_is_refused_before_any_run(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", pytest.fail)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--label", "x",
+                          "--out", str(out), "--workload", "grover16",
+                          "--claim", "order_qpe"])
+    assert info.value.code == 2
+    assert "--claim order_qpe is not among the --workload choices" \
+        in capsys.readouterr().err
+    assert not out.exists()

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qsaf.cli import main
+from qsaf.composition import ArchitectureGraph
 from qsaf.simulate import NonDecreasingEnergyWarning
 
 from reference import VQE_MANIFEST
@@ -625,6 +626,26 @@ def test_validate_reports_each_directive_run_refuses(
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_validate_checks_the_graph_once_for_every_directive(
+        tmp_path, capsys, monkeypatch, vqe_manifest_text):
+    # validate's own pass vouches for the graph, so the directives'
+    # checks neither validate it again nor flatten it more than once
+    calls = dict.fromkeys(["validate", "_flatten_checked"], 0)
+    for name in calls:
+        def spy(self, *args, _name=name,
+                _real=getattr(ArchitectureGraph, name), **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(ArchitectureGraph, name, spy)
+    path = tmp_path / "vqe.qsaf"
+    path.write_text(vqe_manifest_text + "run minimize\n"
+                    "run simulate shots=8\nrun simulate shots=16\n")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "validation clean\n"
+    # one flatten judges the manifest's contract, one serves the directives
+    assert calls == {"validate": 1, "_flatten_checked": 2}
 
 
 def test_a_step_past_the_floats_shortens_without_a_warning(tmp_path):

@@ -1,6 +1,7 @@
 """Property checks of the statevector fast paths against slow references.
 
-Every gate kernel in ``run``, the compiled plans at every width with
+Every gate kernel in ``run``, the product-state start of a run from a
+basis state, the compiled plans at every width with
 both kinds of steps (narrow layers and composed runs below WIDE_WIDTH;
 grouped block updates, real ones through the float64 view and complex
 ones on the amplitudes, and cached runs from it on), the fusion of
@@ -29,8 +30,9 @@ from hypothesis import strategies as st
 
 import qsaf.lowering as lowering
 import qsaf.simulate as simulate
-from qsaf.gates import (PARAMETRIC_KINDS, Gate, GateCircuit, GateKind,
-                        dagger, decompose, gate_matrix, modular_width)
+from qsaf.gates import (KINDS, PARAMETRIC_KINDS, Gate, GateCircuit,
+                        GateKind, apply_matrix, dagger, decompose,
+                        gate_matrix, modular_width)
 from qsaf.lowering import modular_multiply_matrix, realize_ansatz
 from qsaf.manifest import parse_manifest
 from qsaf.simulate import (PauliObservable, StateVector, expectation,
@@ -150,12 +152,19 @@ def test_controlled_multiply_matches_the_dense_power(data):
     """CMODMUL against modular_multiply_matrix(a, N)**p applied by
     ``apply_ref``: any modulus that needs its 1 to 5 work qubits, p up to
     2**19, the work register anywhere around the control and in any
-    order, at widths on both sides of WIDE_WIDTH; and its ``dagger``."""
+    order, or in phase estimation's layout (the register lowest and in
+    order, the control anywhere above it), at widths up to the cap; and
+    its ``dagger``. Past WIDE_WIDTH the power is applied by
+    ``apply_matrix``, whose agreement with ``apply_ref`` is checked in
+    tests/test_gates.py: ``apply_ref`` takes seconds there."""
     params = data.draw(modular_params(5))
     m = modular_width(params["modulus"])
     power = data.draw(st.integers(1, 2 ** 19))
-    width = data.draw(st.integers(1 + m, min(simulate.WIDE_WIDTH, m + 5)))
-    qubits = data.draw(st.permutations(range(width)))[:1 + m]
+    width = data.draw(st.integers(1 + m, simulate.SIM_WIDTH_CAP))
+    if data.draw(st.booleans()):
+        qubits = [data.draw(st.integers(m, width - 1)), *range(m)]
+    else:
+        qubits = data.draw(st.permutations(range(width)))[:1 + m]
     gate = Gate(GateKind.CMODMUL, tuple(qubits), power=power, **params)
     dense = np.linalg.matrix_power(
         modular_multiply_matrix(params["multiplier"], params["modulus"]),
@@ -166,7 +175,8 @@ def test_controlled_multiply_matches_the_dense_power(data):
         st.integers(0, 2 ** 32 - 1))), width)
     circuit = GateCircuit(width, [gate])
     got = run(circuit, StateVector(width, amps)).state.amplitudes
-    want = apply_ref(amps, width, controlled, qubits)
+    reference = apply_ref if width <= simulate.WIDE_WIDTH else apply_matrix
+    want = reference(amps, width, controlled, qubits)
     assert np.allclose(got, want, rtol=0, atol=ATOL)
     back = run(dagger(circuit), StateVector(width, got)).state.amplitudes
     assert np.allclose(back, amps, rtol=0, atol=ATOL)
@@ -876,6 +886,96 @@ def test_plans_match_gate_by_gate_reference_with_any_angles(width, data):
             assert simulate._plan.cache_info().hits == hits + 1
 
 
+# a run from a basis state builds its plan's leading layer as a product
+
+DIAGONAL_KINDS = [k for k in ONE_QUBIT_KINDS
+                  if KINDS[k].structure == "diagonal"]
+
+
+@st.composite
+def basis_start_circuits(draw, width, real):
+    """A circuit at ``width`` and a basis label. The circuit opens with a
+    layer, a held run or a measurement. The opening layer leaves some
+    qubits without a gate, so its groups have gaps, and gives each other
+    qubit a run of one to three one-qubit gates (angled and unangled) or
+    a lone diagonal gate. A CNOT or CZ and a few one-qubit gates follow.
+    ``real`` draws only gates with real entries (H, X, Z and RY)."""
+    kinds = REAL_KINDS if real else ONE_QUBIT_KINDS
+    diagonal = [GateKind.Z] if real else DIAGONAL_KINDS
+    angles = st.floats(-2 * math.pi, 2 * math.pi)
+
+    def gate(kind, q):
+        return Gate(kind, (q,), draw(angles)
+                    if kind in PARAMETRIC_KINDS else None)
+
+    def pair():
+        return tuple(draw(st.permutations(range(width)))[:2])
+
+    circuit = GateCircuit(width, allow_mid_measure=True)
+    # half the circuits open with their layer
+    opener = draw(st.sampled_from(["layer", "layer", "run", "measure"]
+                                  if width > 1 else ["layer", "measure"]))
+    if opener == "run":
+        circuit.append(Gate(draw(st.sampled_from(
+            [GateKind.CNOT, GateKind.CZ])), pair()))
+    elif opener == "measure":
+        circuit.append(Gate(GateKind.MEASURE, (draw(st.integers(
+            0, width - 1)),), cbit=0))
+    for q in range(width):
+        shape = draw(st.sampled_from(["run", "diagonal", "gap"]))
+        if shape == "run":
+            circuit.extend([gate(kind, q) for kind in draw(st.lists(
+                st.sampled_from(kinds), min_size=1, max_size=3))])
+        elif shape == "diagonal":
+            circuit.append(gate(draw(st.sampled_from(diagonal)), q))
+    if width > 1:
+        circuit.append(Gate(draw(st.sampled_from(
+            [GateKind.CNOT, GateKind.CZ])), pair()))
+    for q in draw(st.lists(st.integers(0, width - 1), max_size=3)):
+        circuit.append(gate(draw(st.sampled_from(kinds)), q))
+    return circuit, draw(st.integers(0, 2 ** width - 1))
+
+
+def _check_basis_start(circuit, label, real, seed=3):
+    """``run`` from basis states 0 (``initial`` None) and ``label`` against
+    ``apply_ref`` gate by gate; with real gates, bit for bit against the
+    dense updates of the same basis state passed in as a StateVector."""
+    width = circuit.width
+    for start, initial in ((0, None), (label, label)):
+        got = run(circuit, initial=initial, seed=seed)
+        basis = StateVector.basis(width, start)
+        want = _reference_with_measurements(circuit, basis.amplitudes,
+                                            got.bits, seed)
+        assert np.allclose(got.state.amplitudes, want, rtol=0, atol=ATOL)
+        if real:
+            dense = run(circuit, initial=basis, seed=seed)
+            assert dense.bits == got.bits
+            assert np.array_equal(got.state.amplitudes,
+                                  dense.state.amplitudes)
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+@settings(deadline=None, max_examples=6)
+@given(data=st.data())
+def test_a_basis_start_matches_gate_by_gate_reference(width, data):
+    real = data.draw(st.booleans())
+    _check_basis_start(*data.draw(basis_start_circuits(width, real)), real)
+
+
+def test_a_basis_start_at_the_width_cap():
+    # phase estimation's shape: X on a work qubit, H on the counting
+    # register above it; here with gaps (qubit 0 among them), RY runs and
+    # a lone Z on a set bit, from a label that sets bits the layer does
+    # not touch
+    width = simulate.SIM_WIDTH_CAP
+    ops = [Gate(GateKind.X, (1,)), Gate(GateKind.Z, (6,)),
+           Gate(GateKind.RY, (9,), 0.4), Gate(GateKind.H, (9,))]
+    ops += [Gate(GateKind.H, (q,)) for q in (4, 5, 7, 10, 11, 12, 14, 15)]
+    ops += [Gate(GateKind.CNOT, (4, 2)), Gate(GateKind.RY, (2,), 1.1)]
+    _check_basis_start(GateCircuit(width, ops),
+                       0b0100_0001_0100_1101, real=True)
+
+
 @st.composite
 def native_circuits(draw):
     """3 to 10 gates on 2 to 8 qubits: MCZ and MCX on 2 up to every
@@ -1317,16 +1417,21 @@ def test_sample_picks_its_branch_by_the_reachable_labels(branch, data):
 def test_sample_merges_readouts_only_when_the_cuts_do_not_ascend():
     # the readouts of a top register ascend with the labels, so no two
     # cuts share one and nothing is merged; a low register's readouts
-    # repeat along the labels, so their cuts are merged
+    # repeat along the labels, so their cuts are merged: one bincount of
+    # the hits over the register's 2**len(qubits) readouts (3000 shots
+    # over 64 cuts sort the draws, so no other bincount is taken)
     rng = np.random.default_rng(11)
     state = StateVector(6, _random_state(rng, 6))
     for qubits, merged in (([5, 4, 3], False), ([5, 4, 3, 2, 1, 0], False),
                            ([1, 0], True), ([3, 5], True)):
-        with mock.patch.object(simulate.np, "unique",
-                               wraps=np.unique) as unique:
+        with mock.patch.object(simulate.np, "bincount",
+                               wraps=np.bincount) as bincount:
             counts = sample(state, 3000, 5, qubits=qubits)
         assert counts == readout_ref(sample_ref(state, 3000, 5), qubits)
-        assert unique.called is merged
+        assert bincount.call_count == merged
+        if merged:
+            (readouts, hits, size), _ = bincount.call_args
+            assert size == 2 ** len(qubits) and readouts.size == hits.size
 
 
 @pytest.mark.parametrize("amps, draws", [

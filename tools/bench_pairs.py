@@ -125,6 +125,9 @@ def main(argv=None):
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
     seeds = args.seed or [2]
     workloads = args.workload or list(WORKLOADS)
+    if args.claim and args.claim not in workloads:
+        parser.error(f"--claim {args.claim} is not among the --workload "
+                     "choices, so the first seed would measure no claim")
 
     env = {}
     record = {"label": args.label, "seconds": args.seconds,
