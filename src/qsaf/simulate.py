@@ -139,8 +139,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, width: int, label: int) -> "StateVector":
-        if not 0 <= label < 2 ** width:
-            raise ValueError(f"basis label {label} outside width {width}")
+        check_label(label, width)
         amps = np.zeros(2 ** width, dtype=complex)
         amps[label] = 1.0
         return cls._trusted(width, amps)  # normalized as built
@@ -173,6 +172,12 @@ def check_width(n: int) -> None:
     """Refuse a statevector of more than SIM_WIDTH_CAP qubits."""
     if n > SIM_WIDTH_CAP:
         raise TooWideError(f"width {n} exceeds simulator cap {SIM_WIDTH_CAP}")
+
+
+def check_label(label: int, width: int) -> None:
+    """Refuse a basis label outside ``width`` qubits."""
+    if not 0 <= label < 2 ** width:
+        raise ValueError(f"basis label {label} outside width {width}")
 
 
 def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
@@ -218,8 +223,7 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     elif isinstance(initial, (int, np.integer)) and not isinstance(
             initial, bool):
         amps = int(initial)
-        if not 0 <= amps < 2 ** n:
-            raise ValueError(f"basis label {amps} outside width {n}")
+        check_label(amps, n)
     else:
         raise TypeError(f"initial must be None, a basis label, or a "
                         f"StateVector, got {type(initial).__name__}")
@@ -281,18 +285,20 @@ def _basis_start(label, n, ops, steps):
     """(amps, first): basis state ``label`` after ``steps[:first]``, the
     leading layer of a wide plan, with ``first`` 0 when it has none.
 
-    The layer's steps, group updates and lone diagonal gates, act on
-    disjoint groups of qubits, so each group ends up in its block's
-    column at its bits of ``label``, and every other qubit keeps its
-    bit. The state is the Kronecker product of those columns: one zeroed
-    buffer, written through a view with an axis per group and the other
-    qubits fixed at their bits. The columns are multiplied lowest group
-    first, as a layer's dense updates multiply them, so real blocks give
-    the same amplitudes bit for bit (a leading layer flushed in two
-    parts, the higher first, may differ in the last bit). A narrow
-    layer, one small matmul per block, stays a dense step: at n=6 it
-    took about 5 us a run where the product took 12."""
-    columns, first = {}, 0  # lowest qubit of a group -> its column
+    The layer is the plan's leading group updates and lone diagonal
+    gates up to the first that meets a qubit an earlier one took (a run
+    gate can flush a qubit's later run right after the layer that held
+    its first). These act on disjoint groups of qubits, so each group
+    ends up in its block's column at its bits of ``label``, and every
+    other qubit keeps its bit. The state is the Kronecker product of
+    those columns: one zeroed buffer, written through the view with the
+    other qubits fixed at their bits. The columns are multiplied lowest
+    group first, as a layer's dense updates multiply them, so real
+    blocks give the same amplitudes bit for bit (a leading layer flushed
+    in two parts, the higher first, may differ in the last bit). A
+    narrow layer, one small matmul per block, stays a dense step: at n=6
+    it took about 5 us a run where the product took 12."""
+    columns, taken = {}, 0  # taken: a mask of the layer's qubits
     for step, args in steps:
         if step is _apply_group:
             q0, matrix, _ = args
@@ -302,35 +308,29 @@ def _basis_start(label, n, ops, steps):
             q0, matrix = gate.qubits[0], np.diag([1, diagonal_phase(gate)])
         else:
             break
-        columns[q0] = matrix[:, label >> q0 & len(matrix) - 1]
-        first += 1
+        k = len(matrix).bit_length() - 1
+        group = (1 << k) - 1 << q0
+        if taken & group:
+            break
+        taken |= group
+        # the column on the group's axes of the view, lowest qubit last
+        columns[q0] = matrix[:, label >> q0 & (1 << k) - 1].reshape(
+            [2] * k + [1] * q0)
     amps = np.zeros(1 << n, dtype=complex)
     if not columns:
         amps[label] = 1.0
         return amps, 0
-    order = sorted(columns)  # the view's axes are these, reversed
-    dims, index, top = [], [], n  # top: the lowest qubit placed so far
-    for q0 in reversed(order):
-        size = len(columns[q0])
-        end = q0 + size.bit_length() - 1  # the qubit above the group
-        if top > end:  # a stretch of other qubits
-            dims.append(1 << top - end)
-            index.append(label >> end & (1 << top - end) - 1)
-        dims.append(size)
-        index.append(slice(None))
-        top = q0
-    if top:
-        dims.append(1 << top)
-        index.append(label & (1 << top) - 1)
-    view = amps.reshape(dims)[tuple(index)]
-    product, *later = [columns[q0] for q0 in order]
-    for column in later[:-1]:
-        product = np.multiply.outer(column, product)
-    if later:  # the last product is taken into the state
-        np.multiply.outer(later[-1], product, out=view)
+    others = [q for q in range(n) if not taken >> q & 1]
+    view = _block(amps, n, others, [label >> q & 1 for q in others])
+    factors = [columns[q0] for q0 in sorted(columns)]
+    product = factors[0]
+    for factor in factors[1:-1]:
+        product = factor * product
+    if len(factors) > 1:  # the last product is taken into the state
+        np.multiply(factors[-1], product, out=view)
     else:
         view[...] = product
-    return amps, first
+    return amps, len(columns)
 
 
 @lru_cache(maxsize=PLAN_CACHE)
@@ -798,7 +798,8 @@ def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
     one goes to the top label. Only the labels of nonzero probability,
     and the top one, are searched. A register whose readouts do not
     ascend with the labels has its intervals' hits summed per readout by
-    one ``np.bincount`` over its 2**len(qubits) readouts.
+    one ``np.bincount`` up to its highest readout reached; one longer
+    than the state, which repeats qubits, by ``np.unique`` first.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -846,8 +847,12 @@ def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
         del cumulative
         hits[1:] -= hits[:-1]
     if merge:  # one sum per readout, exact: each is at most ``shots``
-        hits = np.bincount(keys, hits, 1 << width).astype(np.int64)
-        keys = np.arange(1 << width)
+        if width <= state.width:  # no more readouts than labels
+            hits = np.bincount(keys, hits).astype(np.int64)
+            keys = np.arange(hits.size)
+        else:  # a register that repeats qubits
+            keys, merged = np.unique(keys, return_inverse=True)
+            hits = np.bincount(merged, hits, keys.size).astype(np.int64)
     drawn = np.flatnonzero(hits)
     return {format_outcome(key, width): count
             for key, count in zip(keys[drawn].tolist(),

@@ -16,6 +16,7 @@ loop, the bincount sampler and its string readout or full replays, over
 random gates, qubit orders, widths and states.
 """
 
+import contextlib
 import math
 from bisect import bisect_right
 from functools import reduce
@@ -898,8 +899,12 @@ def basis_start_circuits(draw, width, real):
     layer, a held run or a measurement. The opening layer leaves some
     qubits without a gate, so its groups have gaps, and gives each other
     qubit a run of one to three one-qubit gates (angled and unangled) or
-    a lone diagonal gate. A CNOT or CZ and a few one-qubit gates follow.
-    ``real`` draws only gates with real entries (H, X, Z and RY)."""
+    a lone diagonal gate. A CNOT or CZ and a few one-qubit gates follow;
+    in some circuits of three or more qubits the CNOT or CZ flushes the
+    layer, a one-qubit gate lands on a qubit outside it, and a second
+    CNOT or CZ on that qubit flushes it again right after, with the run
+    still held. ``real`` draws only gates with real entries (H, X, Z and
+    RY)."""
     kinds = REAL_KINDS if real else ONE_QUBIT_KINDS
     diagonal = [GateKind.Z] if real else DIAGONAL_KINDS
     angles = st.floats(-2 * math.pi, 2 * math.pi)
@@ -929,8 +934,16 @@ def basis_start_circuits(draw, width, real):
         elif shape == "diagonal":
             circuit.append(gate(draw(st.sampled_from(diagonal)), q))
     if width > 1:
+        held = pair()
         circuit.append(Gate(draw(st.sampled_from(
-            [GateKind.CNOT, GateKind.CZ])), pair()))
+            [GateKind.CNOT, GateKind.CZ])), held))
+        if width > 2 and draw(st.booleans()):
+            q = draw(st.sampled_from(
+                [q for q in range(width) if q not in held]))
+            circuit.append(gate(draw(st.sampled_from(kinds)), q))
+            other = draw(st.sampled_from([p for p in range(width) if p != q]))
+            circuit.append(Gate(draw(st.sampled_from(
+                [GateKind.CNOT, GateKind.CZ])), (q, other)))
     for q in draw(st.lists(st.integers(0, width - 1), max_size=3)):
         circuit.append(gate(draw(st.sampled_from(kinds)), q))
     return circuit, draw(st.integers(0, 2 ** width - 1))
@@ -960,6 +973,24 @@ def _check_basis_start(circuit, label, real, seed=3):
 def test_a_basis_start_matches_gate_by_gate_reference(width, data):
     real = data.draw(st.booleans())
     _check_basis_start(*data.draw(basis_start_circuits(width, real)), real)
+
+
+@pytest.mark.parametrize("ops", [
+    # the second flush takes qubit 3's group again, at the same lowest qubit
+    [Gate(GateKind.H, (3,)), Gate(GateKind.H, (0,)),
+     Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (3,), 0.7),
+     Gate(GateKind.CNOT, (3, 4))],
+    # the second flush takes qubit 2 out of a wider group of the first
+    [Gate(GateKind.H, (q,)) for q in range(simulate.WIDE_WIDTH)]
+    + [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (2,)),
+       Gate(GateKind.CNOT, (2, 3))],
+], ids=["same_group", "inside_a_group"])
+def test_a_basis_start_stops_at_a_group_flushed_again(ops):
+    # a run gate that joins the held run flushes right after the layer the
+    # run flushed, with no step between: the second flush's groups meet
+    # the first's, so the leading layer ends before them
+    _check_basis_start(GateCircuit(simulate.WIDE_WIDTH, ops), 0b10_0000_1001,
+                       real=True)
 
 
 def test_a_basis_start_at_the_width_cap():
@@ -1418,20 +1449,48 @@ def test_sample_merges_readouts_only_when_the_cuts_do_not_ascend():
     # the readouts of a top register ascend with the labels, so no two
     # cuts share one and nothing is merged; a low register's readouts
     # repeat along the labels, so their cuts are merged: one bincount of
-    # the hits over the register's 2**len(qubits) readouts (3000 shots
-    # over 64 cuts sort the draws, so no other bincount is taken)
+    # the hits by readout, no longer than the highest readout reached
+    # (3000 shots over 64 cuts sort the draws, so no other bincount is
+    # taken)
     rng = np.random.default_rng(11)
     state = StateVector(6, _random_state(rng, 6))
     for qubits, merged in (([5, 4, 3], False), ([5, 4, 3, 2, 1, 0], False),
                            ([1, 0], True), ([3, 5], True)):
-        with mock.patch.object(simulate.np, "bincount",
-                               wraps=np.bincount) as bincount:
+        with _bincount_spy() as (bincount, sizes):
             counts = sample(state, 3000, 5, qubits=qubits)
         assert counts == readout_ref(sample_ref(state, 3000, 5), qubits)
         assert bincount.call_count == merged
         if merged:
-            (readouts, hits, size), _ = bincount.call_args
-            assert size == 2 ** len(qubits) and readouts.size == hits.size
+            (readouts, hits), _ = bincount.call_args
+            assert readouts.size == hits.size
+            assert sizes == [readouts.max() + 1]
+
+
+def test_sample_merges_a_register_longer_than_the_state_by_its_readouts():
+    # a register that repeats qubits past the state's width reads out
+    # values up to 2**len(qubits): its readouts are numbered by np.unique
+    # first, so the bincount has at most one entry per label
+    rng = np.random.default_rng(12)
+    state = StateVector(3, _random_state(rng, 3))
+    for qubits in ([0, 2, 0, 1], [0] * 20):
+        with _bincount_spy() as (bincount, sizes):
+            counts = sample(state, 3000, 5, qubits=qubits)
+        assert counts == readout_ref(sample_ref(state, 3000, 5), qubits)
+        assert bincount.call_count == 1 and sizes[0] <= 2 ** 3
+
+
+@contextlib.contextmanager
+def _bincount_spy():
+    """A mock of ``np.bincount`` that calls it, and the sizes it returned."""
+    bincount, sizes = np.bincount, []
+
+    def counted(*args, **kwargs):
+        out = bincount(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+    with mock.patch.object(simulate.np, "bincount",
+                           side_effect=counted) as spy:
+        yield spy, sizes
 
 
 @pytest.mark.parametrize("amps, draws", [
