@@ -42,17 +42,18 @@ EIGEN_ATOL = 1e-8
 # ``run`` executes a plan compiled once per circuit structure (see
 # ``_plan``); PLAN_CACHE plans are kept, least recently used dropped
 # first. The width picks a plan's step kinds: below WIDE_WIDTH qubits a
-# layer of one-qubit runs is complex blocks of at most LAYER_QUBITS
+# layer of one-qubit runs is one step of blocks of at most LAYER_QUBITS
 # qubits and a held run is composed with the plan; from WIDE_WIDTH on a
-# layer is block updates of at most GROUP_QUBITS qubits, real ones on
-# the float64 view, and a held run is composed once it recurs.
+# layer is a block update per group of at most GROUP_QUBITS qubits, and
+# a held run is composed once it recurs; either way a block acts as its
+# ``_block_form`` (``_layer_form`` below WIDE_WIDTH) says.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
 LAYER_QUBITS = 3
 PLAN_CACHE = 256
-# a group with at most this many amplitudes at and below it (float64s,
+# a block with at most this many amplitudes at and below it (float64s,
 # for a real block) is folded into rows of the flat state, so its update
-# is one matmul, not many tiny ones
+# is one matmul, not many tiny ones; a narrow complex block never is
 _FOLD_SPAN = 32
 # _RUN_CACHE remembers the RUN_WINDOW held runs seen last and keeps the
 # signed permutations of those that recur, RUN_BYTES of labels at most:
@@ -401,30 +402,30 @@ def _layer_steps(n, pending, structure, wide):
     first.
 
     A narrow layer is one ``_apply_layer`` step with a block per group of
-    at most LAYER_QUBITS: its (high, 2**k, low) view shape, complex
-    matrix and runs. A wide layer is a step per group of at most
-    GROUP_QUBITS: a lone diagonal gate (Z, S, T, PHASE and their
-    inverses) keeps ``_phase_block``, which touches only the amplitudes
-    it scales, and any other group, a lone gate too, is one
-    ``_update_group`` with a matrix that is real when no entry is
-    complex. A block whose gates take no angle is the same on every run,
-    so its matrix is built here; any other block's matrix is None, built
-    by ``_bound`` for each op list.
+    at most LAYER_QUBITS: its lowest qubit, its ``_layer_form`` and its
+    runs. A wide layer is a step per group of at most GROUP_QUBITS: a
+    lone diagonal gate (Z, S, T, PHASE and their inverses) keeps
+    ``_phase_block``, which touches only the amplitudes it scales, and
+    any other group, a lone gate too, is one ``_update_group`` with its
+    matrix. Either way the matrix is real when no entry is complex. A
+    block whose gates take no angle is the same on every run, so its
+    matrix and form are built here; any other block's are None, built by
+    ``_bound`` for each op list.
     """
     blocks, steps = [], []
     for group in _groups(pending, GROUP_QUBITS if wide else LAYER_QUBITS):
-        k, q0 = len(group), group[0]
+        q0 = group[0]
         runs = tuple(tuple(pending[q]) for q in reversed(group))
         kinds = {pos: structure[pos][0] for run in runs for pos in run}
         matrix = None
         if all(kind in _UNANGLED for kind in kinds.values()):
             matrix = _block_matrix(
                 {pos: _UNANGLED[kind] for pos, kind in kinds.items()}, runs,
-                None if wide else complex)
+                None)
             matrix.flags.writeable = False  # shared by every run
         if not wide:
-            blocks.append(((1 << (n - q0 - k), 1 << k, 1 << q0), matrix,
-                           runs))
+            blocks.append((q0, None if matrix is None
+                           else _layer_form(q0, matrix), runs))
             continue
         (pos, kind), *others = kinds.items()
         if not others and KINDS[kind].structure == "diagonal":
@@ -473,23 +474,38 @@ def _kron_index(k):
 
 
 def _bound(ops, step, args):
-    """A layer step of a plan with each angled block's matrix, None in
-    the plan, built from ``ops``: complex for a narrow block, real for a
-    wide group without a complex entry (see ``_layer_steps``)."""
+    """A layer step of a plan with each angled block, None in the plan,
+    built from ``ops``: a wide group's matrix, a narrow block's form."""
     if step is _apply_group:
         q0, _, runs = args
         return step, (q0, _block_matrix(ops, runs, None), runs)
     blocks, = args
     return step, (tuple([
-        (shape, _block_matrix(ops, runs) if matrix is None else matrix, runs)
-        for shape, matrix, runs in blocks]),)
+        (q0, _layer_form(q0, _block_matrix(ops, runs, None))
+         if form is None else form, runs)
+        for q0, form, runs in blocks]),)
+
+
+def _layer_form(q0, matrix):
+    """A narrow block's ``_block_form``; a complex one stays unfolded: at
+    n=6 its fold and form cost vqe_hea about 1.3 us a block."""
+    if matrix.dtype.kind == "c":
+        return False, (-1, len(matrix), 1 << q0), matrix
+    return _block_form(q0, matrix)
 
 
 def _apply_layer(amps, ops, blocks):
-    """Each block of a layer as one matmul with the Kronecker product of
-    its qubits' run products."""
-    for shape, matrix, _ in blocks:
-        view = amps.reshape(shape)
+    """Each block of a narrow layer as one matmul (see ``_layer_form``):
+    a folded block's from the right on the rows of the flat state, any
+    other's from the left on the (high, 2**k, low) view."""
+    for _, (real, shape, matrix), _ in blocks:
+        if real:
+            view = amps.view(np.float64).reshape(shape)
+            if len(shape) == 2:  # folded
+                view[...] = view @ matrix
+                continue
+        else:  # complex, so never folded (see ``_layer_form``)
+            view = amps.reshape(shape)
         view[...] = matrix @ view
 
 
@@ -654,28 +670,39 @@ def _block_swap(amps, n, gate):
 
 def _update_group(amps, q0, block):
     """Dense update of qubits q0, q0 + 1, ... with ``block``, the 2**k x
-    2**k matrix of k of them (see ``_block_matrix``).
-
-    The block acts on a (high, 2**k, low) view, half of it at a time, so
-    no temporary outgrows a half-state copy. A block without a complex
-    entry (an int one for X's alone) acts alike on the real and
-    imaginary parts, so it acts on the float64 view of the state
-    instead, where they are one more low qubit: one real matmul, half
-    the multiplies of a complex one.
-    """
-    if block.dtype.kind != "c":
-        amps, q0 = amps.view(np.float64), q0 + 1
-    low = 1 << q0
-    if low * len(block) <= _FOLD_SPAN:
-        # each row of the flat state holds 2**k tiles of ``low``: one
-        # matmul from the right, not many tiny ones
-        block = _kron(block, np.eye(low)).T
-        for part in _halves(amps.reshape(-1, len(block)), 0):
+    2**k matrix of k of them (see ``_block_matrix``), in its
+    ``_block_form``, half the view at a time, so no temporary outgrows a
+    half-state copy."""
+    real, shape, block = _block_form(q0, block)
+    view = (amps.view(np.float64) if real else amps).reshape(shape)
+    if len(shape) == 2:  # folded
+        for part in _halves(view, 0):
             part[...] = part @ block
         return
-    view = amps.reshape(-1, len(block), low)
     for part in _halves(view, 0 if len(view) > 1 else 2):
         part[...] = block @ part
+
+
+def _block_form(q0, matrix):
+    """(real, shape, matrix): how the 2**k x 2**k ``matrix`` of qubits
+    q0, q0 + 1, ... acts, its matrix read-only. A matrix without a
+    complex entry (an int one for X's alone) acts alike on the real and
+    imaginary parts, so on the float64 view (``real``), where they are
+    one more low qubit: half the multiplies. With at most _FOLD_SPAN
+    numbers at and below it there, each row of the flat state holds its
+    2**k tiles of ``low``, so it multiplies the (rows, 2**k * low) view
+    from the right by kron(matrix, eye(low)).T; else the (high, 2**k,
+    low) view from the left."""
+    real = matrix.dtype.kind != "c"
+    low = 1 << (q0 + real)
+    if low * len(matrix) > _FOLD_SPAN:
+        shape = -1, len(matrix), low
+    else:
+        shape = -1, low * len(matrix)
+        # built C-contiguous: at n=9 about 0.6 us a block faster
+        matrix = _kron(matrix.T, np.eye(low))
+    matrix.flags.writeable = False
+    return real, shape, matrix
 
 
 def _halves(view, axis):
@@ -693,19 +720,19 @@ def _kron(a, b):
 
 def _modular_gather(amps, n, gate):
     """CMODMUL: one gather of the amplitudes whose work value moves, all
-    on the control=1 half; a power that is the identity moves none.
+    on the control=1 half; an identity power (a**p = 1 mod N) moves none.
 
     The half is a view with one axis per stretch of qubits that are
     neither the control nor work, and one per stretch of work qubits
     whose bits ascend with them (the whole register where it sits in
     order, as in phase estimation), each work axis picked by one index
     array: the same path for every placement."""
+    if pow(gate.multiplier, gate.power, gate.modulus) == 1:
+        return
     control, *work = gate.qubits
     values = np.arange(1 << len(work))
     src = modular_sources(values, gate)
-    moved = np.flatnonzero(src != values)
-    if not moved.size:
-        return
+    moved = np.flatnonzero(src != values)  # 1 moves, as a**-p != 1
     # q - j is the same along a stretch of work qubits holding bits that
     # ascend with them; every other qubit's key is None
     key = {q: q - j for j, q in enumerate(work)}
@@ -854,7 +881,8 @@ def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
             keys, merged = np.unique(keys, return_inverse=True)
             hits = np.bincount(merged, hits, keys.size).astype(np.int64)
     drawn = np.flatnonzero(hits)
-    return {format_outcome(key, width): count
+    spec = f"0{width}b"  # ``format_outcome``'s, made once, not per key
+    return {format(key, spec): count
             for key, count in zip(keys[drawn].tolist(),
                                   hits[drawn].tolist())}
 

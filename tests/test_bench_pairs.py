@@ -13,13 +13,16 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _measured(monkeypatch, parent, change):
-    """``measure`` over ten pairs whose op_best_ms runs are ``parent`` and
-    ``change``, in pair order."""
+def _measured(monkeypatch, parent, change, metric="op_best_ms"):
+    """``measure`` over ten pairs whose ``metric`` runs are ``parent``
+    and ``change`` (each a number, or a dict of metrics), in pair
+    order."""
     runs = {"parent": iter(parent), "change": iter(change)}
 
     def run_once(checkout, workload, seed, seconds):
-        return {"op_best_ms": next(runs[checkout])}, 4, 1, {}
+        value = next(runs[checkout])
+        return (value if isinstance(value, dict) else {metric: value}), \
+            4, 1, {}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     args = Namespace(parent="parent", change="change", pairs=len(parent),
@@ -43,6 +46,22 @@ def test_a_change_lower_in_every_pair_beyond_the_iqr_holds(monkeypatch):
     assert verdict["parent_iqr"] == pytest.approx(0.45)
     assert verdict["median_difference"] == pytest.approx(2.0)
     assert verdict["holds"]
+
+
+def test_a_change_median_above_the_parent_q3_is_flagged(monkeypatch):
+    # op_best_ms falls; peak_rss_mb rises by 0.2 MB, beyond the parent's
+    # upper quartile, and setup_s by less than the parent's spread
+    parent = [{"op_best_ms": 10.0 + 0.1 * i, "peak_rss_mb": 40.0 + 0.01 * i,
+               "setup_s": 0.16 + 0.01 * i} for i in range(10)]
+    change = [{"op_best_ms": run["op_best_ms"] - 2.0,
+               "peak_rss_mb": run["peak_rss_mb"] + 0.2,
+               "setup_s": run["setup_s"] + 0.01} for run in parent]
+    result = _measured(monkeypatch, parent, change)
+    assert result["parent"]["peak_rss_mb"]["q3"] == pytest.approx(40.0675)
+    assert result["change"]["peak_rss_mb"]["median"] == \
+        pytest.approx(40.245)
+    assert result["change_median_above_parent_q3"] == {
+        "op_best_ms": False, "peak_rss_mb": True, "setup_s": False}
 
 
 def test_nine_pairs_of_ten_are_enough(monkeypatch):

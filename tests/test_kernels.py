@@ -183,6 +183,23 @@ def test_controlled_multiply_matches_the_dense_power(data):
     assert np.allclose(back, amps, rtol=0, atol=ATOL)
 
 
+def test_an_identity_power_builds_no_sources(monkeypatch):
+    # 2 has order 4 modulo 15: powers 4 and 8 move nothing, 3 does
+    calls = []
+    sources = simulate.modular_sources
+    monkeypatch.setattr(simulate, "modular_sources", lambda values, gate: (
+        calls.append(gate.power), sources(values, gate))[1])
+    amps = _random_state(np.random.default_rng(13), 6)
+    for power in (4, 8, 3):
+        gate = Gate(GateKind.CMODMUL, (5, 0, 1, 2, 3), power=power,
+                    multiplier=2, modulus=15)
+        got = run(GateCircuit(6, [gate]), StateVector(6, amps))
+        want = apply_ref(amps, 6, gate_matrix(gate), gate.qubits)
+        assert np.allclose(got.state.amplitudes, want, rtol=0, atol=ATOL)
+        assert np.array_equal(got.state.amplitudes, amps) == (power != 3)
+    assert calls == [3]
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, MAX_WIDTH))
 def test_run_leaves_the_initial_state_untouched(seed, width):
     rng = np.random.default_rng(seed)
@@ -278,10 +295,15 @@ def test_a_layer_without_angles_is_built_with_the_plan_bit_for_bit():
               if step is simulate._apply_layer for block in args[0]]
     assert len(blocks) == 4  # qubits 0-2 and 3-4, before and after
     assert angled == ()  # nothing to build for each op list
-    for _, matrix, runs in blocks:
-        assert matrix is not None and not matrix.flags.writeable
-        assert matrix.tobytes() == \
-            simulate._block_matrix(ops, runs).tobytes()
+    # T and S make the first two complex, the H layer's are real
+    assert [form[0] for _, form, _ in blocks] == [False, False, True, True]
+    for q0, form, runs in blocks:
+        assert form is not None and not form[2].flags.writeable
+        real, shape, matrix = simulate._layer_form(
+            q0, simulate._block_matrix(ops, runs, None))
+        assert form[:2] == (real, shape)
+        assert form[2].dtype == matrix.dtype
+        assert form[2].tobytes() == matrix.tobytes()
 
 
 def test_a_plan_is_layers_runs_and_kernels():
@@ -298,16 +320,22 @@ def test_a_plan_is_layers_runs_and_kernels():
         simulate._apply_layer, simulate._signed_gather,
         simulate._apply_layer, simulate._apply_gate]
     (layer,) = plan[0][1]
-    assert [(shape, runs) for shape, _, runs in layer] == \
-        [((2, 4, 1), ((1,), (0,)))]
-    # Z and X take no angle, so the plan holds their block
-    assert np.array_equal(layer[0][1], np.kron(X2, Z2))
+    assert [(q0, runs) for q0, _, runs in layer] == [(0, ((1,), (0,)))]
+    # Z and X take no angle, so the plan holds their block: real, so on
+    # the float64 view, where its 8 numbers fold into one row
+    real, shape, matrix = layer[0][1]
+    assert real and shape == (-1, 8)
+    assert np.array_equal(matrix, np.kron(np.kron(X2, Z2), np.eye(2)).T)
     (layer,) = plan[2][1]
-    assert [(shape, runs) for shape, _, runs in layer] == \
-        [((4, 2, 1), ((5,),)), ((1, 2, 4), ((3, 4),))]
+    assert [(q0, runs) for q0, _, runs in layer] == \
+        [(0, ((5,),)), (2, ((3, 4),))]
     # angled blocks are built for each op list, in the step ``angled`` names
-    assert [matrix for _, matrix, _ in layer] == [None, None]
+    assert [form for _, form, _ in layer] == [None, None]
     assert angled == (2,)
+    # both complex, so unfolded on the (high, 2**k, low) view
+    (bound,) = simulate._bound(ops, *plan[2])[1]
+    assert [form[:2] for _, form, _ in bound] == \
+        [(False, (-1, 2, 1)), (False, (-1, 2, 4))]
     assert plan[3][1] == (simulate._phase_block, 3, 6)
     moved, sources, negated = plan[1][1]
     assert list(moved) == [1, 3, 5, 7] and list(sources) == [3, 1, 7, 5]
@@ -552,14 +580,15 @@ COMPLEX_KINDS = [GateKind.RZ, GateKind.S, GateKind.T, GateKind.RX]
 
 
 @st.composite
-def real_and_complex_layers(draw):
-    """One or two layers of one-qubit runs at widths 10-12, each flushed
-    by a CNOT from one of its qubits. A layer's runs are drawn from the
-    real kinds (H, X, Z, RY), the complex ones (RZ, S, T, RX) or both, on
-    a stretch of 1-8 qubits anywhere in the register, so groups come out
-    real, complex or mixed and are folded or not, and lone runs come out
-    real or complex."""
-    width = draw(st.integers(WIDE, 12))
+def real_and_complex_layers(draw, widths=st.integers(WIDE, 12)):
+    """One or two layers of one-qubit runs at ``widths``, each flushed by
+    a CNOT from one of its qubits (at width 1, by the end). A layer's
+    runs are drawn from the real kinds (H, X, Z, RY), the complex ones
+    (RZ, S, T, RX), both, or X alone (whose entries are ints), on a
+    stretch of 1-8 qubits anywhere in the register, so blocks come out
+    real, int, complex or mixed and are folded or not, and lone runs come
+    out real or complex."""
+    width = draw(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     angles = st.floats(-2 * math.pi, 2 * math.pi)
     ops = []
@@ -567,12 +596,15 @@ def real_and_complex_layers(draw):
         q0 = draw(st.integers(0, width - 1))
         size = draw(st.integers(1, min(width - q0, 2 * GROUP)))
         pool = draw(st.sampled_from([REAL_KINDS, COMPLEX_KINDS,
-                                     REAL_KINDS + COMPLEX_KINDS]))
+                                     REAL_KINDS + COMPLEX_KINDS,
+                                     [GateKind.X]]))
         for q in range(q0, q0 + size):
             for kind in draw(st.lists(st.sampled_from(pool), min_size=1,
                                       max_size=2)):
                 theta = draw(angles) if kind in PARAMETRIC_KINDS else None
                 ops.append(Gate(kind, (q,), theta=theta))
+        if width == 1:
+            continue
         control = draw(st.integers(q0, q0 + size - 1))
         target = draw(st.sampled_from(
             [q for q in range(width) if q != control]))
@@ -583,6 +615,17 @@ def real_and_complex_layers(draw):
 @settings(deadline=None, max_examples=25)
 @given(real_and_complex_layers())
 def test_real_and_complex_layers_match_gate_by_gate_reference(case):
+    ops, width, amps = case
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
+                       rtol=0, atol=ATOL)
+
+
+@settings(deadline=None, max_examples=60)
+@given(real_and_complex_layers(st.integers(1, WIDE - 1)))
+def test_narrow_real_and_complex_layers_match_gate_by_gate_reference(case):
+    # below WIDE_WIDTH every layer is one step of blocks of at most
+    # LAYER_QUBITS, real ones on the float64 view and folded when short
     ops, width, amps = case
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
     assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
@@ -648,17 +691,32 @@ def _run_of(kind, q, rng):
 @pytest.mark.parametrize("q0", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("layer", ["real", "complex", "mixed", "x"])
 def test_groups_on_both_sides_of_the_fold(layer, q0, k):
-    # a real group folds while (2 << q0) * 2**k <= _FOLD_SPAN float64s,
-    # a complex one while (1 << q0) * 2**k <= _FOLD_SPAN amplitudes
+    # a real block folds while (2 << q0) * 2**k <= _FOLD_SPAN float64s,
+    # a wide complex one while (1 << q0) * 2**k <= _FOLD_SPAN amplitudes
+    _check_layer(WIDE, layer, q0, k)
+
+
+@pytest.mark.parametrize("k", range(1, GROUP + 1))
+@pytest.mark.parametrize("q0", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("layer", ["real", "complex", "mixed", "x"])
+def test_narrow_blocks_on_both_sides_of_the_fold(layer, q0, k):
+    # the same layers one qubit narrower, where a complex block never
+    # folds and a stretch of four is two blocks of two
+    _check_layer(WIDE - 1, layer, q0, k)
+
+
+def _check_layer(width, layer, q0, k):
+    """A layer of ``_run_of`` runs on qubits q0..q0+k-1, the kinds
+    alternating in a mixed one, against the gate-by-gate reference."""
     rng = np.random.default_rng(100 * q0 + k)
     ops = []
     for j, q in enumerate(range(q0, q0 + k)):
         kind = ("real", "complex")[j % 2] if layer == "mixed" else layer
         ops += _run_of(kind, q, rng)
-    amps = _random_state(rng, WIDE)
-    got = run(GateCircuit(WIDE, ops), initial=StateVector(WIDE, amps))
-    assert np.allclose(got.state.amplitudes, _reference_run(ops, WIDE, amps),
-                       rtol=0, atol=ATOL)
+    amps = _random_state(rng, width)
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    assert np.allclose(got.state.amplitudes,
+                       _reference_run(ops, width, amps), rtol=0, atol=ATOL)
 
 
 def _spy_dtypes(monkeypatch):
@@ -679,6 +737,24 @@ def test_grover_flushes_take_the_float_view(monkeypatch):
     run(unitary)
     # three groups of three qubits per H or X layer, all real
     assert len(dtypes) >= 3 * 2 * 17 and set(dtypes) == {np.dtype(float)}
+
+
+def test_narrow_grover_layers_take_the_float_view():
+    # the circuit ``execute`` runs, with native MCZ gates, is 9 qubits
+    # wide: its plan's layers are narrow, each block on the float64 view
+    circuit = parse_manifest(GROVER16).graph.flatten()
+    unitary = GateCircuit(circuit.width, [
+        g for g in circuit.ops if g.kind is not GateKind.MEASURE])
+    assert unitary.width < WIDE
+    run(unitary)
+    _, _, steps = simulate._last_run  # the steps just run
+    layers = [args[0] for step, args in steps
+              if step is simulate._apply_layer]
+    assert simulate._apply_group not in {step for step, _ in steps}
+    # three blocks of three qubits per layer, two layers per iteration
+    assert len(layers) >= 2 * 17
+    assert all(len(blocks) == 3 for blocks in layers)
+    assert all(form[0] for blocks in layers for _, form, _ in blocks)
 
 
 def test_a_complex_group_keeps_the_complex_state(monkeypatch):

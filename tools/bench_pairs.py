@@ -9,8 +9,10 @@ Both checkouts are run with their own ``perfbench/run.py`` (``--trace 0``,
 the same ``--seconds``), one fresh process per run. Odd pairs (the first,
 the third, ...) run the parent first, even pairs the change. The output file
 holds, per workload, each side's runs of every end-to-end metric with
-their median and quartiles, the ops attempted and failed, and the number
-of pairs in which the change read lower. The claimed workload gets a
+their median and quartiles, the ops attempted and failed, the number of
+pairs in which the change read lower, and whether the change's median
+lies above the parent's upper quartile, so a metric that moved up is
+read from the file. The claimed workload gets a
 ``claim`` entry per seed: the change is lower in at least 9 of 10 pairs,
 and its median is below the parent's by more than the parent's
 interquartile range.
@@ -82,6 +84,9 @@ def measure(args, workload, seed, env):
                         for key in keys}
         result[side]["attempted_ops"], result[side]["failed_ops"] = \
             ops[side]
+    result["change_median_above_parent_q3"] = {
+        key: result["change"][key]["median"] > result["parent"][key]["q3"]
+        for key in keys}
     return result
 
 
