@@ -45,15 +45,15 @@ EIGEN_ATOL = 1e-8
 # layer of one-qubit runs is one step of blocks of at most LAYER_QUBITS
 # qubits and a held run is composed with the plan; from WIDE_WIDTH on a
 # layer is a block update per group of at most GROUP_QUBITS qubits, and
-# a held run is composed once it recurs; either way a block acts as its
-# ``_block_form`` (``_layer_form`` below WIDE_WIDTH) says.
+# a held run is composed once it recurs; either way a block without an
+# angle acts as its ``_block_form`` says.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
 LAYER_QUBITS = 3
 PLAN_CACHE = 256
 # a block with at most this many amplitudes at and below it (float64s,
 # for a real block) is folded into rows of the flat state, so its update
-# is one matmul, not many tiny ones; a narrow complex block never is
+# is one matmul, not many tiny ones; an angled narrow block never is
 _FOLD_SPAN = 32
 # _RUN_CACHE remembers the RUN_WINDOW held runs seen last and keeps the
 # signed permutations of those that recur, RUN_BYTES of labels at most:
@@ -160,7 +160,12 @@ class StateVector:
 
 def format_outcome(label: int, width: int) -> str:
     """Bitstring with the most significant qubit on the left."""
-    return format(label, f"0{width}b")
+    return format(label, _outcome_spec(width))
+
+
+def _outcome_spec(width):
+    """The format spec of ``format_outcome``'s bitstrings of ``width``."""
+    return f"0{width}b"
 
 
 @dataclass(frozen=True)
@@ -391,7 +396,7 @@ def _plan(n, structure):
     flush()
     angled = tuple(i for i, (step, args) in enumerate(steps)
                    if step is _apply_layer
-                   and any(block[1] is None for block in args[0])
+                   and any(block[2] is None for block in args[0])
                    or step is _apply_group and args[1] is None)
     return tuple(steps), angled
 
@@ -402,19 +407,19 @@ def _layer_steps(n, pending, structure, wide):
     first.
 
     A narrow layer is one ``_apply_layer`` step with a block per group of
-    at most LAYER_QUBITS: its lowest qubit, its ``_layer_form`` and its
-    runs. A wide layer is a step per group of at most GROUP_QUBITS: a
-    lone diagonal gate (Z, S, T, PHASE and their inverses) keeps
-    ``_phase_block``, which touches only the amplitudes it scales, and
-    any other group, a lone gate too, is one ``_update_group`` with its
-    matrix. Either way the matrix is real when no entry is complex. A
-    block whose gates take no angle is the same on every run, so its
-    matrix and form are built here; any other block's are None, built by
-    ``_bound`` for each op list.
+    at most LAYER_QUBITS: (real, shape, matrix, runs). A wide layer is a
+    step per group of at most GROUP_QUBITS: a lone diagonal gate (Z, S,
+    T, PHASE and their inverses) keeps ``_phase_block``, which touches
+    only the amplitudes it scales, and any other group, a lone gate too,
+    is one ``_update_group`` with its matrix, real when no entry is
+    complex. A block whose gates take no angle is the same on every run,
+    so its matrix is built here, a narrow one in its ``_block_form``; any
+    other block's matrix is None, built by ``_bound`` for each op list.
+    An angled narrow block is complex on the (high, 2**k, low) view.
     """
     blocks, steps = [], []
     for group in _groups(pending, GROUP_QUBITS if wide else LAYER_QUBITS):
-        q0 = group[0]
+        k, q0 = len(group), group[0]
         runs = tuple(tuple(pending[q]) for q in reversed(group))
         kinds = {pos: structure[pos][0] for run in runs for pos in run}
         matrix = None
@@ -424,8 +429,9 @@ def _layer_steps(n, pending, structure, wide):
                 None)
             matrix.flags.writeable = False  # shared by every run
         if not wide:
-            blocks.append((q0, None if matrix is None
-                           else _layer_form(q0, matrix), runs))
+            form = ((False, (1 << (n - q0 - k), 1 << k, 1 << q0), None)
+                    if matrix is None else _block_form(q0, matrix))
+            blocks.append((*form, runs))
             continue
         (pos, kind), *others = kinds.items()
         if not others and KINDS[kind].structure == "diagonal":
@@ -474,39 +480,28 @@ def _kron_index(k):
 
 
 def _bound(ops, step, args):
-    """A layer step of a plan with each angled block, None in the plan,
-    built from ``ops``: a wide group's matrix, a narrow block's form."""
+    """A layer step of a plan with each angled block's matrix, None in
+    the plan, built from ``ops``: complex for a narrow block, real for a
+    wide group without a complex entry (see ``_layer_steps``)."""
     if step is _apply_group:
         q0, _, runs = args
         return step, (q0, _block_matrix(ops, runs, None), runs)
     blocks, = args
     return step, (tuple([
-        (q0, _layer_form(q0, _block_matrix(ops, runs, None))
-         if form is None else form, runs)
-        for q0, form, runs in blocks]),)
-
-
-def _layer_form(q0, matrix):
-    """A narrow block's ``_block_form``; a complex one stays unfolded: at
-    n=6 its fold and form cost vqe_hea about 1.3 us a block."""
-    if matrix.dtype.kind == "c":
-        return False, (-1, len(matrix), 1 << q0), matrix
-    return _block_form(q0, matrix)
+        (real, shape, _block_matrix(ops, runs) if matrix is None else matrix,
+         runs) for real, shape, matrix, runs in blocks]),)
 
 
 def _apply_layer(amps, ops, blocks):
-    """Each block of a narrow layer as one matmul (see ``_layer_form``):
+    """Each block of a narrow layer as one matmul (see ``_block_form``):
     a folded block's from the right on the rows of the flat state, any
     other's from the left on the (high, 2**k, low) view."""
-    for _, (real, shape, matrix), _ in blocks:
-        if real:
-            view = amps.view(np.float64).reshape(shape)
-            if len(shape) == 2:  # folded
-                view[...] = view @ matrix
-                continue
-        else:  # complex, so never folded (see ``_layer_form``)
-            view = amps.reshape(shape)
-        view[...] = matrix @ view
+    for real, shape, matrix, _ in blocks:
+        view = (amps.view(np.float64) if real else amps).reshape(shape)
+        if len(shape) == 2:  # folded
+            view[...] = view @ matrix
+        else:
+            view[...] = matrix @ view
 
 
 def _apply_group(amps, ops, q0, matrix, runs):
@@ -881,7 +876,7 @@ def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
             keys, merged = np.unique(keys, return_inverse=True)
             hits = np.bincount(merged, hits, keys.size).astype(np.int64)
     drawn = np.flatnonzero(hits)
-    spec = f"0{width}b"  # ``format_outcome``'s, made once, not per key
+    spec = _outcome_spec(width)  # made once, not per key
     return {format(key, spec): count
             for key, count in zip(keys[drawn].tolist(),
                                   hits[drawn].tolist())}

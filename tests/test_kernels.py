@@ -296,14 +296,15 @@ def test_a_layer_without_angles_is_built_with_the_plan_bit_for_bit():
     assert len(blocks) == 4  # qubits 0-2 and 3-4, before and after
     assert angled == ()  # nothing to build for each op list
     # T and S make the first two complex, the H layer's are real
-    assert [form[0] for _, form, _ in blocks] == [False, False, True, True]
-    for q0, form, runs in blocks:
-        assert form is not None and not form[2].flags.writeable
-        real, shape, matrix = simulate._layer_form(
+    assert [block[0] for block in blocks] == [False, False, True, True]
+    for real, shape, matrix, runs in blocks:
+        assert matrix is not None and not matrix.flags.writeable
+        q0 = ops[runs[-1][0]].qubits[0]  # runs are highest qubit first
+        form = simulate._block_form(
             q0, simulate._block_matrix(ops, runs, None))
-        assert form[:2] == (real, shape)
-        assert form[2].dtype == matrix.dtype
-        assert form[2].tobytes() == matrix.tobytes()
+        assert (real, shape) == form[:2]
+        assert matrix.dtype == form[2].dtype
+        assert matrix.tobytes() == form[2].tobytes()
 
 
 def test_a_plan_is_layers_runs_and_kernels():
@@ -320,22 +321,24 @@ def test_a_plan_is_layers_runs_and_kernels():
         simulate._apply_layer, simulate._signed_gather,
         simulate._apply_layer, simulate._apply_gate]
     (layer,) = plan[0][1]
-    assert [(q0, runs) for q0, _, runs in layer] == [(0, ((1,), (0,)))]
     # Z and X take no angle, so the plan holds their block: real, so on
     # the float64 view, where its 8 numbers fold into one row
-    real, shape, matrix = layer[0][1]
-    assert real and shape == (-1, 8)
-    assert np.array_equal(matrix, np.kron(np.kron(X2, Z2), np.eye(2)).T)
+    assert [(real, shape, runs) for real, shape, _, runs in layer] == \
+        [(True, (-1, 8), ((1,), (0,)))]
+    assert np.array_equal(layer[0][2],
+                          np.kron(np.kron(X2, Z2), np.eye(2)).T)
     (layer,) = plan[2][1]
-    assert [(q0, runs) for q0, _, runs in layer] == \
-        [(0, ((5,),)), (2, ((3, 4),))]
-    # angled blocks are built for each op list, in the step ``angled`` names
-    assert [form for _, form, _ in layer] == [None, None]
+    # angled blocks are complex, on the (high, 2**k, low) view
+    assert [(real, shape, runs) for real, shape, _, runs in layer] == \
+        [(False, (4, 2, 1), ((5,),)), (False, (1, 2, 4), ((3, 4),))]
+    # and built for each op list, in the step ``angled`` names
+    assert [matrix for _, _, matrix, _ in layer] == [None, None]
     assert angled == (2,)
-    # both complex, so unfolded on the (high, 2**k, low) view
     (bound,) = simulate._bound(ops, *plan[2])[1]
-    assert [form[:2] for _, form, _ in bound] == \
-        [(False, (-1, 2, 1)), (False, (-1, 2, 4))]
+    for (_, _, matrix, runs), want in zip(bound, (
+            gate_matrix(ops[5]), gate_matrix(ops[4]) @ gate_matrix(ops[3]))):
+        assert matrix.dtype == complex
+        assert np.allclose(matrix, want, rtol=0, atol=ATOL)
     assert plan[3][1] == (simulate._phase_block, 3, 6)
     moved, sources, negated = plan[1][1]
     assert list(moved) == [1, 3, 5, 7] and list(sources) == [3, 1, 7, 5]
@@ -700,7 +703,7 @@ def test_groups_on_both_sides_of_the_fold(layer, q0, k):
 @pytest.mark.parametrize("q0", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("layer", ["real", "complex", "mixed", "x"])
 def test_narrow_blocks_on_both_sides_of_the_fold(layer, q0, k):
-    # the same layers one qubit narrower, where a complex block never
+    # the same layers one qubit narrower, where an angled block never
     # folds and a stretch of four is two blocks of two
     _check_layer(WIDE - 1, layer, q0, k)
 
@@ -754,7 +757,7 @@ def test_narrow_grover_layers_take_the_float_view():
     # three blocks of three qubits per layer, two layers per iteration
     assert len(layers) >= 2 * 17
     assert all(len(blocks) == 3 for blocks in layers)
-    assert all(form[0] for blocks in layers for _, form, _ in blocks)
+    assert all(block[0] for blocks in layers for block in blocks)
 
 
 def test_a_complex_group_keeps_the_complex_state(monkeypatch):
