@@ -41,15 +41,13 @@ EIGEN_ATOL = 1e-8
 
 # ``run`` executes a plan compiled once per circuit structure (see
 # ``_plan``); PLAN_CACHE plans are kept, least recently used dropped
-# first. The width picks a plan's step kinds: below WIDE_WIDTH qubits a
-# layer of one-qubit runs is one step of blocks of at most LAYER_QUBITS
-# qubits and a held run is composed with the plan; from WIDE_WIDTH on a
-# layer is a block update per group of at most GROUP_QUBITS qubits, and
-# a held run is composed once it recurs; either way a block without an
-# angle acts as its ``_block_form`` says.
+# first. A layer of one-qubit runs is one step of blocks of at most
+# GROUP_QUBITS qubits, each acting as its ``_block_form`` says. The
+# width picks the rest: below WIDE_WIDTH qubits a held run is composed
+# with the plan; from WIDE_WIDTH on a layer updates half the state at a
+# time and a held run is composed once it recurs.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
-LAYER_QUBITS = 3
 PLAN_CACHE = 256
 # a block with at most this many amplitudes at and below it (float64s,
 # for a real block) is folded into rows of the flat state, so its update
@@ -269,7 +267,7 @@ def _evolve(amps, n, ops, bits=(), seed=None):
         if angled:
             steps = list(steps)
             for i in angled:
-                steps[i] = _bound(ops, *steps[i])
+                steps[i] = _bound(ops, *steps[i][1])
         _last_run = n, gates, steps
     if type(amps) is int:
         amps, first = _basis_start(amps, n, ops, steps)
@@ -291,37 +289,46 @@ def _basis_start(label, n, ops, steps):
     """(amps, first): basis state ``label`` after ``steps[:first]``, the
     leading layer of a wide plan, with ``first`` 0 when it has none.
 
-    The layer is the plan's leading group updates and lone diagonal
-    gates up to the first that meets a qubit an earlier one took (a run
+    The layer is the plan's leading layer steps and lone diagonal gates,
+    whole, up to the first that meets a qubit an earlier one took (a run
     gate can flush a qubit's later run right after the layer that held
-    its first). These act on disjoint groups of qubits, so each group
-    ends up in its block's column at its bits of ``label``, and every
-    other qubit keeps its bit. The state is the Kronecker product of
-    those columns: one zeroed buffer, written through the view with the
-    other qubits fixed at their bits. The columns are multiplied lowest
-    group first, as a layer's dense updates multiply them, so real
-    blocks give the same amplitudes bit for bit (a leading layer flushed
-    in two parts, the higher first, may differ in the last bit). A
-    narrow layer, one small matmul per block, stays a dense step: at n=6
-    it took about 5 us a run where the product took 12."""
-    columns, taken = {}, 0  # taken: a mask of the layer's qubits
-    for step, args in steps:
-        if step is _apply_group:
-            q0, matrix, _ = args
+    its first). Their blocks act on disjoint groups of qubits, so each
+    group ends up in its block's column at its bits of ``label``, read
+    from the block's record, and every other qubit keeps its bit. The
+    state is the Kronecker product of those columns: one zeroed buffer,
+    written through the view with the other qubits fixed at their bits.
+    The columns are multiplied lowest group first, as a layer's dense
+    updates multiply them, so real blocks give the same amplitudes bit
+    for bit (a leading layer flushed in two parts, the higher first, may
+    differ in the last bit). A narrow layer, one small matmul per block,
+    stays a dense step: at n=6 it took about 5 us a run where the
+    product took 12."""
+    columns, taken, first = {}, 0, 0  # taken: a mask of the layer's qubits
+    for step, args in steps if n >= WIDE_WIDTH else ():
+        if step is _apply_layer:
+            blocks = args[0]
         elif step is _apply_gate and args[0] is _phase_block \
                 and len(ops[args[2]].qubits) == 1:  # not a CPHASE
-            gate = ops[args[2]]
-            q0, matrix = gate.qubits[0], np.diag([1, diagonal_phase(gate)])
+            # the record of its 2x2, unfolded
+            blocks = ((False, (), np.diag([1, diagonal_phase(ops[args[2]])]),
+                       ((args[2],),)),)
         else:
             break
-        k = len(matrix).bit_length() - 1
-        group = (1 << k) - 1 << q0
-        if taken & group:
+        groups = [(ops[runs[-1][0]].qubits[0], len(runs))
+                  for *_, runs in blocks]  # runs are highest qubit first
+        mask = sum((1 << k) - 1 << q0 for q0, k in groups)
+        if taken & mask:
             break
-        taken |= group
-        # the column on the group's axes of the view, lowest qubit last
-        columns[q0] = matrix[:, label >> q0 & (1 << k) - 1].reshape(
-            [2] * k + [1] * q0)
+        taken |= mask
+        first += 1
+        for (q0, k), (real, shape, matrix, _) in zip(groups, blocks):
+            j, low = label >> q0 & (1 << k) - 1, 1 << (q0 + real)
+            # a folded block, kron(M.T, eye(low)), holds column j of M in
+            # row j * low, every low-th entry
+            column = matrix[j * low, ::low] if len(shape) == 2 \
+                else matrix[:, j]
+            # the column on the group's axes of the view, lowest qubit last
+            columns[q0] = column.reshape([2] * k + [1] * q0)
     amps = np.zeros(1 << n, dtype=complex)
     if not columns:
         amps[label] = 1.0
@@ -336,7 +343,7 @@ def _basis_start(label, n, ops, steps):
         np.multiply(factors[-1], product, out=view)
     else:
         view[...] = product
-    return amps, len(columns)
+    return amps, first
 
 
 @lru_cache(maxsize=PLAN_CACHE)
@@ -396,49 +403,42 @@ def _plan(n, structure):
     flush()
     angled = tuple(i for i, (step, args) in enumerate(steps)
                    if step is _apply_layer
-                   and any(block[2] is None for block in args[0])
-                   or step is _apply_group and args[1] is None)
+                   and any(block[2] is None for block in args[0]))
     return tuple(steps), angled
 
 
 def _layer_steps(n, pending, structure, wide):
-    """The steps that apply every pending one-qubit run, in groups of
-    contiguous qubits (see ``_groups``), each group's runs highest qubit
-    first.
+    """The steps that apply every pending one-qubit run: one
+    ``_apply_layer`` step with a block per group of contiguous qubits
+    (see ``_groups``), each the record (real, shape, matrix, runs), its
+    runs highest qubit first.
 
-    A narrow layer is one ``_apply_layer`` step with a block per group of
-    at most LAYER_QUBITS: (real, shape, matrix, runs). A wide layer is a
-    step per group of at most GROUP_QUBITS: a lone diagonal gate (Z, S,
-    T, PHASE and their inverses) keeps ``_phase_block``, which touches
-    only the amplitudes it scales, and any other group, a lone gate too,
-    is one ``_update_group`` with its matrix, real when no entry is
-    complex. A block whose gates take no angle is the same on every run,
-    so its matrix is built here, a narrow one in its ``_block_form``; any
-    other block's matrix is None, built by ``_bound`` for each op list.
-    An angled narrow block is complex on the (high, 2**k, low) view.
+    A block whose gates take no angle is the same on every run, so it is
+    built here, in its ``_block_form``, shared by every run. Any other
+    block's matrix is None, built by ``_bound`` for each op list; until
+    then it is complex on the (high, 2**k, low) view. From WIDE_WIDTH on
+    a lone diagonal gate (Z, S, T, PHASE and their inverses) keeps
+    ``_phase_block``, which touches only the amplitudes it scales, as a
+    step of its own ahead of the layer's: they act on other qubits.
     """
     blocks, steps = [], []
-    for group in _groups(pending, GROUP_QUBITS if wide else LAYER_QUBITS):
+    for group in _groups(pending):
         k, q0 = len(group), group[0]
         runs = tuple(tuple(pending[q]) for q in reversed(group))
         kinds = {pos: structure[pos][0] for run in runs for pos in run}
-        matrix = None
-        if all(kind in _UNANGLED for kind in kinds.values()):
-            matrix = _block_matrix(
-                {pos: _UNANGLED[kind] for pos, kind in kinds.items()}, runs,
-                None)
-            matrix.flags.writeable = False  # shared by every run
-        if not wide:
-            form = ((False, (1 << (n - q0 - k), 1 << k, 1 << q0), None)
-                    if matrix is None else _block_form(q0, matrix))
-            blocks.append((*form, runs))
-            continue
         (pos, kind), *others = kinds.items()
-        if not others and KINDS[kind].structure == "diagonal":
+        if wide and not others and KINDS[kind].structure == "diagonal":
             steps.append((_apply_gate, (_phase_block, n, pos)))
+        elif all(kind in _UNANGLED for kind in kinds.values()):
+            blocks.append((*_block_form(q0, _block_matrix(
+                {pos: _UNANGLED[kind] for pos, kind in kinds.items()}, runs,
+                None)), runs))
         else:
-            steps.append((_apply_group, (q0, matrix, runs)))
-    return steps if wide else [(_apply_layer, (tuple(blocks),))]
+            blocks.append((False, (1 << (n - q0 - k), 1 << k, 1 << q0), None,
+                           runs))
+    if blocks:
+        steps.append((_apply_layer, (tuple(blocks), wide)))
+    return steps
 
 
 # one gate of each one-qubit kind without an angle: its entries, all that
@@ -479,34 +479,38 @@ def _kron_index(k):
     return index
 
 
-def _bound(ops, step, args):
-    """A layer step of a plan with each angled block's matrix, None in
-    the plan, built from ``ops``: complex for a narrow block, real for a
-    wide group without a complex entry (see ``_layer_steps``)."""
-    if step is _apply_group:
-        q0, _, runs = args
-        return step, (q0, _block_matrix(ops, runs, None), runs)
-    blocks, = args
-    return step, (tuple([
-        (real, shape, _block_matrix(ops, runs) if matrix is None else matrix,
-         runs) for real, shape, matrix, runs in blocks]),)
+def _bound(ops, blocks, wide):
+    """The layer step of a plan's ``blocks`` with each angled block,
+    None in the plan, built from ``ops``: below WIDE_WIDTH complex, on
+    the plan's (high, 2**k, low) view; from WIDE_WIDTH on in its
+    ``_block_form``, so real when no entry is complex."""
+    return _apply_layer, (tuple([
+        (real, shape, matrix, runs) if matrix is not None
+        else (*_block_form(ops[runs[-1][0]].qubits[0],
+                           _block_matrix(ops, runs, None)), runs) if wide
+        else (real, shape, _block_matrix(ops, runs), runs)
+        for real, shape, matrix, runs in blocks]), wide)
 
 
-def _apply_layer(amps, ops, blocks):
-    """Each block of a narrow layer as one matmul (see ``_block_form``):
-    a folded block's from the right on the rows of the flat state, any
-    other's from the left on the (high, 2**k, low) view."""
+def _apply_layer(amps, ops, blocks, wide):
+    """Each block of a layer as one matmul (see ``_block_form``): a
+    folded block's from the right on the rows of the flat state, any
+    other's from the left on the (high, 2**k, low) view. From WIDE_WIDTH
+    on, half the view at a time, so no temporary outgrows a half-state
+    copy."""
+    if wide:
+        for real, shape, matrix, _ in blocks:
+            view = (amps.view(np.float64) if real else amps).reshape(shape)
+            folded = len(shape) == 2
+            for part in _halves(view, 0 if folded or len(view) > 1 else 2):
+                part[...] = part @ matrix if folded else matrix @ part
+        return
     for real, shape, matrix, _ in blocks:
         view = (amps.view(np.float64) if real else amps).reshape(shape)
         if len(shape) == 2:  # folded
             view[...] = view @ matrix
         else:
             view[...] = matrix @ view
-
-
-def _apply_group(amps, ops, q0, matrix, runs):
-    """One group of a wide layer (see ``_layer_steps``)."""
-    _update_group(amps, q0, matrix)
 
 
 def _apply_gate(amps, ops, kernel, n, pos):
@@ -530,9 +534,9 @@ def _product(b, a):
             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
 
 
-def _groups(qubits, most=GROUP_QUBITS):
+def _groups(qubits):
     """Split each stretch of consecutive qubits into the fewest groups of
-    at most ``most``, their sizes differing by at most one."""
+    at most GROUP_QUBITS, their sizes differing by at most one."""
     stretches = []
     for q in sorted(qubits):
         if stretches and stretches[-1][-1] == q - 1:
@@ -540,7 +544,7 @@ def _groups(qubits, most=GROUP_QUBITS):
         else:
             stretches.append([q])
     for stretch in stretches:
-        size, count = len(stretch), -(-len(stretch) // most)
+        size, count = len(stretch), -(-len(stretch) // GROUP_QUBITS)
         for j in range(count):
             yield stretch[j * size // count:(j + 1) * size // count]
 
@@ -661,21 +665,6 @@ def _block_swap(amps, n, gate):
     saved = a.copy()
     a[...] = b
     b[...] = saved
-
-
-def _update_group(amps, q0, block):
-    """Dense update of qubits q0, q0 + 1, ... with ``block``, the 2**k x
-    2**k matrix of k of them (see ``_block_matrix``), in its
-    ``_block_form``, half the view at a time, so no temporary outgrows a
-    half-state copy."""
-    real, shape, block = _block_form(q0, block)
-    view = (amps.view(np.float64) if real else amps).reshape(shape)
-    if len(shape) == 2:  # folded
-        for part in _halves(view, 0):
-            part[...] = part @ block
-        return
-    for part in _halves(view, 0 if len(view) > 1 else 2):
-        part[...] = block @ part
 
 
 def _block_form(q0, matrix):
@@ -1047,9 +1036,13 @@ def _split_terms(text: str):
 
 
 def maxcut_observable(n: int, edges) -> PauliObservable:
-    """Cut-size operator of a graph: sum over edges of (1 - Z_i Z_j) / 2."""
+    """Cut-size operator of a graph: sum over edges of (1 - Z_i Z_j) / 2,
+    each edge two distinct qubits in 0..n-1."""
     terms = [(0.5 * len(edges), "I" * n)]
     for a, b in edges:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) must join two distinct "
+                             f"qubits in 0..{n - 1}")
         letters = ["I"] * n
         letters[a] = letters[b] = "Z"
         terms.append((-0.5, "".join(letters)))
@@ -1393,6 +1386,8 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
     order: the smallest denominator, or else lcm of two, that verifies,
     with every surplus prime factor divided out.
     """
+    if t < 1:
+        raise BadParamsError(f"t must be >= 1, got {t}")
     if modulus < 2:
         raise BadParamsError(f"modulus must be >= 2, got {modulus}")
     if math.gcd(a, modulus) != 1:

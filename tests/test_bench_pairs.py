@@ -2,6 +2,7 @@
 runs; no benchmark is run."""
 
 import importlib.util
+import json
 from argparse import Namespace
 from pathlib import Path
 
@@ -62,6 +63,37 @@ def test_a_change_median_above_the_parent_q3_is_flagged(monkeypatch):
         pytest.approx(40.245)
     assert result["change_median_above_parent_q3"] == {
         "op_best_ms": False, "peak_rss_mb": True, "setup_s": False}
+
+
+def test_a_change_median_beyond_its_bound_is_flagged(monkeypatch):
+    # peak_rss_mb rises above the parent's q3 but by 0.5%, inside its 10%
+    # bound; setup_s rises by 40%, beyond its 25%; op_best_ms falls
+    parent = [{"op_best_ms": 10.0 + 0.1 * i, "peak_rss_mb": 40.0 + 0.01 * i,
+               "setup_s": 0.20 + 0.001 * i} for i in range(10)]
+    change = [{"op_best_ms": run["op_best_ms"] - 2.0,
+               "peak_rss_mb": run["peak_rss_mb"] + 0.2,
+               "setup_s": run["setup_s"] * 1.4} for run in parent]
+    result = _measured(monkeypatch, parent, change)
+    assert result["change_median_above_parent_q3"] == {
+        "op_best_ms": False, "peak_rss_mb": True, "setup_s": True}
+    assert result["change_median_beyond_bound"] == {
+        "op_best_ms": False, "peak_rss_mb": False, "setup_s": True}
+
+
+def test_workloads_and_bounds_come_from_the_benchmark_file():
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json")
+                           .read_text())
+    assert bench_pairs.WORKLOADS == tuple(
+        workload["name"] for workload in benchmark["workloads"])
+    assert bench_pairs.END_TO_END["peak_rss_mb"]["bound"] == 0.1
+    assert {name: (metric["better"], metric["bound"])
+            for name, metric in bench_pairs.END_TO_END.items()} == {
+        metric["name"]: (metric["better"], metric["bound"])
+        for metric in benchmark["end_to_end"]}
+    # a metric that must not fall is worse when it does
+    higher = {"better": "higher", "bound": 0.1}
+    assert bench_pairs.beyond_bound(10.0, 8.9, higher)
+    assert not bench_pairs.beyond_bound(10.0, 9.1, higher)
 
 
 def test_nine_pairs_of_ten_are_enough(monkeypatch):

@@ -320,21 +320,23 @@ def test_a_plan_is_layers_runs_and_kernels():
     assert [step for step, _ in plan] == [
         simulate._apply_layer, simulate._signed_gather,
         simulate._apply_layer, simulate._apply_gate]
-    (layer,) = plan[0][1]
+    layer, wide = plan[0][1]
+    assert not wide  # so each block is one matmul on the whole state
     # Z and X take no angle, so the plan holds their block: real, so on
     # the float64 view, where its 8 numbers fold into one row
     assert [(real, shape, runs) for real, shape, _, runs in layer] == \
         [(True, (-1, 8), ((1,), (0,)))]
     assert np.array_equal(layer[0][2],
                           np.kron(np.kron(X2, Z2), np.eye(2)).T)
-    (layer,) = plan[2][1]
+    layer, wide = plan[2][1]
     # angled blocks are complex, on the (high, 2**k, low) view
     assert [(real, shape, runs) for real, shape, _, runs in layer] == \
         [(False, (4, 2, 1), ((5,),)), (False, (1, 2, 4), ((3, 4),))]
     # and built for each op list, in the step ``angled`` names
     assert [matrix for _, _, matrix, _ in layer] == [None, None]
     assert angled == (2,)
-    (bound,) = simulate._bound(ops, *plan[2])[1]
+    step, (bound, wide) = simulate._bound(ops, *plan[2][1])
+    assert step is simulate._apply_layer and not wide
     for (_, _, matrix, runs), want in zip(bound, (
             gate_matrix(ops[5]), gate_matrix(ops[4]) @ gate_matrix(ops[3]))):
         assert matrix.dtype == complex
@@ -358,27 +360,41 @@ def test_a_wide_plan_is_groups_runs_and_kernels():
            Gate(GateKind.CPHASE, (2, 3), 0.9)]
     plan, angled = simulate._plan(width,
                                   tuple((g.kind, g.qubits) for g in ops))
-    # the CNOT flushes the layer as a group per stretch of qubits: Z and
-    # X as one real block, a lone H as a group of its own, a lone S with
-    # its phase kernel; the RY releases the held run, and the CPHASE
-    # flushes the RY and keeps its kernel
+    # the CNOT flushes the layer as one step with a block per stretch of
+    # qubits: Z and X as one real block, a lone H as a block of its own,
+    # and a lone S with its phase kernel ahead of it; the RY releases the
+    # held run, and the CPHASE flushes the RY and keeps its kernel
     assert [step for step, _ in plan] == [
-        simulate._apply_group, simulate._apply_group, simulate._apply_gate,
-        simulate._apply_group, simulate._apply_run, simulate._apply_group,
-        simulate._apply_gate]
-    assert [args[::2] for step, args in plan
-            if step is simulate._apply_group] == \
-        [(0, ((1,), (0,))), (5, ((2,),)), (9, ((4,),)), (2, ((7,),))]
-    # unangled groups hold real matrices, angled ones are built per run
-    fixed = [args[1] for step, args in plan if step is simulate._apply_group]
-    assert np.array_equal(fixed[0], np.kron(X2, Z2))
-    assert fixed[0].dtype.kind != "c" and fixed[1].dtype.kind != "c"
-    assert fixed[2:] == [None, None]
-    assert angled == (3, 5)
-    assert plan[2][1] == (simulate._phase_block, width, 3)
-    assert plan[4][1] == ((width, ((GateKind.CNOT, (0, 1)),
+        simulate._apply_gate, simulate._apply_layer, simulate._apply_run,
+        simulate._apply_layer, simulate._apply_gate]
+    layers = [args for step, args in plan if step is simulate._apply_layer]
+    assert [wide for _, wide in layers] == [True, True]
+    assert [[runs for *_, runs in blocks] for blocks, _ in layers] == \
+        [[((1,), (0,)), ((2,),), ((4,),)], [((7,),)]]
+    # unangled blocks are formed with the plan, real on the float64 view,
+    # Z and X folded into rows of 8; angled ones are built per op list
+    blocks = layers[0][0] + layers[1][0]
+    assert [(real, shape) for real, shape, _, _ in blocks] == [
+        (True, (-1, 8)), (True, (-1, 2, 64)), (False, (1, 2, 512)),
+        (False, (128, 2, 4))]
+    assert np.array_equal(blocks[0][2], np.kron(np.kron(X2, Z2),
+                                                 np.eye(2)).T)
+    assert np.array_equal(blocks[1][2], gate_matrix(ops[2]))
+    assert not blocks[0][2].flags.writeable
+    assert [matrix for _, _, matrix, _ in blocks[2:]] == [None, None]
+    assert angled == (1, 3)
+    # from WIDE_WIDTH on an angled block is bound in its form: the RZ's
+    # complex, the RY's real and folded
+    for i, want in ((1, [(False, (-1, 2, 512))]), (3, [(True, (-1, 16))])):
+        step, (bound, wide) = simulate._bound(ops, *plan[i][1])
+        assert step is simulate._apply_layer and wide
+        assert [(real, shape) for real, shape, _, _ in bound][-1:] == want
+    assert np.allclose(bound[0][2], np.kron(gate_matrix(ops[7]).T,
+                                            np.eye(8)), rtol=0, atol=ATOL)
+    assert plan[0][1] == (simulate._phase_block, width, 3)
+    assert plan[2][1] == ((width, ((GateKind.CNOT, (0, 1)),
                                    (GateKind.CZ, (1, 2)))), (5, 6))
-    assert plan[6][1] == (simulate._phase_block, width, 8)
+    assert plan[4][1] == (simulate._phase_block, width, 8)
     amps = _random_state(np.random.default_rng(6), width)
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
     assert np.allclose(got.state.amplitudes,
@@ -457,19 +473,21 @@ def groups_on_states(draw):
 
 
 @settings(deadline=None)
-@given(groups_on_states())
-def test_group_kernel_matches_the_kronecker_reference(case):
+@given(groups_on_states(), st.booleans())
+def test_group_kernel_matches_the_kronecker_reference(case, wide):
     width, q0, mats, amps = case
     got = amps.copy()
     # runs of one gate each, highest qubit first, with the entries
     # ``_block_matrix`` reads; a real block stays real
     ops = [SimpleNamespace(entries=tuple(m.reshape(-1).tolist()))
            for m in mats]
-    block = simulate._block_matrix(
-        ops, tuple((j,) for j in reversed(range(len(mats)))), None)
+    runs = tuple((j,) for j in reversed(range(len(mats))))
+    block = simulate._block_matrix(ops, runs, None)
     assert (block.dtype.kind == "c") == any(m.dtype.kind == "c"
                                             for m in mats)
-    simulate._update_group(got, q0, block)
+    # the block's record, applied whole or half the view at a time
+    simulate._apply_layer(got, ops, ((*simulate._block_form(q0, block),
+                                      runs),), wide)
     want = apply_ref(amps, width, _kron_ref(mats),
                      tuple(range(q0, q0 + len(mats))))
     assert np.allclose(got, want, rtol=0, atol=ATOL)
@@ -553,11 +571,7 @@ def test_wide_measure_flushes_every_pending_run():
         assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
 
 
-def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
-    calls = []  # qubits of each group update
-    group = simulate._update_group
-    monkeypatch.setattr(simulate, "_update_group", lambda a, q0, block: (
-        calls.append(len(block).bit_length() - 1), group(a, q0, block)))
+def test_wide_layers_are_applied_as_grouped_blocks():
     width = simulate.SIM_WIDTH_CAP
     ops = [Gate(GateKind.H, (q,)) for q in range(9)]
     ops += [Gate(GateKind.X, (q,)) for q in range(9)]
@@ -565,9 +579,18 @@ def test_wide_layers_are_applied_as_grouped_blocks(monkeypatch):
     ops.append(Gate(GateKind.TOFFOLI, (9, 10, 4)))
     amps = _random_state(np.random.default_rng(5), width)
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
-    # every layer qubit goes through a group update, none alone
-    assert len(calls) <= -(-9 // GROUP)
-    assert sum(calls) == 9
+    _, _, steps = simulate._last_run  # the steps just run
+    # the layer is one step, then the Toffoli's held run
+    assert [step for step, _ in steps] == [simulate._apply_layer,
+                                           simulate._apply_run]
+    blocks, wide = steps[0][1]
+    assert wide
+    # three blocks of three qubits, each qubit's H-X run in one of them,
+    # none alone
+    assert len(blocks) == -(-9 // GROUP) == 3
+    assert sorted(ops[run_[0]].qubits[0] for *_, runs in blocks
+                  for run_ in runs) == list(range(9))
+    assert all(len(runs) == 3 for *_, runs in blocks)
     # one circuit per gate: every gate takes its own kernel
     want = StateVector(width, amps)
     for gate in ops:
@@ -628,7 +651,8 @@ def test_real_and_complex_layers_match_gate_by_gate_reference(case):
 @given(real_and_complex_layers(st.integers(1, WIDE - 1)))
 def test_narrow_real_and_complex_layers_match_gate_by_gate_reference(case):
     # below WIDE_WIDTH every layer is one step of blocks of at most
-    # LAYER_QUBITS, real ones on the float64 view and folded when short
+    # GROUP_QUBITS, each a matmul on the whole state, real ones on the
+    # float64 view and folded when short
     ops, width, amps = case
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
     assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
@@ -704,7 +728,7 @@ def test_groups_on_both_sides_of_the_fold(layer, q0, k):
 @pytest.mark.parametrize("layer", ["real", "complex", "mixed", "x"])
 def test_narrow_blocks_on_both_sides_of_the_fold(layer, q0, k):
     # the same layers one qubit narrower, where an angled block never
-    # folds and a stretch of four is two blocks of two
+    # folds and no block goes half the view at a time
     _check_layer(WIDE - 1, layer, q0, k)
 
 
@@ -751,9 +775,10 @@ def test_narrow_grover_layers_take_the_float_view():
     assert unitary.width < WIDE
     run(unitary)
     _, _, steps = simulate._last_run  # the steps just run
-    layers = [args[0] for step, args in steps
+    layers = [args for step, args in steps
               if step is simulate._apply_layer]
-    assert simulate._apply_group not in {step for step, _ in steps}
+    assert not any(wide for _, wide in layers)
+    layers = [blocks for blocks, _ in layers]
     # three blocks of three qubits per layer, two layers per iteration
     assert len(layers) >= 2 * 17
     assert all(len(blocks) == 3 for blocks in layers)
@@ -1717,6 +1742,46 @@ def test_a_wide_gradient_builds_a_group_only_when_its_gates_change():
                            wraps=simulate._block_matrix) as build:
         parameter_shift_gradient(25, *_hea_case(10))
     assert build.call_count == 9
+
+
+def test_a_wide_replay_forms_no_block():
+    # HEA n=10, L=2 from a StateVector: the first run binds the angled
+    # blocks in their form; a replay of the same op list takes them from
+    # the replay memo, and no layer forms a block as it applies it
+    n = 10
+    assert simulate.WIDE_WIDTH <= n
+    thetas = np.random.default_rng(n).uniform(-math.pi, math.pi, 4 * n)
+    circuit = realize_ansatz(25, {"n": n, "layers": 2}, thetas).circuit
+    amps = _random_state(np.random.default_rng(1), n)
+    first = run(circuit, initial=StateVector(n, amps)).state.amplitudes
+    with mock.patch.object(simulate, "_block_form",
+                           wraps=simulate._block_form) as form:
+        again = run(circuit, initial=StateVector(n, amps)).state.amplitudes
+    assert form.call_count == 0
+    assert np.array_equal(again, first)
+    assert np.allclose(first, _reference_run(circuit.ops, n, amps), rtol=0,
+                       atol=ATOL)
+
+
+def test_a_wide_unangled_layer_is_formed_with_the_plan():
+    # a second op list of the same unangled wide structure, new gate
+    # objects, finds every block formed in the cached plan
+    n = simulate.WIDE_WIDTH
+
+    def ops():
+        return ([Gate(GateKind.H, (q,)) for q in range(n)]
+                + [Gate(GateKind.S, (q,)) for q in range(0, n, 2)]
+                + [Gate(GateKind.CNOT, (q, q + 1)) for q in range(n - 1)]
+                + [Gate(GateKind.X, (q,)) for q in range(1, n, 3)])
+    amps = _random_state(np.random.default_rng(2), n)
+    run(GateCircuit(n, ops()), initial=StateVector(n, amps))
+    second = ops()
+    with mock.patch.object(simulate, "_block_form",
+                           wraps=simulate._block_form) as form:
+        got = run(GateCircuit(n, second), initial=StateVector(n, amps))
+    assert form.call_count == 0
+    assert np.allclose(got.state.amplitudes, _reference_run(second, n, amps),
+                       rtol=0, atol=ATOL)
 
 
 def test_a_stretch_split_by_the_byte_cap_keeps_its_gradient(monkeypatch):

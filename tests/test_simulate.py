@@ -213,6 +213,14 @@ def test_maxcut_observable_counts_cut_edges():
     assert expectation(StateVector.basis(3, 4), obs) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("edge", [(0, 5), (3, 1), (0, -1), (-3, 2), (1, 1)])
+def test_maxcut_observable_refuses_an_edge_outside_the_graph(edge):
+    # a qubit past the width, a negative one (which would wrap to another
+    # qubit) and a self-loop are no edge of an n-qubit graph
+    with pytest.raises(ValueError, match="two distinct qubits in 0..2"):
+        maxcut_observable(3, [(0, 1), edge])
+
+
 def test_qpe_estimate_validates_eigenstates():
     u = phase_unitary(0.25)
     with pytest.raises(NotEigenstateError):
@@ -257,6 +265,9 @@ def test_find_order_demo_and_validation():
         find_order(6, 15)
     with pytest.raises(BadParamsError):
         find_order(3, 1)
+    for t in (0, -2):
+        with pytest.raises(BadParamsError, match=f"t must be >= 1, got {t}"):
+            find_order(7, 15, t=t)
 
 
 def test_modular_unitaries_stop_at_the_dense_cap():

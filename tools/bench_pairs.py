@@ -10,12 +10,17 @@ the same ``--seconds``), one fresh process per run. Odd pairs (the first,
 the third, ...) run the parent first, even pairs the change. The output file
 holds, per workload, each side's runs of every end-to-end metric with
 their median and quartiles, the ops attempted and failed, the number of
-pairs in which the change read lower, and whether the change's median
-lies above the parent's upper quartile, so a metric that moved up is
-read from the file. The claimed workload gets a
+pairs in which the change read lower, whether the change's median lies
+above the parent's upper quartile, so a metric that moved up is read
+from the file, and whether it is worse than the parent's by more than
+the metric's bound. The claimed workload gets a
 ``claim`` entry per seed: the change is lower in at least 9 of 10 pairs,
 and its median is below the parent's by more than the parent's
 interquartile range.
+
+The workloads, and each end-to-end metric's ``better`` direction and
+``bound`` (a fraction of the parent's median: 0.1 is 10%), are read from
+the ``BENCHMARK.json`` of the repository that holds this tool.
 
 Standard library only: the numbers come from the last line of each run,
 a JSON object (see ``perfbench/run.py``), and the ``# env`` line.
@@ -30,7 +35,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("grover16", "order_qpe", "vqe_hea", "compose_mix")
+_BENCHMARK = json.loads((Path(__file__).resolve().parent.parent
+                         / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(workload["name"] for workload in _BENCHMARK["workloads"])
+# metric name -> {"name", "unit", "better", "bound"}
+END_TO_END = {metric["name"]: metric for metric in _BENCHMARK["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -56,6 +65,14 @@ def summary(runs):
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"runs": runs, "median": median, "q1": q1, "q3": q3,
             "min": min(runs), "max": max(runs)}
+
+
+def beyond_bound(parent, change, metric):
+    """Whether ``change``, a median, is worse than ``parent``'s by more
+    than ``metric``'s bound, read as a fraction of ``parent``."""
+    worse = change - parent if metric["better"] == "lower" else \
+        parent - change
+    return worse > metric["bound"] * abs(parent)
 
 
 def measure(args, workload, seed, env):
@@ -87,6 +104,10 @@ def measure(args, workload, seed, env):
     result["change_median_above_parent_q3"] = {
         key: result["change"][key]["median"] > result["parent"][key]["q3"]
         for key in keys}
+    result["change_median_beyond_bound"] = {
+        key: beyond_bound(result["parent"][key]["median"],
+                          result["change"][key]["median"], END_TO_END[key])
+        for key in keys if key in END_TO_END}
     return result
 
 
@@ -118,7 +139,8 @@ def main(argv=None):
                              "runs every workload, the others only the "
                              "claimed one (default: 2)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeat for more (default: all four)")
+                        help="repeat for more (default: every workload "
+                             "of BENCHMARK.json)")
     parser.add_argument("--claim", choices=WORKLOADS,
                         help="the workload whose op_best_ms gain is claimed")
     parser.add_argument("--target", type=float,
