@@ -13,6 +13,7 @@ import math
 import os
 import re
 import warnings
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -26,8 +27,7 @@ import numpy as np
 from .errors import (BadParamsError, NotEigenstateError, QsafError,
                      TooWideError, WidthMismatchError)
 from .gates import (KINDS, Gate, GateCircuit, GateKind, apply_matrix,
-                    controlled_power, diagonal_phase, modular_sources,
-                    sources)
+                    controlled_power, diagonal_phase, modular_sources)
 from .lowering import (ControlledPowers, finite_real, qpe_circuit, qpe_round,
                        realize_ansatz)
 
@@ -42,10 +42,9 @@ EIGEN_ATOL = 1e-8
 # ``run`` executes a plan compiled once per circuit structure (see
 # ``_plan``); PLAN_CACHE plans are kept, least recently used dropped
 # first. A layer of one-qubit runs is one step of blocks of at most
-# GROUP_QUBITS qubits, each acting as its ``_block_form`` says. The
-# width picks the rest: below WIDE_WIDTH qubits a held run is composed
-# with the plan; from WIDE_WIDTH on a layer updates half the state at a
-# time and a held run is composed once it recurs.
+# GROUP_QUBITS qubits, each acting as its ``_block_form`` says, and from
+# WIDE_WIDTH qubits on it updates half the state at a time. A held run
+# is composed with the plan into one signed permutation.
 WIDE_WIDTH = 10
 GROUP_QUBITS = 4
 PLAN_CACHE = 256
@@ -53,11 +52,12 @@ PLAN_CACHE = 256
 # for a real block) is folded into rows of the flat state, so its update
 # is one matmul, not many tiny ones; an angled narrow block never is
 _FOLD_SPAN = 32
-# _RUN_CACHE remembers the RUN_WINDOW held runs seen last and keeps the
-# signed permutations of those that recur, RUN_BYTES of labels at most:
-# eight runs at 16 qubits, each three arrays of 2**16 int64 labels
-RUN_WINDOW = 64
+# the signed permutations that live plans keep of their held runs take
+# RUN_BYTES at most, all plans together (see ``_compose``): eight worst
+# cases at 16 qubits, each three arrays of 2**16 int64 labels
 RUN_BYTES = 12 * 2 ** 20
+# bytes of the signed permutations that live plans hold
+_run_bytes = 0
 # an observable's plan keeps its X and Y terms stacked, PAULI_BYTES at most
 # (see ``PauliObservable._plan``): ten terms at 16 qubits
 PAULI_BYTES = 16 * 2 ** 20
@@ -92,11 +92,12 @@ class StateVector:
 
     Basis index convention: qubit 0 is the least significant bit.
 
-    The constructor checks the shape and the norm, and divides by the
-    norm. States this module computes (``basis``, ``run``'s result, the
-    gradient's prefix) are normalized as built, or come from unitary
-    steps on a checked state with measurements renormalized by
-    ``_collapse``, so they are built by ``_trusted`` instead.
+    The constructor checks the shape and the norm, which refuses any
+    amplitude that is not finite, and divides by the norm. States this
+    module computes (``basis``, ``run``'s result, the gradient's prefix)
+    are normalized as built, or come from unitary steps on a checked
+    state with measurements renormalized by ``_collapse``, so they are
+    built by ``_trusted`` instead.
     """
 
     width: int
@@ -109,7 +110,7 @@ class StateVector:
                 f"expected {2 ** self.width} amplitudes for width "
                 f"{self.width}, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # so NaN amplitudes fail it too
             raise ValueError(f"state is not normalized (norm {norm})")
         # numpy divides a complex by a real through its reciprocal, so
         # this is ``amps / norm`` without the complex division's cost
@@ -201,13 +202,11 @@ def run(circuit: GateCircuit, initial=None, seed=None) -> RunResult:
     When another gate or a measurement touches a pending qubit, or at the
     end, every pending run is applied, in blocks of contiguous qubits.
 
-    Consecutive CNOT, CZ, SWAP and Toffoli gates are held as one run too,
-    applied before any later gate that touches their qubits, any other
-    multi-qubit gate, a measurement, or the end. Both are steps of the
-    plan compiled once per circuit structure; below WIDE_WIDTH qubits
-    every run is one signed permutation, composed with the plan, and from
-    WIDE_WIDTH on a run that recurs is one cached signed permutation (see
-    ``_plan`` and ``_apply_run``).
+    Consecutive CNOT, CZ, SWAP, Toffoli, MCZ and MCX gates are held as
+    one run too, applied before any later gate that touches their
+    qubits, any other multi-qubit gate, a measurement, or the end. Both
+    are steps of the plan compiled once per circuit structure; a run is
+    one signed permutation, composed with it (see ``_plan``).
 
     From a basis state (``initial`` None or a label) and WIDE_WIDTH
     qubits on, the state the plan's leading layer of one-qubit runs makes
@@ -355,11 +354,11 @@ def _plan(n, structure):
     A step is (function, args), called as function(amps, ops, *args); a
     measurement is (None, (qubit, position)). Steps refer to gates by
     position, so one plan serves any angles. A layer applies every pending
-    one-qubit run, and CPHASE, CMODMUL and CONTROLLED_U keep their
-    kernels. The width picks the other steps once, here: below WIDE_WIDTH
-    a held run is one signed permutation, and from WIDE_WIDTH on it asks
-    ``_RUN_CACHE`` (see ``_apply_run``); a layer's steps are those of
-    ``_layer_steps``.
+    one-qubit run (see ``_layer_steps``), and CPHASE, CMODMUL and
+    CONTROLLED_U keep their kernels. A held run is one signed permutation,
+    composed here once for all its copies in the plan (see ``_compose``);
+    one it refuses, and from WIDE_WIDTH on a lone gate, which moves fewer
+    labels than composing does, go gate by gate through their kernels.
 
     No pending qubit is ever a qubit of the held run: a run gate flushes
     the pending runs it touches before it joins, and a one-qubit gate on
@@ -369,6 +368,7 @@ def _plan(n, structure):
     wide = n >= WIDE_WIDTH
     steps, pending = [], {}  # qubit -> positions of its pending run
     run, run_qubits = [], set()  # positions of the held run, its qubits
+    composed = {}  # ((kind, qubits), ...) -> its parts, or None
 
     def flush():
         if pending:
@@ -377,9 +377,13 @@ def _plan(n, structure):
 
     def release():
         if run:
-            key = (n, tuple([structure[pos] for pos in run]))
-            steps.append((_apply_run, (key, tuple(run))) if wide
-                         else (_signed_gather, _signed_permutation(*key)))
+            key = tuple([structure[pos] for pos in run])
+            if key not in composed:
+                composed[key] = None if wide and len(run) == 1 \
+                    else _compose(n, key)
+            steps.extend([(_signed_gather, composed[key])] if composed[key]
+                         else [(_apply_gate, (_KERNELS[kind], n, pos))
+                               for pos, (kind, _) in zip(run, key)])
             run.clear()
             run_qubits.clear()
 
@@ -567,87 +571,40 @@ def _phase_block(amps, n, gate):
         diagonal_phase(gate)
 
 
-def _apply_run(amps, ops, key, positions):
-    """A held run of a wide plan, ``key`` its (width, ((kind, qubits),
-    ...)) and ``positions`` its gates in ``ops``. A run of two or more
-    gates that recurs (see ``_RunCache``) is at most one gather and one
-    in-place negation; any other run goes gate by gate through its
-    kernels."""
-    parts = _RUN_CACHE.lookup(key) if len(positions) > 1 else None
-    if parts is None:
-        for pos in positions:
-            gate = ops[pos]
-            _KERNELS[gate.kind](amps, key[0], gate)
-    else:
-        _signed_gather(amps, ops, *parts)
+def _compose(n, run):
+    """``run``'s signed permutation at width n, its bytes counted in
+    ``_run_bytes`` until its first part is freed; None if its worst case,
+    three labels per basis state, would take the count past RUN_BYTES."""
+    global _run_bytes
+    if _run_bytes + (3 * np.dtype(np.intp).itemsize << n) > RUN_BYTES:
+        return None
+    parts = _signed_permutation(n, run)
+    size = sum(part.nbytes for part in parts)
+    _run_bytes += size
+    weakref.finalize(parts[0], _free_run_bytes, size)
+    return parts
 
 
-class _RunCache:
-    """The held runs seen last, keyed by (width, ((kind, qubits), ...)).
-
-    A run is composed into its signed permutation when it recurs among
-    the ``window`` runs seen last and the labels kept stay within
-    ``budget`` bytes; any other sighting goes gate by gate. Composing
-    works on all 2**n labels per gate, more than the gate itself moves,
-    so it pays only for a run that recurs, and a full budget keeps a
-    circuit with many distinct wide runs from composing them again and
-    again.
-    """
-
-    _UNSEEN = object()
-    # most bytes a run keeps per basis label: three int64 labels
-    _LABEL_BYTES = 3 * np.dtype(np.intp).itemsize
-
-    def __init__(self, window, budget):
-        self.window, self.budget = window, budget
-        self.runs = {}  # key -> None or its parts, least recent first
-        self.held = 0  # bytes of the parts kept
-
-    def lookup(self, key):
-        """The run's signed permutation, or None to go gate by gate."""
-        parts = self.runs.pop(key, self._UNSEEN)
-        if parts is self._UNSEEN:
-            parts = None
-        elif parts is None and (self.held + (self._LABEL_BYTES << key[0])
-                                <= self.budget):
-            parts = _signed_permutation(*key)
-            self.held += sum(part.nbytes for part in parts)
-        self.runs[key] = parts
-        if len(self.runs) > self.window:
-            old = self.runs.pop(next(iter(self.runs)))
-            if old is not None:
-                self.held -= sum(part.nbytes for part in old)
-        return parts
-
-    def clear(self):
-        self.runs.clear()
-        self.held = 0
-
-
-_RUN_CACHE = _RunCache(RUN_WINDOW, RUN_BYTES)
+def _free_run_bytes(size):
+    global _run_bytes
+    _run_bytes -= size
 
 
 def _signed_permutation(n, run):
-    """(moved, sources, negated) for a run of ((kind, qubits), ...) of
-    _RUN_KINDS gates at width n, applied first to last.
-
-    The run maps amplitudes as out[i] = s[i] * in[src[i]] with s[i] = +-1.
-    ``moved`` holds the labels with src[i] != i and ``sources`` their
-    src[i]; ``negated`` holds the labels with s[i] = -1.
-    """
-    labels = np.arange(1 << n)
-    src, negative = labels, np.zeros(1 << n, dtype=bool)
+    """(moved, sources, negated) of a run of ((kind, qubits), ...) of
+    _RUN_KINDS gates at width n, which maps amplitudes as out[i] = s[i] *
+    in[src[i]], s[i] = +-1: the labels with src[i] != i, their src[i], and
+    the labels with s[i] = -1. The run's own kernels act on the labels
+    1..2**n in place of the amplitudes: entry i ends s[i] * (src[i] + 1)."""
+    signed = np.arange(1, (1 << n) + 1)
     for kind, qubits in run:
-        if KINDS[kind].structure == "diagonal":
-            # CZ, MCZ: -1 on the labels where every listed qubit is 1
-            mask = sum(1 << q for q in qubits)
-            negative = negative ^ ((labels & mask) == mask)
+        if KINDS[kind].structure == "diagonal":  # CZ, MCZ: a phase of -1
+            _block(signed, n, qubits, (1,) * len(qubits))[...] *= -1
         else:
-            # the gate reads out[i] = before[step[i]]
-            step = sources(labels, kind, qubits)
-            src, negative = src[step], negative[step]
-    moved = np.flatnonzero(src != labels)
-    parts = moved, src[moved], np.flatnonzero(negative)
+            _block_swap(signed, n, Gate(kind, qubits))
+    src = abs(signed) - 1
+    moved = np.flatnonzero(src != np.arange(1 << n))
+    parts = moved, src[moved], np.flatnonzero(signed < 0)
     for part in parts:
         part.flags.writeable = False  # shared by every later run
     return parts
@@ -778,8 +735,7 @@ _KERNELS = {kind: _STRUCTURE_KERNELS[row.structure]
             if row.structure in _STRUCTURE_KERNELS}
 # the unangled multi-qubit permutations and phases (CNOT, CZ, SWAP,
 # Toffoli, MCZ and MCX at any arity; a phase is -1): a plan holds each
-# run of them and applies it as one signed permutation (from WIDE_WIDTH
-# on, once it recurs)
+# run of them and applies it as one signed permutation
 _RUN_KINDS = frozenset(
     kind for kind, row in KINDS.items()
     if (row.arity is None or row.arity >= 2) and not row.angled
@@ -812,8 +768,7 @@ def sample(state: StateVector, shots: int, seed=None, qubits=None) -> dict:
     one ``np.bincount`` up to its highest readout reached; one longer
     than the state, which repeats qubits, by ``np.unique`` first.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    shots = _int_arg("shots", shots, 1, error=ValueError)
     width = state.width
     probabilities = state.probabilities()
     reachable = probabilities != 0
@@ -1037,9 +992,11 @@ def _split_terms(text: str):
 
 def maxcut_observable(n: int, edges) -> PauliObservable:
     """Cut-size operator of a graph: sum over edges of (1 - Z_i Z_j) / 2,
-    each edge two distinct qubits in 0..n-1."""
-    terms = [(0.5 * len(edges), "I" * n)]
+    each edge two distinct integer qubits in 0..n-1."""
+    terms = [(0.5 * len(edges), "I" * _int_arg("n", n, error=ValueError))]
     for a, b in edges:
+        for q in (a, b):
+            _int_arg(f"qubit {q!r} of edge ({a}, {b})", q, error=ValueError)
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({a}, {b}) must join two distinct "
                              f"qubits in 0..{n - 1}")
@@ -1083,27 +1040,28 @@ class NonDecreasingEnergyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``variational_minimize``'s settings, checked when built:
+    ``max_iters`` an integer in 1..ITERATION_CAP, ``step`` and
+    ``min_step`` finite and > 0 (a zero one would halve the step
+    forever), ``tol`` finite and >= 0; else QsafError."""
+
     step: float = 0.25
     max_iters: int = 500
     tol: float = 1e-6
     min_step: float = 1e-7
 
+    def __post_init__(self):
+        for key in OPTIMIZER_KEYS:
+            value = getattr(self, key)
+            object.__setattr__(self, key, int_option(
+                key, value, 1, ITERATION_CAP) if key == "max_iters"
+                else real_option(key, value, key != "tol"))
+
     @classmethod
     def from_options(cls, options) -> "OptimizerConfig":
-        """The config with each field that ``options`` sets, checked:
-        ``max_iters`` an integer in 1..ITERATION_CAP, ``step`` and
-        ``min_step`` finite and > 0 (a zero one would halve the step
-        forever), ``tol`` finite and >= 0. Other keys are ignored; a
-        malformed value raises QsafError."""
-        values = {}
-        for key in OPTIMIZER_KEYS:
-            if key not in options:
-                continue
-            if key == "max_iters":
-                values[key] = int_option(key, options[key], 1, ITERATION_CAP)
-            else:
-                values[key] = real_option(key, options[key], key != "tol")
-        return cls(**values)
+        """The config with each field ``options`` sets; others ignored."""
+        return cls(**{key: options[key] for key in OPTIMIZER_KEYS
+                      if key in options})
 
 
 OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig))
@@ -1111,11 +1069,17 @@ OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig))
 
 def int_option(key, value, lo, hi=None):
     """``value`` as a checked integer in [lo, hi]; bools are refused."""
+    return _int_arg(f"option {key!r}", value, lo, hi, QsafError)
+
+
+def _int_arg(name, value, lo=None, hi=None, error=BadParamsError):
+    """``value`` as an int, in [lo, hi] where they are given: a bool, a
+    non-integer or a value outside raises ``error`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise QsafError(f"option {key!r} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
         bound = f"between {lo} and {hi}" if hi is not None else f">= {lo}"
-        raise QsafError(f"option {key!r} must be {bound}, got {value}")
+        raise error(f"{name} must be {bound}, got {value}")
     return int(value)
 
 
@@ -1340,8 +1304,7 @@ def qpe_estimate(unitary, eigenstate, t: int, shots: int = 256,
     Samples the counting register and returns the most frequent readout
     divided by 2**t, a value in [0, 1).
     """
-    if t < 1:
-        raise BadParamsError(f"t must be >= 1, got {t}")
+    t = _int_arg("t", t, 1)
     mat, vec = _check_eigenstate(unitary, eigenstate)
     state = _qpe_state(ControlledPowers.dense(mat), vec, t)
     counts = sample(state, shots, seed, qubits=range(t - 1, -1, -1))
@@ -1356,8 +1319,7 @@ def iterative_phase_estimate(unitary, eigenstate, t: int, seed=None) -> float:
     feedback from previously found lower-significance bits, and measures
     the ancilla. Exact for phases that are multiples of 1/2**t.
     """
-    if t < 1:
-        raise BadParamsError(f"t must be >= 1, got {t}")
+    t = _int_arg("t", t, 1)
     mat, vec = _check_eigenstate(unitary, eigenstate)
     m = mat.shape[0].bit_length() - 1
     width = 1 + m
@@ -1386,10 +1348,8 @@ def find_order(a: int, modulus: int, t: int = 8, shots: int = 64,
     order: the smallest denominator, or else lcm of two, that verifies,
     with every surplus prime factor divided out.
     """
-    if t < 1:
-        raise BadParamsError(f"t must be >= 1, got {t}")
-    if modulus < 2:
-        raise BadParamsError(f"modulus must be >= 2, got {modulus}")
+    a, t = _int_arg("a", a), _int_arg("t", t, 1)
+    modulus = _int_arg("modulus", modulus, 2)
     if math.gcd(a, modulus) != 1:
         raise BadParamsError(
             f"{a} shares a factor with {modulus}; order undefined")

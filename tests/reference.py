@@ -1,6 +1,7 @@
-"""Independent dense-algebra references, the full-replay shift gradient,
-the bincount sampler and its string readout, the gate-by-gate flatten and Grover builds, and
-manifest texts shared by the test modules; fixtures live in
+"""Independent dense-algebra references, the gather-composed signed
+permutation of a held run, the full-replay shift gradient, the bincount
+sampler and its string readout, the gate-by-gate flatten and Grover
+builds, and manifest texts shared by the test modules; fixtures live in
 conftest.py."""
 
 from dataclasses import replace
@@ -70,6 +71,27 @@ def op_on(n, matrix, qubits):
         basis[col] = 1.0
         full[:, col] = apply_ref(basis, n, matrix, qubits)
     return full
+
+
+def signed_permutation_ref(n, run):
+    """(moved, sources, negated) of a held run of ((kind, qubits), ...)
+    at width n, composed on every label as out[i] = s[i] * in[src[i]]:
+    one ``gates.sources`` gather per permutation gate, one mask per
+    phase. ``moved`` holds the labels with src[i] != i and ``sources``
+    their src[i]; ``negated`` the labels with s[i] = -1."""
+    labels = np.arange(1 << n)
+    src, negative = labels, np.zeros(1 << n, dtype=bool)
+    for kind, qubits in run:
+        if g.KINDS[kind].structure == "diagonal":
+            # CZ, MCZ: -1 on the labels where every listed qubit is 1
+            mask = sum(1 << q for q in qubits)
+            negative = negative ^ ((labels & mask) == mask)
+        else:
+            # the gate reads out[i] = before[step[i]]
+            step = g.sources(labels, kind, qubits)
+            src, negative = src[step], negative[step]
+    moved = np.flatnonzero(src != labels)
+    return moved, src[moved], np.flatnonzero(negative)
 
 
 def shift_gradient_ref(ansatz_id, thetas, observable, structure=None):

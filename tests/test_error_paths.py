@@ -185,13 +185,68 @@ def test_every_multiple_of_an_order_reduces_to_it():
                                                  modulus) == order
 
 
-def test_a_composed_run_leaving_the_window_frees_its_bytes():
-    cache = simulate._RunCache(window=1, budget=simulate.RUN_BYTES)
-    first = (2, ((GateKind.CNOT, (0, 1)),) * 3)
-    assert cache.lookup(first) is None
-    assert cache.lookup(first) is not None and cache.held > 0
-    cache.lookup((2, ((GateKind.CNOT, (1, 0)),) * 3))
-    assert cache.held == 0
+def test_a_composed_run_leaving_every_plan_frees_its_bytes():
+    held = GateCircuit(2, [Gate(GateKind.CNOT, (0, 1))] * 3)
+    other = GateCircuit(2, [Gate(GateKind.H, (0,))])
+    simulate._plan.cache_clear()
+    simulate.run(other)  # the replay memo lets go of the steps run before
+    assert simulate._run_bytes == 0
+    # the plan cache drops the composed run first, then the replay memo
+    simulate.run(held)
+    assert simulate._run_bytes > 0
+    simulate._plan.cache_clear()
+    assert simulate._run_bytes > 0
+    simulate.run(other)
+    assert simulate._run_bytes == 0
+    # and the other way round
+    simulate.run(held)
+    simulate.run(other)
+    assert simulate._run_bytes > 0
+    simulate._plan.cache_clear()
+    assert simulate._run_bytes == 0
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, complex(0, math.nan),
+                                       math.inf])
+def test_a_state_with_an_amplitude_that_is_not_finite_is_refused(
+        amplitude):
+    # a NaN norm failed no comparison, so sample drew '1' from NaNs
+    with pytest.raises(ValueError, match="state is not normalized"):
+        simulate.StateVector(1, np.array([amplitude, 0]))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"max_iters": -1}, "'max_iters' must be between 1 and 100000, got -1"),
+    ({"max_iters": 2.0}, "'max_iters' must be an integer, got 2.0"),
+    ({"step": math.nan}, "'step' must be a finite number, got nan"),
+    ({"min_step": 0}, "'min_step' must be > 0, got 0"),
+    ({"tol": -1e-3}, "'tol' must be >= 0, got -0.001"),
+])
+def test_an_optimizer_config_built_directly_is_checked(fields, message):
+    with pytest.raises(QsafError, match=message):
+        simulate.OptimizerConfig(**fields)
+
+
+@pytest.mark.parametrize("t", [1.5, True, "3"])
+def test_order_finding_refuses_a_count_that_is_no_integer(t):
+    with pytest.raises(BadParamsError, match=f"t must be an integer, got "
+                                             f"{t!r}"):
+        find_order(7, 15, t=t)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (True, 0), (0, np.float64(1))])
+def test_a_maxcut_edge_of_no_integer_qubits_is_refused(edge):
+    with pytest.raises(ValueError, match=r"of edge \(.*\) must be an "
+                                         r"integer"):
+        simulate.maxcut_observable(2, [edge])
+
+
+def test_sample_refuses_a_shot_count_that_is_no_integer():
+    state = simulate.StateVector.zero(1)
+    for shots in (2.5, True):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            simulate.sample(state, shots, seed=1)
+    assert simulate.sample(state, np.int64(3), seed=1) == {"0": 3}
 
 
 # catalog, classification, composition, analysis, command line

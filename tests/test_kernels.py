@@ -1,19 +1,20 @@
 """Property checks of the statevector fast paths against slow references.
 
 Every gate kernel in ``run``, the product-state start of a run from a
-basis state, the compiled plans at every width with
-both kinds of steps (narrow layers and composed runs below WIDE_WIDTH;
-grouped block updates, real ones through the float64 view and complex
-ones on the amplitudes, and cached runs from it on), the fusion of
+basis state, the compiled plans at every width with both kinds of steps
+(layers of grouped blocks, real ones through the float64 view and
+complex ones on the amplitudes, and held runs composed with the plan, or
+gate by gate once the bytes plans hold are full), the fusion of
 one-qubit runs, the held runs of CNOT, CZ, SWAP, Toffoli, MCZ and MCX
-gates, the native multi-controlled gates against their decomposition,
-the controlled modular multiply against the dense power of
-``modular_multiply_matrix``, the planned and stacked Pauli
-``expectation``, the three ways of ``sample`` and its readout of chosen
-qubits, and the parameter-shift gradient shifted at each stretch's end
-are compared with the index-arithmetic kernel ``apply_ref``, a per-shot
-loop, the bincount sampler and its string readout or full replays, over
-random gates, qubit orders, widths and states.
+gates and their kernel-composed signed permutations, the native
+multi-controlled gates against their decomposition, the controlled
+modular multiply against the dense power of ``modular_multiply_matrix``,
+the planned and stacked Pauli ``expectation``, the three ways of
+``sample`` and its readout of chosen qubits, and the parameter-shift
+gradient shifted at each stretch's end are compared with the
+index-arithmetic kernel ``apply_ref``, the gather-composed permutation,
+a per-shot loop, the bincount sampler and its string readout or full
+replays, over random gates, qubit orders, widths and states.
 """
 
 import contextlib
@@ -41,7 +42,7 @@ from qsaf.simulate import (PauliObservable, StateVector, expectation,
                            sample)
 
 from reference import (X2, Y2, Z2, apply_ref, readout_ref, sample_ref,
-                       shift_gradient_ref)
+                       shift_gradient_ref, signed_permutation_ref)
 
 MAX_WIDTH = 6
 ATOL = 1e-12
@@ -70,6 +71,19 @@ def _draw_arity(draw, kind, width):
 def _random_state(rng, width):
     amps = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
     return amps / np.linalg.norm(amps)
+
+
+def _drop_plans():
+    """Drop every plan and the replay memo, so no composed run holds
+    bytes and every run that follows may be composed."""
+    simulate._plan.cache_clear()
+    simulate._last_run = None, (), ()
+    assert simulate._run_bytes == 0
+
+
+@pytest.fixture
+def no_plans():
+    _drop_plans()
 
 
 def _random_unitary(rng, dim):
@@ -307,7 +321,7 @@ def test_a_layer_without_angles_is_built_with_the_plan_bit_for_bit():
         assert matrix.tobytes() == form[2].tobytes()
 
 
-def test_a_plan_is_layers_runs_and_kernels():
+def test_a_plan_is_layers_runs_and_kernels(no_plans):
     ops = [Gate(GateKind.Z, (0,)), Gate(GateKind.X, (1,)),
            Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (2,), 0.3),
            Gate(GateKind.RZ, (2,), -1.2), Gate(GateKind.PHASE, (0,), 0.5),
@@ -351,7 +365,7 @@ def test_a_plan_is_layers_runs_and_kernels():
                        rtol=0, atol=ATOL)
 
 
-def test_a_wide_plan_is_groups_runs_and_kernels():
+def test_a_wide_plan_is_groups_runs_and_kernels(no_plans):
     width = simulate.WIDE_WIDTH
     ops = [Gate(GateKind.Z, (0,)), Gate(GateKind.X, (1,)),
            Gate(GateKind.H, (5,)), Gate(GateKind.S, (7,)),
@@ -363,10 +377,12 @@ def test_a_wide_plan_is_groups_runs_and_kernels():
     # the CNOT flushes the layer as one step with a block per stretch of
     # qubits: Z and X as one real block, a lone H as a block of its own,
     # and a lone S with its phase kernel ahead of it; the RY releases the
-    # held run, and the CPHASE flushes the RY and keeps its kernel
+    # held run, composed as a narrow plan's is, and the CPHASE flushes the
+    # RY and keeps its kernel
     assert [step for step, _ in plan] == [
-        simulate._apply_gate, simulate._apply_layer, simulate._apply_run,
-        simulate._apply_layer, simulate._apply_gate]
+        simulate._apply_gate, simulate._apply_layer,
+        simulate._signed_gather, simulate._apply_layer,
+        simulate._apply_gate]
     layers = [args for step, args in plan if step is simulate._apply_layer]
     assert [wide for _, wide in layers] == [True, True]
     assert [[runs for *_, runs in blocks] for blocks, _ in layers] == \
@@ -392,8 +408,9 @@ def test_a_wide_plan_is_groups_runs_and_kernels():
     assert np.allclose(bound[0][2], np.kron(gate_matrix(ops[7]).T,
                                             np.eye(8)), rtol=0, atol=ATOL)
     assert plan[0][1] == (simulate._phase_block, width, 3)
-    assert plan[2][1] == ((width, ((GateKind.CNOT, (0, 1)),
-                                   (GateKind.CZ, (1, 2)))), (5, 6))
+    assert [part.tobytes() for part in plan[2][1]] == [
+        part.tobytes() for part in signed_permutation_ref(
+            width, ((GateKind.CNOT, (0, 1)), (GateKind.CZ, (1, 2))))]
     assert plan[4][1] == (simulate._phase_block, width, 8)
     amps = _random_state(np.random.default_rng(6), width)
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
@@ -580,9 +597,11 @@ def test_wide_layers_are_applied_as_grouped_blocks():
     amps = _random_state(np.random.default_rng(5), width)
     got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
     _, _, steps = simulate._last_run  # the steps just run
-    # the layer is one step, then the Toffoli's held run
+    # the layer is one step, then the Toffoli, a wide held run of one
+    # gate, which keeps its kernel
     assert [step for step, _ in steps] == [simulate._apply_layer,
-                                           simulate._apply_run]
+                                           simulate._apply_gate]
+    assert steps[1][1] == (simulate._block_swap, width, len(ops) - 1)
     blocks, wide = steps[0][1]
     assert wide
     # three blocks of three qubits, each qubit's H-X run in one of them,
@@ -883,10 +902,9 @@ def _reference_with_measurements(circuit, amps, bits, seed):
 @given(held_run_circuits())
 def test_held_runs_match_gate_by_gate_reference(case):
     circuit, amps, seed = case
-    # every run of the circuit fits the window: the first pass applies it
-    # gate by gate, the second composes it, the third reads it back
-    assert len(circuit.ops) <= simulate.RUN_WINDOW
-    simulate._RUN_CACHE.clear()
+    # the first pass builds the plan, composing its runs, the second and
+    # third replay it
+    simulate._plan.cache_clear()
     results = [run(circuit, initial=StateVector(circuit.width, amps),
                    seed=seed) for _ in range(3)]
     want = _reference_with_measurements(circuit, amps, results[0].bits,
@@ -896,7 +914,7 @@ def test_held_runs_match_gate_by_gate_reference(case):
         assert np.allclose(result.state.amplitudes, want, rtol=0, atol=ATOL)
 
 
-def test_a_run_waits_for_a_later_gate_on_its_qubits():
+def test_a_run_waits_for_a_later_gate_on_its_qubits(monkeypatch, no_plans):
     width = simulate.WIDE_WIDTH
     ops = [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.H, (2,)),
            Gate(GateKind.CZ, (1, 3)), Gate(GateKind.TOFFOLI, (3, 0, 1)),
@@ -904,9 +922,10 @@ def test_a_run_waits_for_a_later_gate_on_its_qubits():
            Gate(GateKind.SWAP, (2, 0)), Gate(GateKind.CNOT, (1, 2))]
     amps = _random_state(np.random.default_rng(9), width)
     want = _reference_run(ops, width, amps)
-    simulate._RUN_CACHE.clear()
-    # gate by gate, then as the composed runs
-    for _ in range(2):
+    # gate by gate, with no bytes to compose in, then as the composed runs
+    for room in (0, simulate.RUN_BYTES):
+        monkeypatch.setattr(simulate, "RUN_BYTES", room)
+        simulate._plan.cache_clear()
         got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
         assert np.allclose(got.state.amplitudes, want, rtol=0, atol=ATOL)
 
@@ -1160,40 +1179,38 @@ wire search.out -> meas.in
 """
 
 
-def test_the_grover_ladders_are_one_signed_permutation(monkeypatch):
+def test_the_grover_ladders_are_one_signed_permutation(monkeypatch,
+                                                      no_plans):
     circuit = decompose(parse_manifest(GROVER16).graph.flatten())
     unitary = GateCircuit(circuit.width, [
         g for g in circuit.ops if g.kind is not GateKind.MEASURE])
     assert unitary.width == simulate.SIM_WIDTH_CAP
-    swaps, runs, composed = [], [], []
-    lookup = simulate._RUN_CACHE.lookup
-    compose = simulate._signed_permutation
+    swaps = []
     for kind, kernel in list(simulate._KERNELS.items()):
         if kernel is simulate._block_swap:
             monkeypatch.setitem(simulate._KERNELS, kind,
                                 lambda a, n, g, k=kernel: (swaps.append(g),
                                                            k(a, n, g)))
-    # every held run of the ladders has two gates or more, so each asks
-    # the run cache
-    monkeypatch.setattr(simulate._RUN_CACHE, "lookup", lambda key: (
-        runs.append(key[1]), lookup(key))[1])
-    monkeypatch.setattr(simulate, "_signed_permutation", lambda n, run_: (
-        composed.append(run_), compose(n, run_))[1])
-    simulate._RUN_CACHE.clear()
+    composed = _spy_compositions(monkeypatch)
     first = run(unitary).state.amplitudes
-    # the first ladder goes gate by gate, the second composes the run
-    assert len(swaps) == 14 and len(composed) == 1
-    swaps.clear()
-    second = run(unitary).state.amplitudes
+    # the 34 ladders are alike, each a held run of two gates or more: the
+    # plan composes the run once, and no gate goes through its kernel
     assert swaps == [] and len(composed) == 1
-    assert len(runs) == 2 * 34 and set(runs) == set(composed)
+    _, _, steps = simulate._last_run  # the steps just run
+    gathers = [args for step, args in steps
+               if step is simulate._signed_gather]
+    assert len(gathers) == 34
+    assert all(args is gathers[0] for args in gathers)
+    second = run(GateCircuit(unitary.width, unitary.ops)).state.amplitudes
+    assert swaps == [] and len(composed) == 1
     assert np.array_equal(first, second)
     # 7 Toffolis compute, a CZ phases and 7 uncompute: one sign flip on a
     # quarter of the labels, and no amplitude moves
-    assert [kind for kind, _ in runs[0]] == \
+    assert [kind for kind, _ in composed[0]] == \
         [GateKind.TOFFOLI] * 7 + [GateKind.CZ] + [GateKind.TOFFOLI] * 7
-    moved, _, negated = simulate._RUN_CACHE.runs[(unitary.width, runs[0])]
+    moved, _, negated = gathers[0]
     assert moved.size == 0 and negated.size == 2 ** 16 // 4
+    assert simulate._run_bytes == sum(part.nbytes for part in gathers[0])
 
 
 def _spy_compositions(monkeypatch):
@@ -1204,58 +1221,117 @@ def _spy_compositions(monkeypatch):
     return composed
 
 
-def test_only_runs_recurring_in_the_window_are_composed(monkeypatch):
+@st.composite
+def held_runs(draw):
+    """A width from 1 to 12 and a run of up to 8 gates of RUN_KINDS on
+    it; none at width 1, where no run gate fits."""
+    width = draw(st.integers(1, 12))
+    kinds = [k for k in RUN_KINDS if _least_arity(k) <= width]
+    run_ = []
+    for _ in range(draw(st.integers(0, 8 if kinds else 0))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(width)))
+        run_.append((kind, tuple(qubits[:_draw_arity(draw, kind, width)])))
+    return width, tuple(run_)
+
+
+@settings(deadline=None, max_examples=150)
+@given(held_runs())
+def test_kernel_composed_parts_equal_the_gather_reference(case):
+    width, run_ = case
+    got = simulate._signed_permutation(width, run_)
+    want = signed_permutation_ref(width, run_)
+    assert [(part.dtype, part.tobytes()) for part in got] == \
+        [(part.dtype, part.tobytes()) for part in want]
+    assert not any(part.flags.writeable for part in got)
+
+
+def _ladder_ops(width):
+    """Two alike held runs, a lone CZ and a longer run, each released by
+    a one-qubit gate on its qubits."""
+    ladder = [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.TOFFOLI, (0, 1, 2))]
+    return (ladder + [Gate(GateKind.H, (1,))] + ladder
+            + [Gate(GateKind.RY, (2,), 0.4), Gate(GateKind.CZ, (3, 4)),
+               Gate(GateKind.RZ, (4,), 0.8)] + ladder
+            + [Gate(GateKind.SWAP, (width - 1, 3))])
+
+
+def test_identical_runs_in_a_plan_share_one_composition(monkeypatch):
     composed = _spy_compositions(monkeypatch)
-    keys = [(4, ((GateKind.CNOT, (0, 1)),) * length) for length in (2, 3, 4)]
-    # one more distinct run than the window holds, cycled: none recurs
-    # while still in the window, so each goes gate by gate
-    cache = simulate._RunCache(window=2, budget=simulate.RUN_BYTES)
-    for _ in range(3):
-        assert [cache.lookup(key) for key in keys] == [None] * 3
-    assert composed == [] and len(cache.runs) == 2 and cache.held == 0
-    # as many runs as the window holds: each is composed once, when it
-    # first recurs, and kept
-    cache = simulate._RunCache(window=3, budget=simulate.RUN_BYTES)
-    for cycle in range(3):
-        parts = [cache.lookup(key) for key in keys]
-        assert all((p is None) == (cycle == 0) for p in parts)
-    assert composed == [run_ for _, run_ in keys]
-    assert cache.held == sum(part.nbytes for parts in cache.runs.values()
-                             for part in parts)
+    for width in (simulate.WIDE_WIDTH - 1, simulate.WIDE_WIDTH):
+        _drop_plans()
+        composed.clear()
+        _check_shared_composition(width, composed)
 
 
-def test_a_full_budget_composes_no_more_runs(monkeypatch):
+def _check_shared_composition(width, composed):
+    ops = _ladder_ops(width)
+    amps = _random_state(np.random.default_rng(width), width)
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    ladder = ((GateKind.CNOT, (0, 1)), (GateKind.TOFFOLI, (0, 1, 2)))
+    lone = ((GateKind.CZ, (3, 4)),)
+    longer = ladder + ((GateKind.SWAP, (width - 1, 3)),)
+    # the ladder is composed once for both its runs; from WIDE_WIDTH on
+    # the lone CZ keeps its kernel
+    wide = width >= simulate.WIDE_WIDTH
+    assert composed == ([ladder, longer] if wide else [ladder, lone, longer])
+    _, _, steps = simulate._last_run  # the steps just run
+    gathers = [args for step, args in steps
+               if step is simulate._signed_gather]
+    assert gathers[0] is gathers[1] and len(gathers) == 4 - wide
+    assert ((simulate._apply_gate, (simulate._phase_block, width, 6))
+            in steps) == wide
+    assert simulate._run_bytes == sum(part.nbytes for parts in gathers[1:]
+                                      for part in parts)
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
+                       rtol=0, atol=ATOL)
+
+
+def test_a_full_budget_composes_no_more_runs(monkeypatch, no_plans):
     composed = _spy_compositions(monkeypatch)
-    # odd runs of one CNOT: each moves 8 of the 16 labels
-    keys = [(4, ((GateKind.CNOT, (0, 1)),) * length) for length in (3, 5, 7)]
-    # room for one run of the worst size, as three arrays of 16 labels
-    worst = 3 * np.dtype(np.intp).itemsize << 4
-    cache = simulate._RunCache(window=8, budget=worst + 1)
-    for _ in range(4):
-        parts = [cache.lookup(key) for key in keys]
-    assert parts[0] is not None and parts[1:] == [None, None]
-    assert composed == [keys[0][1]]
-    assert 0 < cache.held <= cache.budget
+    width = 6
+    # room for the worst case of one run, three int64 labels per label
+    worst = 3 * np.dtype(np.intp).itemsize << width
+    monkeypatch.setattr(simulate, "RUN_BYTES", worst + 1)
+    ops = _ladder_ops(width)
+    amps = _random_state(np.random.default_rng(3), width)
+    got = run(GateCircuit(width, ops), initial=StateVector(width, amps))
+    # the ladder is composed and held; every later run goes gate by gate
+    # through its kernels, the ladder's second copy still composed
+    assert composed == [((GateKind.CNOT, (0, 1)),
+                         (GateKind.TOFFOLI, (0, 1, 2)))]
+    _, _, steps = simulate._last_run  # the steps just run
+    kernels = [args for step, args in steps if step is simulate._apply_gate]
+    assert kernels == [
+        (simulate._phase_block, width, 6), (simulate._block_swap, width, 8),
+        (simulate._block_swap, width, 9), (simulate._block_swap, width, 10)]
+    assert [step for step, _ in steps].count(simulate._signed_gather) == 2
+    assert 0 < simulate._run_bytes <= simulate.RUN_BYTES
+    assert np.allclose(got.state.amplitudes, _reference_run(ops, width, amps),
+                       rtol=0, atol=ATOL)
 
 
-def test_run_cache_stays_under_12_mib_at_width_16(monkeypatch):
+def test_composed_runs_stay_under_12_mib_at_width_16(monkeypatch, no_plans):
     composed = _spy_compositions(monkeypatch)
     width = simulate.SIM_WIDTH_CAP
-    # chains moving every label but two, with phases: each run is seen
-    # twice, so it is composed while the budget allows
+    # chains moving every label but two, with phases, one per plan: each
+    # plan composes its run while the bytes all plans hold allow
     chain = tuple((GateKind.CNOT, (q, q + 1)) for q in range(width - 1))
-    cache = simulate._RunCache(simulate.RUN_WINDOW, simulate.RUN_BYTES)
-    for extra in range(10):
-        key = (width, chain + ((GateKind.CZ, (extra, extra + 1)),
-                               (GateKind.TOFFOLI, (3, 9, 12))))
-        cache.lookup(key)
-        cache.lookup(key)
-    kept = [parts for parts in cache.runs.values() if parts is not None]
-    assert len(kept) == len(composed) >= 8
-    assert cache.held == sum(part.nbytes for parts in kept for part in parts)
-    assert cache.held <= simulate.RUN_BYTES <= 12 * 2 ** 20
+    plans = [simulate._plan(width, chain + (
+        (GateKind.CZ, (extra, extra + 1)), (GateKind.TOFFOLI, (3, 9, 12))))[0]
+        for extra in range(12)]
+    kept = [args for steps in plans for step, args in steps
+            if step is simulate._signed_gather]
+    assert 8 <= len(kept) == len(composed) < len(plans)
+    assert simulate._run_bytes == sum(part.nbytes for parts in kept
+                                      for part in parts)
+    assert simulate._run_bytes <= simulate.RUN_BYTES <= 12 * 2 ** 20
     for parts in kept:
         assert not any(part.flags.writeable for part in parts)
+    # the plans past the bound go gate by gate, a kernel step each
+    for steps in plans[len(kept):]:
+        assert [step for step, _ in steps] == \
+            [simulate._apply_gate] * (len(chain) + 2)
 
 
 _LETTERS = {"X": X2, "Y": Y2, "Z": Z2}

@@ -67,6 +67,24 @@ def summary(runs):
             "min": min(runs), "max": max(runs)}
 
 
+def compare(runs, keys):
+    """The pair fields of ``runs``, {"parent": [...], "change": [...]},
+    each a list of dicts holding ``keys``, in pair order: each side's
+    summary per key, the pairs in which the change read lower, and
+    whether the change's median lies above the parent's upper quartile."""
+    result = {"pairs": len(runs["parent"]), "change_lower_in_pairs": {
+        key: sum(c[key] < p[key]
+                 for p, c in zip(runs["parent"], runs["change"]))
+        for key in keys}}
+    for side, side_runs in runs.items():
+        result[side] = {key: summary([run[key] for run in side_runs])
+                        for key in keys}
+    result["change_median_above_parent_q3"] = {
+        key: result["change"][key]["median"] > result["parent"][key]["q3"]
+        for key in keys}
+    return result
+
+
 def beyond_bound(parent, change, metric):
     """Whether ``change``, a median, is worse than ``parent``'s by more
     than ``metric``'s bound, read as a fraction of ``parent``."""
@@ -92,18 +110,10 @@ def measure(args, workload, seed, env):
                   + ", ".join(f"{k}={v:.6g}" for k, v in metrics.items()),
                   file=sys.stderr, flush=True)
     keys = list(runs["parent"][0])
-    result = {"pairs": args.pairs, "change_lower_in_pairs": {
-        key: sum(c[key] < p[key]
-                 for p, c in zip(runs["parent"], runs["change"]))
-        for key in keys}}
+    result = compare(runs, keys)
     for side in sides:
-        result[side] = {key: summary([run[key] for run in runs[side]])
-                        for key in keys}
         result[side]["attempted_ops"], result[side]["failed_ops"] = \
             ops[side]
-    result["change_median_above_parent_q3"] = {
-        key: result["change"][key]["median"] > result["parent"][key]["q3"]
-        for key in keys}
     result["change_median_beyond_bound"] = {
         key: beyond_bound(result["parent"][key]["median"],
                           result["change"][key]["median"], END_TO_END[key])
